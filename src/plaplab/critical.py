@@ -176,7 +176,6 @@ def _constrained_rayleigh_min(
                 hi = mid
         return (1.0 - hi) * v + hi * feas_dir
 
-    rng_master = np.random.default_rng(seed)
     best = np.inf
     any_converged = False
 
@@ -220,12 +219,11 @@ def _constrained_rayleigh_min(
         value = g / m
         if value < best:
             best = value
-            any_converged = result_status in ("converged", "stalled", "max_iterations")
+            any_converged = result_status == "converged"
     # Also try the feasible bump itself: cheap and sometimes better for
     # strongly localized constraints.
     g, m, _, _ = rayleigh_pieces(feas_dir)
     best = min(best, g / m)
-    _ = rng_master
     if not np.isfinite(best):
         raise NonConvergenceError("penalized Rayleigh minimization failed to produce a value")
     return float(best), any_converged
@@ -292,21 +290,26 @@ def picone_condition(p: float, q: float) -> PiconeReport:
     s_max = max(2.0, ((p - q) / (q - 1.0)) ** (1.0 / (p - 1.0)) + 1.0)
     grid = np.concatenate(([0.0], np.geomspace(1e-8, s_max, 10_000)))
     dvals = _picone_poly_deriv(p, q, np.maximum(grid, 1e-300))
+    d, d_next = dvals[1:-1], dvals[2:]
+    hits = np.flatnonzero((d == 0.0) | (d * d_next < 0.0)) + 1
     stationary: list[float] = []
-    for i in range(1, len(grid) - 1):
+    for i in hits:
         if dvals[i] == 0.0:
             stationary.append(float(grid[i]))
-        elif dvals[i] * dvals[i + 1] < 0.0:
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if _picone_poly_deriv(p, q, np.array(mid)) * _picone_poly_deriv(p, q, np.array(lo)) <= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-                if hi - lo < 1e-12:
-                    break
-            stationary.append(0.5 * (lo + hi))
+            continue
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        # lo only moves to points where f' keeps its sign, so f'(lo) is
+        # evaluated once and reused
+        d_lo = _picone_poly_deriv(p, q, np.array(lo))
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if _picone_poly_deriv(p, q, np.array(mid)) * d_lo <= 0.0:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo < 1e-12:
+                break
+        stationary.append(0.5 * (lo + hi))
     candidates = [0.0, 1.0, float(s_max)] + stationary
     values = [float(_picone_poly(p, q, np.array(s))) for s in candidates]
     k = int(np.argmin(values))
@@ -321,10 +324,14 @@ def region_classify(p: float, q: float) -> str:
     condition holds. The two can never overlap: p > 2q forces the s=1
     value 2(2q-p) below zero.
     """
-    if not (1.0 < q < p):
-        raise ValueError(f"need 1 < q < p, got q={q}, p={p}")
+    return _region_of(picone_condition(p, q))
+
+
+def _region_of(report: PiconeReport) -> str:
+    """The region_classify verdict for a pair whose condition is already decided."""
+    p, q = report.p, report.q
     existence = p > 2.0 * q
-    nonexistence = picone_condition(p, q).holds
+    nonexistence = report.holds
     if existence and nonexistence:
         raise AssertionError(f"regimes overlap at p={p}, q={q}; polynomial minimum is inconsistent")
     if existence:

@@ -19,10 +19,10 @@ import numpy as np
 from . import solvers
 from .critical import (
     CriticalValues,
+    _region_of,
     compute_critical_values,
     picone_certificate,
     picone_condition,
-    region_classify,
 )
 from .eigen import EigenPair, first_eigenpair
 from .errors import ConfigError, PlapLabError, SolverError
@@ -140,6 +140,8 @@ class RunConfig:
             raise ConfigError(f"lambda_scale must be lambda1 or absolute, got {self.lambda_scale!r}")
         if self.threads < 1:
             raise ConfigError("threads must be positive")
+        if not 1.0 < self.q < self.p:  # also rejects p <= 1 and NaN
+            raise ConfigError(f"need 1 < q < p, got q={self.q}, p={self.p}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -408,10 +410,10 @@ def run_region_map(p_grid, q_grid) -> RegionTable:
                 RegionRow(
                     p=float(p),
                     q=float(q),
-                    classification=region_classify(p, q),
+                    classification=_region_of(rep),
                     picone_holds=rep.holds,
                     picone_min=rep.min_value,
-                    existence_p_gt_2q=p > 2.0 * q,
+                    existence_p_gt_2q=bool(p > 2.0 * q),
                 )
             )
     return RegionTable(tuple(rows))

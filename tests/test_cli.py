@@ -41,6 +41,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("lambda_count = 0\n")
 
+    def test_exponents_outside_range_rejected(self):
+        for text in ("p = 1.5\n", "q = 3.0\n", "q = 1.0\n", "p = 1.0\nq = 0.5\n", "p = nan\n"):
+            with pytest.raises(ConfigError):
+                parse_config(text)
+
     def test_values_parsed(self):
         cfg = parse_config(SMALL_SWEEP)
         assert cfg.n_cells == 96
@@ -189,6 +194,34 @@ class TestRegionMap:
         for r in table.rows:
             assert 1.0 < r.q < r.p
 
+    def test_one_picone_call_per_pair(self, monkeypatch):
+        import plaplab.critical
+        import plaplab.sweeps
+
+        calls = []
+        original = plaplab.critical.picone_condition
+
+        def counting(p, q):
+            calls.append((p, q))
+            return original(p, q)
+
+        monkeypatch.setattr(plaplab.critical, "picone_condition", counting)
+        monkeypatch.setattr(plaplab.sweeps, "picone_condition", counting)
+        p_grid = np.linspace(1.1, 6.0, 6)
+        q_grid = np.linspace(1.05, 4.0, 5)
+        table = run_region_map(p_grid, q_grid)
+        admissible = [(p, q) for p in p_grid for q in q_grid if 1.0 < q < p]
+        assert len(table.rows) == len(admissible)
+        assert calls == admissible
+
+    def test_csv_booleans_lowercase(self):
+        table = run_region_map(np.linspace(1.1, 6.0, 8), np.linspace(1.05, 4.0, 6))
+        lines = table.to_csv().splitlines()
+        header = lines[0].split(",")
+        cols = [header.index("picone_holds"), header.index("existence_p_gt_2q")]
+        cells = {line.split(",")[c] for line in lines[1:] for c in cols}
+        assert cells == {"true", "false"}
+
 
 class TestCertify:
     def test_no_uncertified_positive(self):
@@ -229,6 +262,14 @@ class TestCommandLine:
         cfg.write_text("nonsense_key = 1\n")
         res = self._run(["eigen", "--config", str(cfg)])
         assert res.returncode == 2
+
+    def test_p_not_above_q_exit_code(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("p = 1.5\n")  # default q = 2
+        res = self._run(["eigen", "--config", str(cfg)])
+        assert res.returncode == 2
+        assert "config error:" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_missing_config_exit_code(self):
         res = self._run(["eigen", "--config", "/nonexistent/path.cfg"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from plaplab.critical import (
+    _constrained_rayleigh_min,
     compute_critical_values,
     nonexistence_bound,
     picone_certificate,
@@ -14,7 +15,7 @@ from plaplab.functionals import ProblemSpec
 from plaplab.grid import grid_fn, make_mesh, sign_partition
 from plaplab.presets import TwoBumpParams, orthogonal_two_bump, two_bump
 
-from oracles import picone_poly_min
+from oracles import picone_condition_loop, picone_poly_min
 
 
 def sine_fn(mesh, power=1.0):
@@ -58,6 +59,29 @@ class TestPiconeCondition:
             assert rep.holds == (mn >= -1e-12)
             assert rep.min_value == pytest.approx(mn, abs=1e-8)
 
+    def test_two_stationary_points_match_oracle(self):
+        # at q = 1.05 and p in 1.2..1.6 on the default region grid, f' changes
+        # sign twice (a local maximum, then the interior minimum)
+        q = 1.05
+        for p in np.linspace(1.1, 6.0, 50)[1:6]:
+            s = np.geomspace(1e-8, 1e4, 200_001)
+            df = p * (q - 1.0) * s ** (p - 1.0) + q * (p - 1.0) * s ** (p - 2.0) - (p - q)
+            assert np.count_nonzero(np.diff(np.sign(df)) != 0) == 2
+            rep = picone_condition(float(p), q)
+            mn, _ = picone_poly_min(float(p), q)
+            assert rep.min_value == pytest.approx(mn, abs=1e-8)
+            assert rep.holds == (mn >= -1e-12)
+
+    def test_matches_scalar_loop_bit_for_bit(self):
+        rng = np.random.default_rng(1)
+        pairs = [(float(p), 1.05) for p in np.linspace(1.1, 6.0, 50)[1:6]]
+        for _ in range(40):
+            q = float(rng.uniform(1.01, 4.0))
+            pairs.append((float(rng.uniform(q + 1e-3, q + 5.0)), q))
+        for p, q in pairs:
+            rep = picone_condition(p, q)
+            assert (rep.holds, rep.min_value, rep.argmin_s) == picone_condition_loop(p, q)
+
     def test_necessary_conditions(self):
         # holds forces p <= q+1 (s=0) and p <= 2q (s=1)
         for q in np.linspace(1.1, 3.0, 15):
@@ -84,6 +108,13 @@ class TestRegionClassify:
 
 
 class TestCriticalValues:
+    def test_converged_false_when_descents_are_capped(self, neg_pairing_problem):
+        spec0, pair = neg_pairing_problem
+        _, converged = _constrained_rayleigh_min(
+            spec0, pair, want_nonneg=True, starts=1, stages=1, iters_per_stage=1
+        )
+        assert converged is False
+
     def test_negative_pairing_chain(self, neg_pairing_problem):
         spec0, pair = neg_pairing_problem
         assert pairing(spec0.a, pair, spec0.q) < 0
