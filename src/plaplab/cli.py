@@ -73,8 +73,6 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
         updates["seed"] = args.seed
     if args.tol is not None:
         updates["tol"] = args.tol
-    if args.threads is not None:
-        updates["threads"] = args.threads
     return replace(config, **updates) if updates else config
 
 
@@ -177,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", default="csv", choices=("csv", "json"))
         cmd.add_argument("--seed", type=int, default=None)
         cmd.add_argument("--tol", type=float, default=None)
-        cmd.add_argument("--threads", type=int, default=None)
     return parser
 
 

@@ -27,21 +27,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descent import bb_descent
+from .descent import PointMemo, bb_descent
 from .eigen import EigenPair, _stiffness_preconditioner, first_eigenpair, pairing
 from .errors import NonConvergenceError, SolverError, WeightError
-from .functionals import ProblemSpec, signed_pow
+from .functionals import ProblemSpec
 from .grid import (
     GridFn,
     Mesh,
     SignPartition,
     Weight,
-    cos_bump,
+    component_bump,
     gauss_integral,
     gauss_values,
     integral_abs_p,
     scatter_gauss_gradient,
     sign_partition,
+    smooth_noise,
 )
 
 __all__ = [
@@ -87,24 +88,6 @@ def _pairing_sign(value: float, a: Weight, pair: EigenPair, q: float) -> str:
     return "positive" if value > 0.0 else "negative"
 
 
-def _smooth_noise(mesh: Mesh, rng: np.random.Generator, modes: int = 6) -> np.ndarray:
-    x = (mesh.nodes - mesh.x_lo) / (mesh.x_hi - mesh.x_lo)
-    out = np.zeros(mesh.n_nodes)
-    for k in range(1, modes + 1):
-        out += rng.normal(0.0, 1.0 / k) * np.sin(k * np.pi * x)
-    out[0] = out[-1] = 0.0  # sin(k*pi) float dust would break the Dirichlet pin
-    return out
-
-
-def _largest_component_bump(mesh: Mesh, components: tuple[tuple[int, int], ...]) -> np.ndarray:
-    i0, i1 = max(components, key=lambda c: c[1] - c[0])
-    lo = mesh.nodes[max(i0 - 1, 0)]
-    hi = mesh.nodes[min(i1 + 1, mesh.n_nodes - 1)]
-    vals = cos_bump(mesh, 0.5 * (lo + hi), 0.5 * (hi - lo))
-    vals[0] = vals[-1] = 0.0
-    return vals
-
-
 def _constrained_rayleigh_min(
     spec: ProblemSpec,
     pair: EigenPair,
@@ -122,47 +105,51 @@ def _constrained_rayleigh_min(
     value is the Rayleigh quotient of an exactly feasible function.
     """
     mesh, p, q = spec.mesh, spec.p, spec.q
-    a_vals = spec.a.values
     precond = _stiffness_preconditioner(mesh)
     part = sign_partition(spec.a)
     comps = part.plus_components if want_nonneg else part.minus_components
     if not comps:
         raise SolverError("weight has no component of the required sign")
-    feas_dir = _largest_component_bump(mesh, comps)
+    feas_dir = component_bump(mesh, max(comps, key=lambda c: c[1] - c[0]))
 
-    a1, a2 = gauss_values(a_vals)
+    a1, a2 = spec.a.gauss
+    qa1, qa2 = q * a1, q * a2
+    h_scale = mesh.h ** (p - 1.0)
 
-    def weight_integral(v: np.ndarray) -> float:
+    def value_pass(v: np.ndarray):
+        """Gradient term, mass and weight integral, values only.
+
+        Returns (g, m, w, arrays); the arrays are what grad_fun needs to
+        build the nodal gradients at an accepted point without redoing
+        the pass.
+        """
+        du = v[1:] - v[:-1]
+        abs_du = np.abs(du)
+        g = float((abs_du**p).sum()) / h_scale
         g1, g2 = gauss_values(v)
-        return gauss_integral(mesh, a1 * np.abs(g1) ** q, a2 * np.abs(g2) ** q)
+        abs1, abs2 = np.abs(g1), np.abs(g2)
+        m = gauss_integral(mesh, abs1**p, abs2**p)
+        w = gauss_integral(mesh, a1 * abs1**q, a2 * abs2**q)
+        return g, m, w, (du, abs_du, g1, g2, abs1, abs2)
 
-    def weight_gradient(v: np.ndarray) -> np.ndarray:
-        g1, g2 = gauss_values(v)
-        return scatter_gauss_gradient(mesh, q * a1 * signed_pow(g1, q - 1.0), q * a2 * signed_pow(g2, q - 1.0))
+    point = PointMemo(value_pass)
 
-    def rayleigh_pieces(v: np.ndarray):
-        du = np.diff(v)
-        g = float(np.sum(np.abs(du) ** p)) / mesh.h ** (p - 1.0)
-        flux = p * signed_pow(du, p - 1.0) / mesh.h ** (p - 1.0)
-        dg = np.zeros(mesh.n_nodes)
-        dg[:-1] -= flux
-        dg[1:] += flux
-        dg[0] = dg[-1] = 0.0
-        g1, g2 = gauss_values(v)
-        m = gauss_integral(mesh, np.abs(g1) ** p, np.abs(g2) ** p)
-        dm = scatter_gauss_gradient(mesh, p * signed_pow(g1, p - 1.0), p * signed_pow(g2, p - 1.0))
-        return g, m, dg, dm
+    def rayleigh(v: np.ndarray) -> float:
+        g, m, _, _ = point(v)
+        return g / m
 
     def normalize(v: np.ndarray) -> np.ndarray:
         v = np.array(v)
         v[0] = v[-1] = 0.0  # rescaling must never amplify boundary dust
-        du = np.diff(v)
-        g = float(np.sum(np.abs(du) ** p)) / mesh.h ** (p - 1.0)
+        du = v[1:] - v[:-1]
+        g = float((np.abs(du) ** p).sum()) / h_scale
         return v / g ** (1.0 / p)
 
-    def violation(v: np.ndarray) -> float:
-        w = weight_integral(v)
+    def violation_of(w: float) -> float:
         return max(0.0, -w) if want_nonneg else max(0.0, w)
+
+    def violation(v: np.ndarray) -> float:
+        return violation_of(point(v)[2])
 
     def restore_feasible(v: np.ndarray) -> np.ndarray:
         if violation(v) == 0.0:
@@ -181,7 +168,7 @@ def _constrained_rayleigh_min(
 
     for k in range(starts):
         rng = np.random.default_rng(seed * 1_000_003 + k)
-        noise = np.abs(_smooth_noise(mesh, rng))
+        noise = np.abs(smooth_noise(mesh, rng))
         v0 = normalize(pair.phi.values + 0.4 * noise * pair.phi.linf())
         viol0 = violation(v0)
         rho = pair.lambda1 / max(viol0**2, 1e-8)
@@ -190,16 +177,28 @@ def _constrained_rayleigh_min(
         for _stage in range(stages):
 
             def fun(v: np.ndarray) -> float:
-                g, m, _, _ = rayleigh_pieces(v)
-                return g / m + rho * violation(v) ** 2
+                g, m, w, _ = point(v)
+                return g / m + rho * violation_of(w) ** 2
 
             def grad_fun(v: np.ndarray) -> np.ndarray:
-                g, m, dg, dm = rayleigh_pieces(v)
+                # descent calls this only at accepted points, right after
+                # fun on the same array: the value pass is a memo hit
+                g, m, w, (du, abs_du, g1, g2, abs1, abs2) = point(v)
+                flux = p * (np.sign(du) * abs_du ** (p - 1.0)) / h_scale
+                dg = np.zeros(mesh.n_nodes)
+                dg[:-1] -= flux
+                dg[1:] += flux
+                dg[0] = dg[-1] = 0.0
+                s1, s2 = np.sign(g1), np.sign(g2)
+                dm = scatter_gauss_gradient(mesh, p * (s1 * abs1 ** (p - 1.0)), p * (s2 * abs2 ** (p - 1.0)))
                 out = (dg - (g / m) * dm) / m
-                viol = violation(v)
+                viol = violation_of(w)
                 if viol > 0.0:
                     sgn = -1.0 if want_nonneg else 1.0
-                    out = out + rho * 2.0 * viol * sgn * weight_gradient(v)
+                    dw = scatter_gauss_gradient(
+                        mesh, qa1 * (s1 * abs1 ** (q - 1.0)), qa2 * (s2 * abs2 ** (q - 1.0))
+                    )
+                    out = out + rho * 2.0 * viol * sgn * dw
                 return out
 
             res = bb_descent(
@@ -215,15 +214,13 @@ def _constrained_rayleigh_min(
             result_status = res.status
             rho *= 10.0
         x = restore_feasible(x)
-        g, m, _, _ = rayleigh_pieces(x)
-        value = g / m
+        value = rayleigh(x)
         if value < best:
             best = value
             any_converged = result_status == "converged"
     # Also try the feasible bump itself: cheap and sometimes better for
     # strongly localized constraints.
-    g, m, _, _ = rayleigh_pieces(feas_dir)
-    best = min(best, g / m)
+    best = min(best, rayleigh(feas_dir))
     if not np.isfinite(best):
         raise NonConvergenceError("penalized Rayleigh minimization failed to produce a value")
     return float(best), any_converged
@@ -389,6 +386,6 @@ def picone_certificate(u: GridFn, spec: ProblemSpec, pair: EigenPair) -> float:
     threshold = DEAD_CORE_RTOL * u.linf()
     node_pos = vals > threshold
     cell_pos = node_pos[:-1] & node_pos[1:]
-    a1, a2 = gauss_values(spec.a.values)
+    a1, a2 = spec.a.gauss
     rhs = gauss_integral(mesh, cell_pos * a1 * f1**spec.q, cell_pos * a2 * f2**spec.q)
     return (pair.lambda1 - spec.lam) * lhs - rhs

@@ -6,6 +6,17 @@ away from kinks of the form t -> max(t,0)^(q-1) with q > 1, which are
 continuous but not Lipschitz; BB steps with a nonmonotone Armijo guard
 handle that without smoothing. An optional preconditioner (inverse linear
 stiffness) removes the mesh-dependent conditioning of gradient terms.
+
+Callback contract, shared by both engines:
+
+  * fun (and guard, where there is one) sees every trial point;
+  * grad sees only accepted points, each right after fun was called on
+    the same array.
+
+A caller may therefore share work between the two: compute the values a
+gradient needs inside fun and reuse them in grad (PointMemo keeps the
+last point's values). Trials far outnumber accepted points, so fun should
+compute values only.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["DescentResult", "bb_descent", "projected_descent"]
+__all__ = ["DescentResult", "PointMemo", "bb_descent", "projected_descent"]
 
 _ARMIJO_C = 1e-4
 _FLOAT_SLACK = 1e-14  # absolute noise floor: objective differences below this are roundoff
@@ -32,6 +43,29 @@ class DescentResult:
     iterations: int
     status: str  # converged | diverged | max_iterations | stalled
     f_history: list[float]
+
+
+class PointMemo:
+    """One-entry cache of fn(v), keyed on the dtype, shape and bytes of v.
+
+    The key is a copy of the content, so an array changed in place after a
+    call is a miss, never a stale hit. Equal bytes give bit-identical
+    results, so a hit returns exactly what a fresh call would.
+    """
+
+    __slots__ = ("_fn", "_key", "_value")
+
+    def __init__(self, fn: Callable[[np.ndarray], object]):
+        self._fn = fn
+        self._key: tuple | None = None
+        self._value: object = None
+
+    def __call__(self, v: np.ndarray):
+        key = (v.dtype.str, v.shape, v.tobytes())
+        if key != self._key:
+            self._value = self._fn(v)
+            self._key = key
+        return self._value
 
 
 def _bb_step(s: np.ndarray, y: np.ndarray, fallback: float) -> float:
@@ -58,6 +92,9 @@ def bb_descent(
 ) -> DescentResult:
     """Minimize fun by BB descent with nonmonotone Armijo backtracking.
 
+    fun is called on x0 and on every trial point; grad only on x0 and on
+    accepted points, each time right after fun on the same array (see the
+    module docstring).
     guard: admissibility predicate; trial points failing it are rejected
         (backtrack). x0 must be admissible.
     floor: if the objective sinks below this value the run stops with
@@ -137,7 +174,9 @@ def projected_descent(
 
     Convergence is judged on the fixed-point residual x - project(x - g)
     with the raw gradient, which reduces to the plain gradient wherever the
-    constraint is inactive.
+    constraint is inactive. fun is called on the projected start and on
+    every trial point; grad only on the start and on accepted points, each
+    time right after fun on the same array (see the module docstring).
     """
     x = project(np.array(x0, dtype=float))
     f = fun(x)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import MeshMismatchError, NonConvergenceError, WeightError
 from .functionals import signed_pow
@@ -59,32 +59,44 @@ def rayleigh(u: GridFn, p: float) -> float:
     return float(np.sum(np.abs(g1) ** p)) / u.mesh.h ** (p - 1.0) / m
 
 
-def _grad_pieces(vals: np.ndarray, mesh: Mesh, p: float) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """(grad term, mass term, their nodal gradients) at one point."""
-    du = np.diff(vals)
-    g = float(np.sum(np.abs(du) ** p)) / mesh.h ** (p - 1.0)
+def _value_pieces(
+    vals: np.ndarray, mesh: Mesh, p: float
+) -> tuple[float, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(grad term, mass term) at one point, plus the arrays their gradients reuse."""
+    du = vals[1:] - vals[:-1]
+    g = float((np.abs(du) ** p).sum()) / mesh.h ** (p - 1.0)
+    g1, g2 = gauss_values(vals)
+    m = float(0.5 * mesh.h * ((np.abs(g1) ** p).sum() + (np.abs(g2) ** p).sum()))
+    return g, m, (du, g1, g2)
+
+
+def _gradient_pieces(arrays, mesh: Mesh, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodal gradients of the grad and mass terms from _value_pieces' arrays."""
+    du, g1, g2 = arrays
     flux = p * signed_pow(du, p - 1.0) / mesh.h ** (p - 1.0)
     dg = np.zeros(mesh.n_nodes)
     dg[:-1] -= flux
     dg[1:] += flux
     dg[0] = dg[-1] = 0.0
-
-    g1, g2 = gauss_values(vals)
-    m = float(0.5 * mesh.h * (np.sum(np.abs(g1) ** p) + np.sum(np.abs(g2) ** p)))
     dm = scatter_gauss_gradient(mesh, p * signed_pow(g1, p - 1.0), p * signed_pow(g2, p - 1.0))
-    return g, m, dg, dm
+    return dg, dm
 
 
 def _stiffness_preconditioner(mesh: Mesh):
-    """Apply the inverse of the linear P1 stiffness matrix (interior nodes)."""
+    """Apply the inverse of the linear P1 stiffness matrix (interior nodes).
+
+    The tridiagonal matrix is factored once (LAPACK pttrf) and every call
+    is one pttrs solve: the two steps ptsv takes per call, so the result is
+    bit-for-bit that of solveh_banded on the same band.
+    """
     n_int = mesh.n_nodes - 2
-    ab = np.zeros((2, n_int))
-    ab[1, :] = 2.0 / mesh.h
-    ab[0, 1:] = -1.0 / mesh.h
+    d, e, info = dpttrf(np.full(n_int, 2.0 / mesh.h), np.full(n_int - 1, -1.0 / mesh.h))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stiffness factorization failed (info={info})")
 
     def apply(r: np.ndarray) -> np.ndarray:
         z = np.zeros(mesh.n_nodes)
-        z[1:-1] = solveh_banded(ab, r[1:-1])
+        z[1:-1] = dpttrs(d, e, r[1:-1])[0]
         return z
 
     return apply
@@ -127,14 +139,15 @@ def first_eigenpair(
     def normalize(v: np.ndarray) -> np.ndarray:
         v = np.array(v)
         v[0] = v[-1] = 0.0  # rescaling must never amplify boundary dust
-        du = np.diff(v)
-        g = float(np.sum(np.abs(du) ** p)) / mesh.h ** (p - 1.0)
+        du = v[1:] - v[:-1]
+        g = float((np.abs(du) ** p).sum()) / mesh.h ** (p - 1.0)
         if g == 0.0:
             raise ValueError("cannot normalize the zero function")
         return v / g ** (1.0 / p)
 
     x = normalize(vals)
-    g, m, dg, dm = _grad_pieces(x, mesh, p)
+    g, m, arrays = _value_pieces(x, mesh, p)
+    dg, dm = _gradient_pieces(arrays, mesh, p)
     lam = g / m
     resid = dg - lam * dm
     d = precond(resid)
@@ -165,7 +178,7 @@ def first_eigenpair(
         accepted = False
         for _ in range(60):
             trial = normalize(x - step * d)
-            gt, mt, dgt, dmt = _grad_pieces(trial, mesh, p)
+            gt, mt, arrays = _value_pieces(trial, mesh, p)
             lam_t = gt / mt
             if lam_t <= f_ref - 1e-4 * step * slope:
                 accepted = True
@@ -180,7 +193,7 @@ def first_eigenpair(
 
         prev_x, prev_d = x, d
         x = trial
-        g, m, dg, dm = gt, mt, dgt, dmt
+        dg, dm = _gradient_pieces(arrays, mesh, p)
         lam = lam_t
         resid = dg - lam * dm
         d = precond(resid)

@@ -106,7 +106,7 @@ def _raw_terms(vals: np.ndarray, spec: ProblemSpec) -> tuple[float, float, float
     du = np.diff(vals)
     grad_term = float(np.sum(np.abs(du) ** p)) / mesh.h ** (p - 1.0)
     g1, g2 = gauss_values(vals)
-    a1, a2 = gauss_values(spec.a.values)
+    a1, a2 = spec.a.gauss
     gp1 = np.maximum(g1, 0.0)
     gp2 = np.maximum(g2, 0.0)
     mass = gauss_integral(mesh, np.abs(g1) ** p, np.abs(g2) ** p)
@@ -167,7 +167,7 @@ def _grad_mass(vals: np.ndarray, mesh: Mesh, p: float, truncated: bool) -> np.nd
 def _grad_weight(vals: np.ndarray, spec: ProblemSpec, truncated: bool) -> np.ndarray:
     q = spec.q
     g1, g2 = gauss_values(vals)
-    a1, a2 = gauss_values(spec.a.values)
+    a1, a2 = spec.a.gauss
     if truncated:
         d1 = q * a1 * np.maximum(g1, 0.0) ** (q - 1.0)
         d2 = q * a2 * np.maximum(g2, 0.0) ** (q - 1.0)

@@ -30,6 +30,8 @@ __all__ = [
     "grad_seminorm_p",
     "integral_abs_p",
     "weighted_integral_q",
+    "component_bump",
+    "smooth_noise",
     "sign_partition",
 ]
 
@@ -129,6 +131,14 @@ class Weight:
         if not np.any(vals != 0.0):
             raise ValueError("weight must not be identically zero")
 
+    @cached_property
+    def gauss(self) -> tuple[np.ndarray, np.ndarray]:
+        """Values of the P1 interpolant at the two Gauss points of every cell."""
+        a1, a2 = gauss_values(self.values)
+        a1.flags.writeable = False
+        a2.flags.writeable = False
+        return a1, a2
+
     def is_sign_changing(self) -> bool:
         return bool(np.any(self.values > 0.0) and np.any(self.values < 0.0))
 
@@ -178,8 +188,8 @@ def gauss_values(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_integral(mesh: Mesh, f1: np.ndarray, f2: np.ndarray) -> float:
-    """Composite 2-point Gauss sum of per-cell integrand samples f1, f2."""
-    return 0.5 * mesh.h * float(np.sum(f1) + np.sum(f2))
+    """Composite 2-point Gauss sum of per-cell integrand samples f1, f2 (arrays)."""
+    return 0.5 * mesh.h * float(f1.sum() + f2.sum())
 
 
 def scatter_gauss_gradient(mesh: Mesh, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -224,7 +234,7 @@ def weighted_integral_q(u: GridFn, a: Weight, q: float, positive_part: bool = Fa
         raise ValueError(f"exponent must exceed 1, got q={q}")
     _check_same_mesh(u.mesh, a.mesh)
     g1, g2 = gauss_values(u.values)
-    a1, a2 = gauss_values(a.values)
+    a1, a2 = a.gauss
     if positive_part:
         g1 = np.maximum(g1, 0.0)
         g2 = np.maximum(g2, 0.0)
@@ -242,6 +252,26 @@ def cos_bump(mesh: Mesh, center: float, width: float) -> np.ndarray:
         raise ValueError("bump width must be positive")
     t = (mesh.nodes - center) / width
     out = np.where(np.abs(t) < 1.0, np.cos(0.5 * np.pi * t) ** 2, 0.0)
+    return out
+
+
+def component_bump(mesh: Mesh, comp: tuple[int, int]) -> np.ndarray:
+    """Cosine bump spanning one sign component, widened to its neighboring nodes."""
+    i0, i1 = comp
+    lo = mesh.nodes[max(i0 - 1, 0)]
+    hi = mesh.nodes[min(i1 + 1, mesh.n_nodes - 1)]
+    vals = cos_bump(mesh, 0.5 * (lo + hi), 0.5 * (hi - lo))
+    vals[0] = vals[-1] = 0.0
+    return vals
+
+
+def smooth_noise(mesh: Mesh, rng: np.random.Generator, modes: int = 6) -> np.ndarray:
+    """Random sum of the first sine modes, amplitude of mode k drawn from N(0, 1/k)."""
+    x = (mesh.nodes - mesh.x_lo) / (mesh.x_hi - mesh.x_lo)
+    out = np.zeros(mesh.n_nodes)
+    for k in range(1, modes + 1):
+        out += rng.normal(0.0, 1.0 / k) * np.sin(k * np.pi * x)
+    out[0] = out[-1] = 0.0  # sin(k*pi) float dust would break the Dirichlet pin
     return out
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .descent import bb_descent, projected_descent
+from .descent import PointMemo, bb_descent, projected_descent
 from .eigen import EigenPair, _stiffness_preconditioner, first_eigenpair
 from .errors import (
     AttainabilityError,
@@ -39,15 +39,16 @@ from .errors import (
     MeshMismatchError,
     SolverError,
 )
-from .functionals import EnergyBreakdown, ProblemSpec, evaluate, signed_pow
+from .functionals import EnergyBreakdown, ProblemSpec, evaluate
 from .grid import (
     GridFn,
     SignPartition,
-    cos_bump,
+    component_bump,
     gauss_integral,
     gauss_values,
     scatter_gauss_gradient,
     sign_partition,
+    smooth_noise,
 )
 
 __all__ = [
@@ -120,8 +121,28 @@ class PathState:
     energies: tuple[float, ...]
 
 
+class _Point:
+    """One evaluation of the kernel at a point: scalar terms, the arrays the
+    gradients reuse, and the gradients once asked for."""
+
+    __slots__ = ("terms", "du", "abs_du", "g1", "g2", "b1", "b2", "grads")
+
+    def __init__(self, terms, du, abs_du, g1, g2, b1, b2):
+        self.terms = terms
+        self.du, self.abs_du = du, abs_du
+        self.g1, self.g2 = g1, g2
+        self.b1, self.b2 = b1, b2  # |g| or max(g, 0), by the truncation flag
+        self.grads: tuple[np.ndarray, np.ndarray] | None = None
+
+
 class _Kernel:
-    """Array-level closures for one problem instance (one truncation flag)."""
+    """Array-level closures for one problem instance (one truncation flag).
+
+    Every method reaches its point through a one-entry PointMemo, so the
+    guard, value and gradient callbacks descent calls on one array share a
+    single evaluation: in_cone(trial) and J(trial) one pass, and grad_J at
+    the accepted point only the gradient assembly on top of it.
+    """
 
     def __init__(self, spec: ProblemSpec, truncated: bool):
         self.spec = spec
@@ -130,26 +151,30 @@ class _Kernel:
         self.p = spec.p
         self.q = spec.q
         self.lam = spec.lam
-        self.a1, self.a2 = gauss_values(spec.a.values)
+        self.a1, self.a2 = spec.a.gauss
+        self._qa1, self._qa2 = self.q * self.a1, self.q * self.a2
         self.precond = _stiffness_preconditioner(spec.mesh)
         self._amax = spec.a.linf()
+        self._point = PointMemo(self._evaluate)
+
+    def _evaluate(self, v: np.ndarray) -> _Point:
+        mesh, p, q = self.mesh, self.p, self.q
+        du = v[1:] - v[:-1]
+        abs_du = np.abs(du)
+        grad_term = float((abs_du**p).sum()) / mesh.h ** (p - 1.0)
+        g1, g2 = gauss_values(v)
+        if self.truncated:
+            b1, b2 = np.maximum(g1, 0.0), np.maximum(g2, 0.0)
+        else:
+            b1, b2 = np.abs(g1), np.abs(g2)
+        mass = gauss_integral(mesh, b1**p, b2**p)
+        weight = gauss_integral(mesh, self.a1 * b1**q, self.a2 * b2**q)
+        return _Point((grad_term, mass, weight), du, abs_du, g1, g2, b1, b2)
 
     # -- scalar terms -------------------------------------------------
     def terms(self, v: np.ndarray) -> tuple[float, float, float]:
         """(grad term, mass term, weight term) with the kernel's truncation."""
-        mesh, p, q = self.mesh, self.p, self.q
-        du = np.diff(v)
-        grad_term = float(np.sum(np.abs(du) ** p)) / mesh.h ** (p - 1.0)
-        g1, g2 = gauss_values(v)
-        if self.truncated:
-            g1 = np.maximum(g1, 0.0)
-            g2 = np.maximum(g2, 0.0)
-            mass = gauss_integral(mesh, g1**p, g2**p)
-            weight = gauss_integral(mesh, self.a1 * g1**q, self.a2 * g2**q)
-        else:
-            mass = gauss_integral(mesh, np.abs(g1) ** p, np.abs(g2) ** p)
-            weight = gauss_integral(mesh, self.a1 * np.abs(g1) ** q, self.a2 * np.abs(g2) ** q)
-        return grad_term, mass, weight
+        return self._point(v).terms
 
     def EG(self, v: np.ndarray) -> tuple[float, float]:
         grad_term, mass, weight = self.terms(v)
@@ -161,28 +186,29 @@ class _Kernel:
 
     # -- gradients ----------------------------------------------------
     def _grad_parts(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(dE, dG) nodal gradients with the kernel's truncation."""
+        """(dE, dG) nodal gradients with the kernel's truncation (read-only)."""
+        pt = self._point(v)
+        if pt.grads is not None:
+            return pt.grads
         mesh, p, q = self.mesh, self.p, self.q
-        du = np.diff(v)
-        flux = p * signed_pow(du, p - 1.0) / mesh.h ** (p - 1.0)
+        flux = p * (np.sign(pt.du) * pt.abs_du ** (p - 1.0)) / mesh.h ** (p - 1.0)
         dE = np.zeros(mesh.n_nodes)
         dE[:-1] -= flux
         dE[1:] += flux
-        g1, g2 = gauss_values(v)
         if self.truncated:
-            gp1 = np.maximum(g1, 0.0)
-            gp2 = np.maximum(g2, 0.0)
-            dE -= self.lam * scatter_gauss_gradient(mesh, p * gp1 ** (p - 1.0), p * gp2 ** (p - 1.0))
-            dG = scatter_gauss_gradient(mesh, q * self.a1 * gp1 ** (q - 1.0), q * self.a2 * gp2 ** (q - 1.0))
+            m1, m2 = pt.b1 ** (p - 1.0), pt.b2 ** (p - 1.0)
+            w1, w2 = pt.b1 ** (q - 1.0), pt.b2 ** (q - 1.0)
         else:
-            dE -= self.lam * scatter_gauss_gradient(
-                mesh, p * signed_pow(g1, p - 1.0), p * signed_pow(g2, p - 1.0)
-            )
-            dG = scatter_gauss_gradient(
-                mesh, q * self.a1 * signed_pow(g1, q - 1.0), q * self.a2 * signed_pow(g2, q - 1.0)
-            )
+            s1, s2 = np.sign(pt.g1), np.sign(pt.g2)
+            m1, m2 = s1 * pt.b1 ** (p - 1.0), s2 * pt.b2 ** (p - 1.0)
+            w1, w2 = s1 * pt.b1 ** (q - 1.0), s2 * pt.b2 ** (q - 1.0)
+        dE -= self.lam * scatter_gauss_gradient(mesh, p * m1, p * m2)
+        dG = scatter_gauss_gradient(mesh, self._qa1 * w1, self._qa2 * w2)
         dE[0] = dE[-1] = 0.0
-        return dE, dG
+        dE.flags.writeable = False
+        dG.flags.writeable = False
+        pt.grads = (dE, dG)
+        return pt.grads
 
     def grad_I(self, v: np.ndarray) -> np.ndarray:
         dE, dG = self._grad_parts(v)
@@ -219,8 +245,8 @@ class _Kernel:
     def normalize(self, v: np.ndarray) -> np.ndarray:
         v = np.array(v)
         v[0] = v[-1] = 0.0  # rescaling must never amplify boundary dust
-        du = np.diff(v)
-        g = float(np.sum(np.abs(du) ** self.p)) / self.mesh.h ** (self.p - 1.0)
+        du = v[1:] - v[:-1]
+        g = float((np.abs(du) ** self.p).sum()) / self.mesh.h ** (self.p - 1.0)
         if g == 0.0:
             raise ValueError("cannot normalize the zero function")
         return v / g ** (1.0 / self.p)
@@ -242,24 +268,6 @@ class _Kernel:
         return float(np.max(np.abs(self.grad_I(v))))
 
 
-def _smooth_noise(mesh, rng: np.random.Generator, modes: int = 6) -> np.ndarray:
-    x = (mesh.nodes - mesh.x_lo) / (mesh.x_hi - mesh.x_lo)
-    out = np.zeros(mesh.n_nodes)
-    for k in range(1, modes + 1):
-        out += rng.normal(0.0, 1.0 / k) * np.sin(k * np.pi * x)
-    out[0] = out[-1] = 0.0  # sin(k*pi) float dust would break the Dirichlet pin
-    return out
-
-
-def _component_bump(mesh, comp: tuple[int, int]) -> np.ndarray:
-    i0, i1 = comp
-    lo = mesh.nodes[max(i0 - 1, 0)]
-    hi = mesh.nodes[min(i1 + 1, mesh.n_nodes - 1)]
-    vals = cos_bump(mesh, 0.5 * (lo + hi), 0.5 * (hi - lo))
-    vals[0] = vals[-1] = 0.0
-    return vals
-
-
 def _plus_cone_seeds(
     kernel: _Kernel, partition: SignPartition, pair: EigenPair, count: int, seed: int
 ) -> list[np.ndarray]:
@@ -271,7 +279,7 @@ def _plus_cone_seeds(
     """
     seeds: list[np.ndarray] = []
     for comp in partition.plus_components:
-        v = _component_bump(kernel.mesh, comp)
+        v = component_bump(kernel.mesh, comp)
         if kernel.in_cone(v, +1):
             seeds.append(v)
         if len(seeds) >= count:
@@ -285,7 +293,7 @@ def _plus_cone_seeds(
     scale = float(np.max(phi))
     while len(seeds) < count and k < 8 * count:
         rng = np.random.default_rng(seed * 1_000_003 + k)
-        v = phi + 0.35 * scale * np.abs(_smooth_noise(kernel.mesh, rng))
+        v = phi + 0.35 * scale * np.abs(smooth_noise(kernel.mesh, rng))
         v[0] = v[-1] = 0.0
         if kernel.in_cone(v, +1):
             seeds.append(v)
@@ -304,7 +312,7 @@ def _minus_cone_seeds(
         seeds.append(np.array(phi))
     for comp in partition.minus_components:
         for t in (0.2, 0.5):
-            v = phi + t * _component_bump(kernel.mesh, comp) * float(np.max(phi))
+            v = phi + t * component_bump(kernel.mesh, comp) * float(np.max(phi))
             if kernel.in_cone(v, -1):
                 seeds.append(v)
             if len(seeds) >= count:
@@ -313,7 +321,7 @@ def _minus_cone_seeds(
     scale = float(np.max(phi))
     while len(seeds) < count and k < 8 * count:
         rng = np.random.default_rng(seed * 2_000_003 + k)
-        v = phi + 0.1 * scale * _smooth_noise(kernel.mesh, rng)
+        v = phi + 0.1 * scale * smooth_noise(kernel.mesh, rng)
         v[0] = v[-1] = 0.0
         if kernel.in_cone(v, -1):
             seeds.append(v)
@@ -630,7 +638,7 @@ def order_interval_min(
 
     seed_vals: np.ndarray | None = None
     for comp in partition.plus_components:
-        bump = _component_bump(spec.mesh, comp)
+        bump = component_bump(spec.mesh, comp)
         t = 1.0
         for _ in range(50):
             cand = clip(t * bump)
@@ -989,7 +997,7 @@ def runaway_state(
     partition = sign_partition(spec.a)
     bump = None
     if partition.plus_components:
-        bump = _component_bump(spec.mesh, max(partition.plus_components, key=lambda c: c[1] - c[0]))
+        bump = component_bump(spec.mesh, max(partition.plus_components, key=lambda c: c[1] - c[0]))
     for eps in mix:
         dirv = pair.phi.values.copy()
         if bump is not None and eps > 0.0:
@@ -1026,15 +1034,15 @@ def multistart_truncated_descent(
     pair = first_eigenpair(spec.mesh, spec.p)
     seeds: list[np.ndarray] = []
     for comp in partition.plus_components:
-        seeds.append(_component_bump(spec.mesh, comp))
+        seeds.append(component_bump(spec.mesh, comp))
     for comp in partition.minus_components:
-        seeds.append(0.5 * _component_bump(spec.mesh, comp))
+        seeds.append(0.5 * component_bump(spec.mesh, comp))
     k = 0
     phi_amp = float(np.max(pair.phi.values))
     while len(seeds) < count:
         rng = np.random.default_rng(seed * 3_000_017 + k)
         amp = 0.5 + 1.5 * rng.random()
-        v = amp * (pair.phi.values / phi_amp) + 0.4 * np.abs(_smooth_noise(spec.mesh, rng))
+        v = amp * (pair.phi.values / phi_amp) + 0.4 * np.abs(smooth_noise(spec.mesh, rng))
         v[0] = v[-1] = 0.0
         seeds.append(v)
         k += 1

@@ -10,7 +10,6 @@ which is how every preset experiment is phrased.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -71,7 +70,6 @@ _CONFIG_DEFAULTS: dict[str, object] = {
     "starts": 8,
     "beads": 17,
     "sample_count": 4,
-    "threads": 1,
     "region_p_min": 1.1,
     "region_p_max": 6.0,
     "region_p_count": 50,
@@ -88,7 +86,6 @@ _INT_KEYS = {
     "starts",
     "beads",
     "sample_count",
-    "threads",
     "region_p_count",
     "region_q_count",
     "certify_starts",
@@ -124,7 +121,6 @@ class RunConfig:
     starts: int
     beads: int
     sample_count: int
-    threads: int
     region_p_min: float
     region_p_max: float
     region_p_count: int
@@ -138,8 +134,6 @@ class RunConfig:
             raise ConfigError("lambda grid must be nonempty")
         if self.lambda_scale not in ("lambda1", "absolute"):
             raise ConfigError(f"lambda_scale must be lambda1 or absolute, got {self.lambda_scale!r}")
-        if self.threads < 1:
-            raise ConfigError("threads must be positive")
         if not 1.0 < self.q < self.p:  # also rejects p <= 1 and NaN
             raise ConfigError(f"need 1 < q < p, got q={self.q}, p={self.p}")
 
@@ -309,12 +303,7 @@ def run_sweep(config: RunConfig) -> BranchTable:
         except SolverError:
             kset = None
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            chunks = list(pool.map(lambda lam: _sweep_one(problem, crit, kset, float(lam)), lambdas))
-    else:
-        chunks = [_sweep_one(problem, crit, kset, float(lam)) for lam in lambdas]
-    rows: list[BranchRow] = [row for chunk in chunks for row in chunk]
+    rows: list[BranchRow] = [row for lam in lambdas for row in _sweep_one(problem, crit, kset, float(lam))]
     return BranchTable(tuple(rows)).sorted()
 
 

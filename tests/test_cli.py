@@ -112,16 +112,6 @@ class TestSweepDeterminism:
         ground = [r.energy for r in t1.rows if r.branch == "ground" and r.status == "ok"]
         assert len(ground) == 2 and ground[1] < ground[0]
 
-    def test_threaded_run_matches_serial(self, tmp_path):
-        from dataclasses import replace
-
-        cfg = parse_config(SMALL_SWEEP)
-        t1 = run_sweep(cfg)
-        t2 = run_sweep(replace(cfg, threads=2))
-        emit(t1, tmp_path / "s.csv", "csv")
-        emit(t2, tmp_path / "t.csv", "csv")
-        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "t.csv").read_bytes()
-
 
 class TestSweepBranches:
     def test_sweep_crosses_threshold(self):

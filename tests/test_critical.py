@@ -115,6 +115,50 @@ class TestCriticalValues:
         )
         assert converged is False
 
+    def test_gradient_pieces_built_only_at_accepted_points(self, neg_pairing_problem, monkeypatch):
+        import plaplab.critical as critical
+
+        spec0, pair = neg_pairing_problem
+        calls = {"scatter": 0, "scatter_in_fun": 0, "fun": 0, "grad": 0}
+        in_fun = [False]
+        runs = []
+        real_scatter = critical.scatter_gauss_gradient
+        real_descent = critical.bb_descent
+
+        def counting_scatter(*args):
+            calls["scatter"] += 1
+            calls["scatter_in_fun"] += in_fun[0]
+            return real_scatter(*args)
+
+        def counting_descent(x0, fun, grad, **kwargs):
+            def counted_fun(v):
+                calls["fun"] += 1
+                in_fun[0] = True
+                try:
+                    return fun(v)
+                finally:
+                    in_fun[0] = False
+
+            def counted_grad(v):
+                calls["grad"] += 1
+                return grad(v)
+
+            res = real_descent(x0, counted_fun, counted_grad, **kwargs)
+            runs.append(res)
+            return res
+
+        monkeypatch.setattr(critical, "scatter_gauss_gradient", counting_scatter)
+        monkeypatch.setattr(critical, "bb_descent", counting_descent)
+        _constrained_rayleigh_min(spec0, pair, want_nonneg=True, starts=1, stages=2, iters_per_stage=6)
+        # every iteration accepts a point, except one that stops at its top
+        accepted = sum(r.iterations - (r.status != "max_iterations") for r in runs)
+        assert len(runs) == 2 and accepted > 0
+        assert calls["grad"] == len(runs) + accepted  # the start point, then each accepted point
+        assert calls["scatter_in_fun"] == 0  # trial values never build gradient pieces
+        # the mass gradient at every point, the weight gradient where the constraint is violated
+        assert calls["grad"] <= calls["scatter"] <= 2 * calls["grad"]
+        assert calls["fun"] >= calls["grad"]
+
     def test_negative_pairing_chain(self, neg_pairing_problem):
         spec0, pair = neg_pairing_problem
         assert pairing(spec0.a, pair, spec0.q) < 0

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from plaplab.grid import (
     GridFn,
     Weight,
+    gauss_values,
     grad_seminorm_p,
     grid_fn,
     integral_abs_p,
@@ -61,6 +62,16 @@ class TestGridFn:
         mesh = make_mesh(0.0, 1.0, 4)
         with pytest.raises(ValueError):
             weight_fn(mesh, np.zeros(5))
+
+    def test_weight_gauss_values_computed_once_and_frozen(self):
+        mesh = make_mesh(0.0, 1.0, 8)
+        a = weight_fn(mesh, np.linspace(-1.0, 2.0, 9))
+        a1, a2 = a.gauss
+        assert a.gauss[0] is a1 and a.gauss[1] is a2
+        g1, g2 = gauss_values(a.values)
+        assert np.array_equal(a1, g1) and np.array_equal(a2, g2)
+        with pytest.raises(ValueError):
+            a1[0] = 0.0
 
 
 class TestGradSeminorm:

@@ -5,7 +5,7 @@ from plaplab.critical import compute_critical_values, nonexistence_bound
 from plaplab.errors import AttainabilityError, EmptyConeError, SolverError
 from plaplab.eigen import first_eigenpair
 from plaplab.functionals import ProblemSpec, evaluate, nehari_residual_rel
-from plaplab.grid import GridFn, grid_fn, make_mesh, sign_partition, weight_fn
+from plaplab.grid import GridFn, component_bump, grid_fn, make_mesh, sign_partition, weight_fn
 from plaplab.presets import TwoBumpParams, two_bump
 from plaplab import solvers
 
@@ -288,3 +288,35 @@ class TestClassify:
         out = solvers.classify(rep, part, threshold=1e-10)
         assert out.positive_on_plus[0] and not out.positive_on_plus[1]
         assert out.dead_core_components == (1,)
+
+
+class TestKernelCache:
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_in_place_change_never_returns_a_stale_value(self, neg_pairing_problem, truncated):
+        spec0, pair = neg_pairing_problem
+        spec = spec0.with_lambda(0.5 * pair.lambda1)
+        kernel = solvers._Kernel(spec, truncated)
+        v = np.array(pair.phi.values)
+        before = (kernel.terms(v), kernel.J(v), kernel.grad_J(v), kernel.grad_I(v))
+        v[1:-1] *= 1.0 + 0.3 * np.sin(7.0 * spec.mesh.nodes[1:-1])  # same array, new content
+        fresh = solvers._Kernel(spec, truncated)
+        assert kernel.terms(v) == fresh.terms(v) != before[0]
+        assert kernel.J(v) == fresh.J(v) != before[1]
+        assert np.array_equal(kernel.grad_J(v), fresh.grad_J(v))
+        assert np.array_equal(kernel.grad_I(v), fresh.grad_I(v))
+        assert not np.array_equal(kernel.grad_I(v), before[3])
+
+    def test_guard_value_and_gradient_share_one_evaluation(self, neg_pairing_problem, monkeypatch):
+        spec0, pair = neg_pairing_problem
+        kernel = solvers._Kernel(spec0.with_lambda(0.5 * pair.lambda1), truncated=False)
+        passes = []
+        real = solvers.gauss_values
+        monkeypatch.setattr(solvers, "gauss_values", lambda vals: passes.append(1) or real(vals))
+        v = component_bump(spec0.mesh, sign_partition(spec0.a).plus_components[0])
+        assert kernel.in_cone(v, +1)
+        j = kernel.J(v)
+        g = kernel.grad_J(v)
+        assert len(passes) == 1
+        fresh = solvers._Kernel(spec0.with_lambda(0.5 * pair.lambda1), truncated=False)
+        assert fresh.J(np.array(v)) == j
+        assert np.array_equal(fresh.grad_J(np.array(v)), g)
