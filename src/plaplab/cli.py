@@ -9,7 +9,9 @@
     plaplab certify  --config run.cfg --out certify.csv
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on solver failure.
-Without --out, tables are printed to stdout in the requested format.
+For ground, sweep and three, a solver failure is a branch of the table
+without a single ok row; certify rows are verdicts and exit 0. Without
+--out, tables are printed to stdout in the requested format.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .sweeps import (
     run_sweep,
     run_three_solutions,
 )
-from .tables import emit
+from .tables import BranchTable, emit
 
 __all__ = ["main"]
 
@@ -126,20 +128,28 @@ def _cmd_critical(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+def _branch_exit_code(table: BranchTable) -> int:
+    """3 when some branch in the table has no ok row, else 0."""
+    ok = {r.branch for r in table.rows if r.status == "ok"}
+    return 3 if any(r.branch not in ok for r in table.rows) else 0
+
+
 def _cmd_ground(config: RunConfig, args: argparse.Namespace) -> int:
     table = run_ground(config)
     _emit_table(table, args)
-    return 0 if all(r.status == "ok" for r in table.rows) else 3
+    return _branch_exit_code(table)
 
 
 def _cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
-    _emit_table(run_sweep(config), args)
-    return 0
+    table = run_sweep(config)
+    _emit_table(table, args)
+    return _branch_exit_code(table)
 
 
 def _cmd_three(config: RunConfig, args: argparse.Namespace) -> int:
-    _emit_table(run_three_solutions(config), args)
-    return 0
+    table = run_three_solutions(config)
+    _emit_table(table, args)
+    return _branch_exit_code(table)
 
 
 def _cmd_region(config: RunConfig, args: argparse.Namespace) -> int:

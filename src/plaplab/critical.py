@@ -18,7 +18,9 @@ the sign of the pairing int a*phi^q with the first eigenfunction:
 Only one value per sign case is nontrivial; it is computed by penalized
 minimization of the Rayleigh quotient with the sign constraint, followed
 by an exact feasibility restoration, so the reported value is a feasible
-upper bound.
+upper bound. The quotient, the constraint integral and their gradients
+come from functionals.P1Energy, one EnergyPoint per point through a
+PointMemo.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .descent import PointMemo, bb_descent
 from .eigen import EigenPair, _stiffness_preconditioner, first_eigenpair, pairing
 from .errors import NonConvergenceError, SolverError, WeightError
-from .functionals import ProblemSpec
+from .functionals import P1Energy, ProblemSpec
 from .grid import (
     GridFn,
     Mesh,
@@ -40,7 +42,6 @@ from .grid import (
     gauss_integral,
     gauss_values,
     integral_abs_p,
-    scatter_gauss_gradient,
     sign_partition,
     smooth_noise,
 )
@@ -112,44 +113,18 @@ def _constrained_rayleigh_min(
         raise SolverError("weight has no component of the required sign")
     feas_dir = component_bump(mesh, max(comps, key=lambda c: c[1] - c[0]))
 
-    a1, a2 = spec.a.gauss
-    qa1, qa2 = q * a1, q * a2
-    h_scale = mesh.h ** (p - 1.0)
-
-    def value_pass(v: np.ndarray):
-        """Gradient term, mass and weight integral, values only.
-
-        Returns (g, m, w, arrays); the arrays are what grad_fun needs to
-        build the nodal gradients at an accepted point without redoing
-        the pass.
-        """
-        du = v[1:] - v[:-1]
-        abs_du = np.abs(du)
-        g = float((abs_du**p).sum()) / h_scale
-        g1, g2 = gauss_values(v)
-        abs1, abs2 = np.abs(g1), np.abs(g2)
-        m = gauss_integral(mesh, abs1**p, abs2**p)
-        w = gauss_integral(mesh, a1 * abs1**q, a2 * abs2**q)
-        return g, m, w, (du, abs_du, g1, g2, abs1, abs2)
-
-    point = PointMemo(value_pass)
+    energy = P1Energy(mesh, p, q, spec.a.gauss)
+    point = PointMemo(energy)
 
     def rayleigh(v: np.ndarray) -> float:
-        g, m, _, _ = point(v)
-        return g / m
-
-    def normalize(v: np.ndarray) -> np.ndarray:
-        v = np.array(v)
-        v[0] = v[-1] = 0.0  # rescaling must never amplify boundary dust
-        du = v[1:] - v[:-1]
-        g = float((np.abs(du) ** p).sum()) / h_scale
-        return v / g ** (1.0 / p)
+        pt = point(v)
+        return pt.grad_term / pt.mass
 
     def violation_of(w: float) -> float:
         return max(0.0, -w) if want_nonneg else max(0.0, w)
 
     def violation(v: np.ndarray) -> float:
-        return violation_of(point(v)[2])
+        return violation_of(point(v).weight)
 
     def restore_feasible(v: np.ndarray) -> np.ndarray:
         if violation(v) == 0.0:
@@ -169,7 +144,7 @@ def _constrained_rayleigh_min(
     for k in range(starts):
         rng = np.random.default_rng(seed * 1_000_003 + k)
         noise = np.abs(smooth_noise(mesh, rng))
-        v0 = normalize(pair.phi.values + 0.4 * noise * pair.phi.linf())
+        v0 = energy.normalize(pair.phi.values + 0.4 * noise * pair.phi.linf())
         viol0 = violation(v0)
         rho = pair.lambda1 / max(viol0**2, 1e-8)
         result_status = "stalled"
@@ -177,28 +152,19 @@ def _constrained_rayleigh_min(
         for _stage in range(stages):
 
             def fun(v: np.ndarray) -> float:
-                g, m, w, _ = point(v)
-                return g / m + rho * violation_of(w) ** 2
+                pt = point(v)
+                return pt.grad_term / pt.mass + rho * violation_of(pt.weight) ** 2
 
             def grad_fun(v: np.ndarray) -> np.ndarray:
                 # descent calls this only at accepted points, right after
-                # fun on the same array: the value pass is a memo hit
-                g, m, w, (du, abs_du, g1, g2, abs1, abs2) = point(v)
-                flux = p * (np.sign(du) * abs_du ** (p - 1.0)) / h_scale
-                dg = np.zeros(mesh.n_nodes)
-                dg[:-1] -= flux
-                dg[1:] += flux
-                dg[0] = dg[-1] = 0.0
-                s1, s2 = np.sign(g1), np.sign(g2)
-                dm = scatter_gauss_gradient(mesh, p * (s1 * abs1 ** (p - 1.0)), p * (s2 * abs2 ** (p - 1.0)))
-                out = (dg - (g / m) * dm) / m
-                viol = violation_of(w)
+                # fun on the same array: the point is a memo hit
+                pt = point(v)
+                dg, dm = pt.gradients()
+                out = (dg - (pt.grad_term / pt.mass) * dm) / pt.mass
+                viol = violation_of(pt.weight)
                 if viol > 0.0:
                     sgn = -1.0 if want_nonneg else 1.0
-                    dw = scatter_gauss_gradient(
-                        mesh, qa1 * (s1 * abs1 ** (q - 1.0)), qa2 * (s2 * abs2 ** (q - 1.0))
-                    )
-                    out = out + rho * 2.0 * viol * sgn * dw
+                    out = out + rho * 2.0 * viol * sgn * pt.weight_gradient()
                 return out
 
             res = bb_descent(
@@ -207,7 +173,7 @@ def _constrained_rayleigh_min(
                 grad_fun,
                 tol=1e-7,
                 max_iter=iters_per_stage,
-                normalize=normalize,
+                normalize=energy.normalize,
                 precond=precond,
             )
             x = res.x

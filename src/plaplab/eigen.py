@@ -10,6 +10,11 @@ positive initial guess (which biases the iteration to the first,
 sign-constant eigenfunction). The raw gradient is preconditioned by the
 inverse of the linear P1 stiffness matrix; without that, the iteration
 count grows with the mesh and stalls for p < 2.
+
+The two integrals of R, their nodal gradients and the sphere retraction
+come from functionals.P1Energy with no weight term. Trial steps are valued
+only; the gradients are built at the accepted point, from the same
+EnergyPoint.
 """
 
 from __future__ import annotations
@@ -20,16 +25,8 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import MeshMismatchError, NonConvergenceError, WeightError
-from .functionals import signed_pow
-from .grid import (
-    GridFn,
-    Mesh,
-    Weight,
-    gauss_values,
-    integral_abs_p,
-    scatter_gauss_gradient,
-    weighted_integral_q,
-)
+from .functionals import P1Energy
+from .grid import GridFn, Mesh, Weight, grad_seminorm_p, integral_abs_p, weighted_integral_q
 
 __all__ = ["EigenPair", "rayleigh", "first_eigenpair", "pairing", "orthogonalize_weight"]
 
@@ -55,31 +52,7 @@ def rayleigh(u: GridFn, p: float) -> float:
     m = integral_abs_p(u, p)
     if m == 0.0:
         raise ValueError("Rayleigh quotient undefined for the zero function")
-    g1 = np.diff(u.values)
-    return float(np.sum(np.abs(g1) ** p)) / u.mesh.h ** (p - 1.0) / m
-
-
-def _value_pieces(
-    vals: np.ndarray, mesh: Mesh, p: float
-) -> tuple[float, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(grad term, mass term) at one point, plus the arrays their gradients reuse."""
-    du = vals[1:] - vals[:-1]
-    g = float((np.abs(du) ** p).sum()) / mesh.h ** (p - 1.0)
-    g1, g2 = gauss_values(vals)
-    m = float(0.5 * mesh.h * ((np.abs(g1) ** p).sum() + (np.abs(g2) ** p).sum()))
-    return g, m, (du, g1, g2)
-
-
-def _gradient_pieces(arrays, mesh: Mesh, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal gradients of the grad and mass terms from _value_pieces' arrays."""
-    du, g1, g2 = arrays
-    flux = p * signed_pow(du, p - 1.0) / mesh.h ** (p - 1.0)
-    dg = np.zeros(mesh.n_nodes)
-    dg[:-1] -= flux
-    dg[1:] += flux
-    dg[0] = dg[-1] = 0.0
-    dm = scatter_gauss_gradient(mesh, p * signed_pow(g1, p - 1.0), p * signed_pow(g2, p - 1.0))
-    return dg, dm
+    return grad_seminorm_p(u, p) / m
 
 
 def _stiffness_preconditioner(mesh: Mesh):
@@ -135,20 +108,11 @@ def first_eigenpair(
             raise ValueError("start must be nonzero")
 
     precond = _stiffness_preconditioner(mesh)
-
-    def normalize(v: np.ndarray) -> np.ndarray:
-        v = np.array(v)
-        v[0] = v[-1] = 0.0  # rescaling must never amplify boundary dust
-        du = v[1:] - v[:-1]
-        g = float((np.abs(du) ** p).sum()) / mesh.h ** (p - 1.0)
-        if g == 0.0:
-            raise ValueError("cannot normalize the zero function")
-        return v / g ** (1.0 / p)
-
-    x = normalize(vals)
-    g, m, arrays = _value_pieces(x, mesh, p)
-    dg, dm = _gradient_pieces(arrays, mesh, p)
-    lam = g / m
+    energy = P1Energy(mesh, p)
+    x = energy.normalize(vals)
+    pt = energy(x)
+    lam = pt.grad_term / pt.mass
+    dg, dm = pt.gradients()
     resid = dg - lam * dm
     d = precond(resid)
     alpha = 1.0
@@ -177,9 +141,9 @@ def first_eigenpair(
         step = alpha
         accepted = False
         for _ in range(60):
-            trial = normalize(x - step * d)
-            gt, mt, arrays = _value_pieces(trial, mesh, p)
-            lam_t = gt / mt
+            trial = energy.normalize(x - step * d)
+            pt = energy(trial)
+            lam_t = pt.grad_term / pt.mass
             if lam_t <= f_ref - 1e-4 * step * slope:
                 accepted = True
                 break
@@ -193,8 +157,8 @@ def first_eigenpair(
 
         prev_x, prev_d = x, d
         x = trial
-        dg, dm = _gradient_pieces(arrays, mesh, p)
         lam = lam_t
+        dg, dm = pt.gradients()
         resid = dg - lam * dm
         d = precond(resid)
         history.append(lam)
@@ -207,7 +171,7 @@ def first_eigenpair(
 
     if np.sum(x) < 0.0:
         x = -x
-    x = normalize(x)
+    x = energy.normalize(x)
     phi = GridFn(mesh, x)
     if np.any(phi.values[1:-1] <= 0.0):
         raise NonConvergenceError("eigen solver converged to a sign-changing function")

@@ -17,6 +17,14 @@ sign there is a unique stationary scale t(u), and the ray-optimal value
     J(u) = I(t(u) u)
 
 is 0-homogeneous. Scaling u by t(u) lands on the Nehari set {E = int a|u|^q}.
+
+Every energy in the package is built from the three P1 integrals
+int |u'|^p, int |u|^p and int a|u|^q (or their positive-part variants) and
+their nodal gradients. P1Energy is that kernel: called on a nodal vector
+it returns an EnergyPoint holding the three values and, on request, the
+gradients, and its normalize scales a vector onto the gradient sphere
+{int |u'|^p = 1}. The eigen solver, the critical-value search and the
+fibered solvers use it and keep only their own algebra on top.
 """
 
 from __future__ import annotations
@@ -38,6 +46,8 @@ from .grid import (
 __all__ = [
     "ProblemSpec",
     "EnergyBreakdown",
+    "P1Energy",
+    "EnergyPoint",
     "evaluate",
     "gradient_I",
     "gradient_E",
@@ -74,9 +84,6 @@ class ProblemSpec:
     def with_lambda(self, lam: float) -> "ProblemSpec":
         return replace(self, lam=float(lam))
 
-    def with_weight(self, a: Weight) -> "ProblemSpec":
-        return replace(self, a=a)
-
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
@@ -95,102 +102,162 @@ class EnergyBreakdown:
     nehari_residual_trunc: float
 
 
-def signed_pow(t: np.ndarray, r: float) -> np.ndarray:
-    """sign(t) * |t|^r, continuous at 0 for r > 0."""
-    return np.sign(t) * np.abs(t) ** r
+class P1Energy:
+    """The P1 energy terms of one problem instance, the kernel every solver uses.
+
+        grad_term = int |u'|^p
+        mass      = int |u|^p       (int u_+^p when truncated)
+        weight    = int a |u|^q     (int a u_+^q when truncated)
+
+    a_gauss holds the weight's values at the Gauss points (Weight.gauss);
+    without it there is no weight term. Calling the kernel on a nodal
+    vector returns its EnergyPoint; normalize scales a vector onto the
+    gradient sphere {int |u'|^p = 1}.
+    """
+
+    def __init__(
+        self,
+        mesh: Mesh,
+        p: float,
+        q: float | None = None,
+        a_gauss: tuple[np.ndarray, np.ndarray] | None = None,
+        truncated: bool = False,
+    ):
+        self.mesh, self.p, self.q, self.a_gauss, self.truncated = mesh, p, q, a_gauss, truncated
+        # a cell contributes h |du/h|^p = |du|^p / h^(p-1) to grad_term
+        self.h_scale = mesh.h ** (p - 1.0)
+        self.qa = None if a_gauss is None else (q * a_gauss[0], q * a_gauss[1])
+
+    def __call__(self, v: np.ndarray) -> "EnergyPoint":
+        return EnergyPoint(self, v)
+
+    def normalize(self, v: np.ndarray) -> np.ndarray:
+        """Scale nodal values onto the gradient sphere {int |v'|^p = 1}.
+
+        Returns a new array. The boundary entries are set to zero first, so
+        the rescaling never amplifies boundary dust; the zero function
+        raises ValueError.
+        """
+        v = np.array(v)
+        v[0] = v[-1] = 0.0
+        du = v[1:] - v[:-1]
+        g = float((np.abs(du) ** self.p).sum()) / self.h_scale
+        if g == 0.0:
+            raise ValueError("cannot normalize the zero function")
+        return v / g ** (1.0 / self.p)
 
 
-def _raw_terms(vals: np.ndarray, spec: ProblemSpec) -> tuple[float, float, float, float, float]:
-    p, q = spec.p, spec.q
-    mesh = spec.mesh
-    du = np.diff(vals)
-    grad_term = float(np.sum(np.abs(du) ** p)) / mesh.h ** (p - 1.0)
-    g1, g2 = gauss_values(vals)
-    a1, a2 = spec.a.gauss
-    gp1 = np.maximum(g1, 0.0)
-    gp2 = np.maximum(g2, 0.0)
-    mass = gauss_integral(mesh, np.abs(g1) ** p, np.abs(g2) ** p)
-    mass_plus = gauss_integral(mesh, gp1**p, gp2**p)
-    weight = gauss_integral(mesh, a1 * np.abs(g1) ** q, a2 * np.abs(g2) ** q)
-    weight_plus = gauss_integral(mesh, a1 * gp1**q, a2 * gp2**q)
-    return grad_term, mass, mass_plus, weight, weight_plus
+class EnergyPoint:
+    """The kernel's terms at one nodal vector, and their nodal gradients.
+
+    grad_term, mass and weight (None without a weight) come from one
+    difference and one gauss_values pass. The nodal gradients are built only
+    when asked for and then kept, so a caller holding the point pays for
+    each at most once: gradients() assembles dg from the cell fluxes and
+    scatters dm, weight_gradient() scatters dw.
+    """
+
+    __slots__ = ("grad_term", "mass", "weight", "_k", "_du", "_abs_du", "_g", "_b", "_signs", "_grads", "_dw")
+
+    def __init__(self, kernel: P1Energy, v: np.ndarray):
+        p, q, mesh = kernel.p, kernel.q, kernel.mesh
+        self._k = kernel
+        du = v[1:] - v[:-1]
+        abs_du = np.abs(du)
+        self.grad_term = float((abs_du**p).sum()) / kernel.h_scale
+        g1, g2 = gauss_values(v)
+        if kernel.truncated:
+            b1, b2 = np.maximum(g1, 0.0), np.maximum(g2, 0.0)
+        else:
+            b1, b2 = np.abs(g1), np.abs(g2)
+        self.mass = gauss_integral(mesh, b1**p, b2**p)
+        self.weight = None
+        if kernel.a_gauss is not None:
+            a1, a2 = kernel.a_gauss
+            self.weight = gauss_integral(mesh, a1 * b1**q, a2 * b2**q)
+        self._du, self._abs_du, self._g, self._b = du, abs_du, (g1, g2), (b1, b2)
+        self._signs = self._grads = self._dw = None
+
+    def _gauss_power(self, r: float) -> tuple[np.ndarray, np.ndarray]:
+        # d/dg of b^(r+1)/(r+1) at both Gauss points: b^r, times sign(g)
+        # unless truncated (b = max(g, 0) is then zero where g is negative)
+        b1, b2 = self._b
+        if self._k.truncated:
+            return b1**r, b2**r
+        if self._signs is None:
+            self._signs = np.sign(self._g[0]), np.sign(self._g[1])
+        s1, s2 = self._signs
+        return s1 * b1**r, s2 * b2**r
+
+    def gradients(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dg, dm): nodal gradients of grad_term and mass.
+
+        Read-only and zero at the boundary; built on the first call, then kept.
+        """
+        if self._grads is None:
+            k = self._k
+            p = k.p
+            # each cell's flux couples its two nodes
+            flux = p * (np.sign(self._du) * self._abs_du ** (p - 1.0)) / k.h_scale
+            dg = np.zeros(k.mesh.n_nodes)
+            dg[:-1] -= flux
+            dg[1:] += flux
+            dg[0] = dg[-1] = 0.0
+            m1, m2 = self._gauss_power(p - 1.0)
+            dm = scatter_gauss_gradient(k.mesh, p * m1, p * m2)
+            dg.flags.writeable = dm.flags.writeable = False
+            self._grads = dg, dm
+        return self._grads
+
+    def weight_gradient(self) -> np.ndarray:
+        """dw: nodal gradient of weight, read-only and zero at the boundary; built once."""
+        if self._dw is None:
+            k = self._k
+            w1, w2 = self._gauss_power(k.q - 1.0)
+            self._dw = scatter_gauss_gradient(k.mesh, k.qa[0] * w1, k.qa[1] * w2)
+            self._dw.flags.writeable = False
+        return self._dw
+
+
+def _point(u: GridFn, spec: ProblemSpec, truncated: bool) -> EnergyPoint:
+    if u.mesh != spec.mesh:
+        raise MeshMismatchError("function and spec live on different meshes")
+    return P1Energy(spec.mesh, spec.p, spec.q, spec.a.gauss, truncated)(u.values)
 
 
 def evaluate(u: GridFn, spec: ProblemSpec) -> EnergyBreakdown:
     """Evaluate every energy term of u for this instance."""
-    if u.mesh != spec.mesh:
-        raise MeshMismatchError("function and spec live on different meshes")
-    grad_term, mass, mass_plus, weight, weight_plus = _raw_terms(u.values, spec)
-    lam = spec.lam
-    E = grad_term - lam * mass
-    E_t = grad_term - lam * mass_plus
-    I = E / spec.p - weight / spec.q
-    I_t = E_t / spec.p - weight_plus / spec.q
+    full = _point(u, spec, truncated=False)
+    plus = _point(u, spec, truncated=True)
+    grad_term, lam = full.grad_term, spec.lam
+    E = grad_term - lam * full.mass
+    E_t = grad_term - lam * plus.mass
+    I = E / spec.p - full.weight / spec.q
+    I_t = E_t / spec.p - plus.weight / spec.q
     return EnergyBreakdown(
         grad_term=grad_term,
-        mass_term=mass,
-        mass_term_plus=mass_plus,
-        weight_term=weight,
-        weight_term_plus=weight_plus,
+        mass_term=full.mass,
+        mass_term_plus=plus.mass,
+        weight_term=full.weight,
+        weight_term_plus=plus.weight,
         E=E,
         I=I,
         E_trunc=E_t,
         I_trunc=I_t,
-        nehari_residual=E - weight,
-        nehari_residual_trunc=E_t - weight_plus,
+        nehari_residual=E - full.weight,
+        nehari_residual_trunc=E_t - plus.weight,
     )
-
-
-def _grad_grad_term(vals: np.ndarray, mesh: Mesh, p: float) -> np.ndarray:
-    # d/du_j of sum |du|^p / h^(p-1); each cell couples its two nodes.
-    du = np.diff(vals)
-    flux = p * signed_pow(du, p - 1.0) / mesh.h ** (p - 1.0)
-    grad = np.zeros(mesh.n_nodes)
-    grad[:-1] -= flux
-    grad[1:] += flux
-    grad[0] = 0.0
-    grad[-1] = 0.0
-    return grad
-
-
-def _grad_mass(vals: np.ndarray, mesh: Mesh, p: float, truncated: bool) -> np.ndarray:
-    g1, g2 = gauss_values(vals)
-    if truncated:
-        d1 = p * np.maximum(g1, 0.0) ** (p - 1.0)
-        d2 = p * np.maximum(g2, 0.0) ** (p - 1.0)
-    else:
-        d1 = p * signed_pow(g1, p - 1.0)
-        d2 = p * signed_pow(g2, p - 1.0)
-    return scatter_gauss_gradient(mesh, d1, d2)
-
-
-def _grad_weight(vals: np.ndarray, spec: ProblemSpec, truncated: bool) -> np.ndarray:
-    q = spec.q
-    g1, g2 = gauss_values(vals)
-    a1, a2 = spec.a.gauss
-    if truncated:
-        d1 = q * a1 * np.maximum(g1, 0.0) ** (q - 1.0)
-        d2 = q * a2 * np.maximum(g2, 0.0) ** (q - 1.0)
-    else:
-        d1 = q * a1 * signed_pow(g1, q - 1.0)
-        d2 = q * a2 * signed_pow(g2, q - 1.0)
-    return scatter_gauss_gradient(spec.mesh, d1, d2)
 
 
 def gradient_E(u: GridFn, spec: ProblemSpec, truncated: bool = False) -> GridFn:
     """Nodal partials of E (or its truncated variant)."""
-    if u.mesh != spec.mesh:
-        raise MeshMismatchError("function and spec live on different meshes")
-    g = _grad_grad_term(u.values, spec.mesh, spec.p)
-    g -= spec.lam * _grad_mass(u.values, spec.mesh, spec.p, truncated)
-    return GridFn(spec.mesh, g)
+    dg, dm = _point(u, spec, truncated).gradients()
+    return GridFn(spec.mesh, dg - spec.lam * dm)
 
 
 def gradient_weight_term(u: GridFn, spec: ProblemSpec, truncated: bool = False) -> GridFn:
     """Nodal partials of int a|u|^q (or int a u_+^q)."""
-    if u.mesh != spec.mesh:
-        raise MeshMismatchError("function and spec live on different meshes")
-    return GridFn(spec.mesh, _grad_weight(u.values, spec, truncated))
+    return GridFn(spec.mesh, _point(u, spec, truncated).weight_gradient())
 
 
 def gradient_I(u: GridFn, spec: ProblemSpec, truncated: bool = False) -> GridFn:
@@ -201,13 +268,9 @@ def gradient_I(u: GridFn, spec: ProblemSpec, truncated: bool = False) -> GridFn:
     slots. Defined for all p, q > 1; for q < 2 it is continuous but not
     Lipschitz near u = 0, which is left untouched on purpose.
     """
-    if u.mesh != spec.mesh:
-        raise MeshMismatchError("function and spec live on different meshes")
-    g = _grad_grad_term(u.values, spec.mesh, spec.p)
-    g -= spec.lam * _grad_mass(u.values, spec.mesh, spec.p, truncated)
-    g /= spec.p
-    g -= _grad_weight(u.values, spec, truncated) / spec.q
-    return GridFn(spec.mesh, g)
+    pt = _point(u, spec, truncated)
+    dg, dm = pt.gradients()
+    return GridFn(spec.mesh, (dg - spec.lam * dm) / spec.p - pt.weight_gradient() / spec.q)
 
 
 def _fiber_parts(u: GridFn, spec: ProblemSpec, truncated: bool) -> tuple[float, float, EnergyBreakdown]:

@@ -22,7 +22,9 @@ Branches covered:
 
 Every descent uses Barzilai-Borwein steps with a nonmonotone line search
 and the linear-stiffness preconditioner; iterates are raw nodal arrays
-with pinned boundary zeros.
+with pinned boundary zeros. The energy terms, their gradients and the
+sphere retraction come from functionals.P1Energy through _Kernel, which
+adds only the algebra of E, I, the ray-optimal J and the cones.
 """
 
 from __future__ import annotations
@@ -39,17 +41,8 @@ from .errors import (
     MeshMismatchError,
     SolverError,
 )
-from .functionals import EnergyBreakdown, ProblemSpec, evaluate
-from .grid import (
-    GridFn,
-    SignPartition,
-    component_bump,
-    gauss_integral,
-    gauss_values,
-    scatter_gauss_gradient,
-    sign_partition,
-    smooth_noise,
-)
+from .functionals import EnergyBreakdown, P1Energy, ProblemSpec, evaluate
+from .grid import GridFn, SignPartition, component_bump, sign_partition, smooth_noise
 
 __all__ = [
     "SolveReport",
@@ -121,60 +114,32 @@ class PathState:
     energies: tuple[float, ...]
 
 
-class _Point:
-    """One evaluation of the kernel at a point: scalar terms, the arrays the
-    gradients reuse, and the gradients once asked for."""
-
-    __slots__ = ("terms", "du", "abs_du", "g1", "g2", "b1", "b2", "grads")
-
-    def __init__(self, terms, du, abs_du, g1, g2, b1, b2):
-        self.terms = terms
-        self.du, self.abs_du = du, abs_du
-        self.g1, self.g2 = g1, g2
-        self.b1, self.b2 = b1, b2  # |g| or max(g, 0), by the truncation flag
-        self.grads: tuple[np.ndarray, np.ndarray] | None = None
-
-
 class _Kernel:
     """Array-level closures for one problem instance (one truncation flag).
 
-    Every method reaches its point through a one-entry PointMemo, so the
-    guard, value and gradient callbacks descent calls on one array share a
-    single evaluation: in_cone(trial) and J(trial) one pass, and grad_J at
-    the accepted point only the gradient assembly on top of it.
+    Every method reaches its point through a one-entry PointMemo of the
+    P1Energy kernel, so the guard, value and gradient callbacks descent
+    calls on one array share a single evaluation: in_cone(trial) and
+    J(trial) one pass, and grad_J at the accepted point only the gradient
+    assembly on top of it.
     """
 
     def __init__(self, spec: ProblemSpec, truncated: bool):
-        self.spec = spec
-        self.truncated = truncated
         self.mesh = spec.mesh
         self.p = spec.p
         self.q = spec.q
         self.lam = spec.lam
-        self.a1, self.a2 = spec.a.gauss
-        self._qa1, self._qa2 = self.q * self.a1, self.q * self.a2
         self.precond = _stiffness_preconditioner(spec.mesh)
         self._amax = spec.a.linf()
-        self._point = PointMemo(self._evaluate)
-
-    def _evaluate(self, v: np.ndarray) -> _Point:
-        mesh, p, q = self.mesh, self.p, self.q
-        du = v[1:] - v[:-1]
-        abs_du = np.abs(du)
-        grad_term = float((abs_du**p).sum()) / mesh.h ** (p - 1.0)
-        g1, g2 = gauss_values(v)
-        if self.truncated:
-            b1, b2 = np.maximum(g1, 0.0), np.maximum(g2, 0.0)
-        else:
-            b1, b2 = np.abs(g1), np.abs(g2)
-        mass = gauss_integral(mesh, b1**p, b2**p)
-        weight = gauss_integral(mesh, self.a1 * b1**q, self.a2 * b2**q)
-        return _Point((grad_term, mass, weight), du, abs_du, g1, g2, b1, b2)
+        energy = P1Energy(spec.mesh, spec.p, spec.q, spec.a.gauss, truncated)
+        self.normalize = energy.normalize
+        self._point = PointMemo(energy)
 
     # -- scalar terms -------------------------------------------------
     def terms(self, v: np.ndarray) -> tuple[float, float, float]:
         """(grad term, mass term, weight term) with the kernel's truncation."""
-        return self._point(v).terms
+        pt = self._point(v)
+        return pt.grad_term, pt.mass, pt.weight
 
     def EG(self, v: np.ndarray) -> tuple[float, float]:
         grad_term, mass, weight = self.terms(v)
@@ -185,34 +150,10 @@ class _Kernel:
         return (grad_term - self.lam * mass) / self.p - weight / self.q
 
     # -- gradients ----------------------------------------------------
-    def _grad_parts(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(dE, dG) nodal gradients with the kernel's truncation (read-only)."""
-        pt = self._point(v)
-        if pt.grads is not None:
-            return pt.grads
-        mesh, p, q = self.mesh, self.p, self.q
-        flux = p * (np.sign(pt.du) * pt.abs_du ** (p - 1.0)) / mesh.h ** (p - 1.0)
-        dE = np.zeros(mesh.n_nodes)
-        dE[:-1] -= flux
-        dE[1:] += flux
-        if self.truncated:
-            m1, m2 = pt.b1 ** (p - 1.0), pt.b2 ** (p - 1.0)
-            w1, w2 = pt.b1 ** (q - 1.0), pt.b2 ** (q - 1.0)
-        else:
-            s1, s2 = np.sign(pt.g1), np.sign(pt.g2)
-            m1, m2 = s1 * pt.b1 ** (p - 1.0), s2 * pt.b2 ** (p - 1.0)
-            w1, w2 = s1 * pt.b1 ** (q - 1.0), s2 * pt.b2 ** (q - 1.0)
-        dE -= self.lam * scatter_gauss_gradient(mesh, p * m1, p * m2)
-        dG = scatter_gauss_gradient(mesh, self._qa1 * w1, self._qa2 * w2)
-        dE[0] = dE[-1] = 0.0
-        dE.flags.writeable = False
-        dG.flags.writeable = False
-        pt.grads = (dE, dG)
-        return pt.grads
-
     def grad_I(self, v: np.ndarray) -> np.ndarray:
-        dE, dG = self._grad_parts(v)
-        return dE / self.p - dG / self.q
+        pt = self._point(v)
+        dg, dm = pt.gradients()
+        return (dg - self.lam * dm) / self.p - pt.weight_gradient() / self.q
 
     # -- fibered objective ---------------------------------------------
     def J(self, v: np.ndarray) -> float:
@@ -223,7 +164,9 @@ class _Kernel:
 
     def grad_J(self, v: np.ndarray) -> np.ndarray:
         E, G = self.EG(v)
-        dE, dG = self._grad_parts(v)
+        pt = self._point(v)
+        dg, dm = pt.gradients()
+        dE, dG = dg - self.lam * dm, pt.weight_gradient()
         p, q = self.p, self.q
         alpha = p / (p - q)
         beta = q / (p - q)
@@ -231,7 +174,7 @@ class _Kernel:
         pref = -np.sign(E) * coeff * abs(G) ** (alpha - 1.0) * abs(E) ** (-beta - 1.0)
         return pref * (alpha * E * dG - beta * G * dE)
 
-    # -- cones and normalization ----------------------------------------
+    # -- cones ----------------------------------------------------------
     def in_cone(self, v: np.ndarray, sign: int) -> bool:
         """sign=+1: {E > 0, G > 0}; sign=-1: {E < 0, G < 0} (strict, scaled)."""
         grad_term, mass, weight = self.terms(v)
@@ -241,15 +184,6 @@ class _Kernel:
         if sign > 0:
             return E > eps_E and weight > eps_G
         return E < -eps_E and weight < -eps_G
-
-    def normalize(self, v: np.ndarray) -> np.ndarray:
-        v = np.array(v)
-        v[0] = v[-1] = 0.0  # rescaling must never amplify boundary dust
-        du = v[1:] - v[:-1]
-        g = float((np.abs(du) ** self.p).sum()) / self.mesh.h ** (self.p - 1.0)
-        if g == 0.0:
-            raise ValueError("cannot normalize the zero function")
-        return v / g ** (1.0 / self.p)
 
     def energy_collapsed(self, v: np.ndarray) -> bool:
         """True when the normalized iterate has compressed E to roundoff scale

@@ -232,6 +232,35 @@ certify_starts = 8
         assert all(r.status != "uncertified_positive" for r in table.rows)
 
 
+class TestExitCodes:
+    """ground, sweep and three exit 3 exactly when some branch has no ok row."""
+
+    @staticmethod
+    def _code(*rows):
+        from plaplab.cli import _branch_exit_code
+
+        return _branch_exit_code(BranchTable(tuple(BranchRow(lam=lam, branch=b, status=s) for lam, b, s in rows)))
+
+    def test_every_branch_with_an_ok_row_exits_0(self):
+        assert self._code((1.0, "ground", "ok")) == 0
+        assert self._code((1.0, "ground", "ok"), (2.0, "ground", "error:SolverError"), (2.0, "m_minus", "ok")) == 0
+        # a three-solution scan that found its triple after earlier probes
+        assert self._code(
+            (1.0, "ground", "no_distinct_pair"),
+            (2.0, "mountain_pass", "no_third_solution"),
+            (3.0, "ground", "ok"),
+            (3.0, "local_min", "ok"),
+            (3.0, "mountain_pass", "ok"),
+        ) == 0
+
+    def test_a_branch_without_an_ok_row_exits_3(self):
+        assert self._code((1.0, "ground", "diverged")) == 3
+        assert self._code((1.0, "ground", "ok"), (2.0, "m_minus", "error:EmptyConeError")) == 3
+        assert self._code((1.0, "ground", "ok"), (2.0, "local_min", "window_exceeded")) == 3
+        # a three-solution scan that found no triple
+        assert self._code((1.0, "ground", "no_distinct_pair"), (2.0, "mountain_pass", "no_third_solution")) == 3
+
+
 class TestCommandLine:
     def _run(self, args):
         return subprocess.run(

@@ -117,12 +117,13 @@ class TestCriticalValues:
 
     def test_gradient_pieces_built_only_at_accepted_points(self, neg_pairing_problem, monkeypatch):
         import plaplab.critical as critical
+        import plaplab.functionals as functionals
 
         spec0, pair = neg_pairing_problem
         calls = {"scatter": 0, "scatter_in_fun": 0, "fun": 0, "grad": 0}
         in_fun = [False]
         runs = []
-        real_scatter = critical.scatter_gauss_gradient
+        real_scatter = functionals.scatter_gauss_gradient
         real_descent = critical.bb_descent
 
         def counting_scatter(*args):
@@ -147,7 +148,7 @@ class TestCriticalValues:
             runs.append(res)
             return res
 
-        monkeypatch.setattr(critical, "scatter_gauss_gradient", counting_scatter)
+        monkeypatch.setattr(functionals, "scatter_gauss_gradient", counting_scatter)
         monkeypatch.setattr(critical, "bb_descent", counting_descent)
         _constrained_rayleigh_min(spec0, pair, want_nonneg=True, starts=1, stages=2, iters_per_stage=6)
         # every iteration accepts a point, except one that stops at its top

@@ -4,10 +4,12 @@ import pytest
 from plaplab.critical import compute_critical_values, nonexistence_bound
 from plaplab.errors import AttainabilityError, EmptyConeError, SolverError
 from plaplab.eigen import first_eigenpair
-from plaplab.functionals import ProblemSpec, evaluate, nehari_residual_rel
-from plaplab.grid import GridFn, component_bump, grid_fn, make_mesh, sign_partition, weight_fn
+from plaplab.functionals import ProblemSpec, evaluate, gradient_I, nehari_residual_rel
+from plaplab.grid import GridFn, component_bump, grid_fn, make_mesh, sign_partition, smooth_noise, weight_fn
 from plaplab.presets import TwoBumpParams, two_bump
-from plaplab import solvers
+from plaplab import functionals, solvers
+
+from oracles import central_diff_directional
 
 TOL = 1e-8
 
@@ -310,8 +312,8 @@ class TestKernelCache:
         spec0, pair = neg_pairing_problem
         kernel = solvers._Kernel(spec0.with_lambda(0.5 * pair.lambda1), truncated=False)
         passes = []
-        real = solvers.gauss_values
-        monkeypatch.setattr(solvers, "gauss_values", lambda vals: passes.append(1) or real(vals))
+        real = functionals.gauss_values
+        monkeypatch.setattr(functionals, "gauss_values", lambda vals: passes.append(1) or real(vals))
         v = component_bump(spec0.mesh, sign_partition(spec0.a).plus_components[0])
         assert kernel.in_cone(v, +1)
         j = kernel.J(v)
@@ -320,3 +322,56 @@ class TestKernelCache:
         fresh = solvers._Kernel(spec0.with_lambda(0.5 * pair.lambda1), truncated=False)
         assert fresh.J(np.array(v)) == j
         assert np.array_equal(fresh.grad_J(np.array(v)), g)
+
+
+class TestKernelParity:
+    """The fibered solvers' kernel and the functionals agree bit for bit."""
+
+    @pytest.mark.parametrize("truncated", [False, True])
+    @pytest.mark.parametrize("p,q", [(1.5, 1.2), (3.0, 1.5), (4.0, 2.5), (5.0, 2.0)])
+    @pytest.mark.parametrize("lam", [-3.0, 7.0])
+    def test_terms_and_gradient_match_functionals(self, p, q, lam, truncated):
+        mesh = make_mesh(0.0, 1.0, 256)
+        rng = np.random.default_rng(17)
+        a = weight_fn(mesh, rng.normal(size=mesh.n_nodes))
+        spec = ProblemSpec(p, q, lam, a, mesh)
+        kernel = solvers._Kernel(spec, truncated)
+        for _ in range(3):
+            vals = np.zeros(mesh.n_nodes)
+            vals[1:-1] = rng.normal(size=mesh.n_nodes - 2)
+            b = evaluate(grid_fn(mesh, vals), spec)
+            if truncated:
+                expected = (b.grad_term, b.mass_term_plus, b.weight_term_plus)
+            else:
+                expected = (b.grad_term, b.mass_term, b.weight_term)
+            assert kernel.terms(vals) == expected
+            g = gradient_I(grid_fn(mesh, vals), spec, truncated=truncated).values
+            assert kernel.grad_I(vals).tobytes() == g.tobytes()
+
+
+class TestFiberedGradient:
+    """grad_J against central differences of J, in both cones the solvers use."""
+
+    @pytest.mark.parametrize("q", [1.5, 2.0])
+    @pytest.mark.parametrize("cone", [+1, -1])
+    def test_grad_J_matches_finite_differences(self, neg_pairing_problem, cone, q):
+        spec0, pair = neg_pairing_problem
+        mesh = spec0.mesh
+        x = mesh.nodes
+        if cone > 0:
+            # plus cone with truncation: a sign-changing function, so the
+            # positive part is a proper piece of it
+            kernel = solvers._Kernel(ProblemSpec(3.0, q, 0.5 * pair.lambda1, spec0.a, mesh), truncated=True)
+            v = pair.phi.values * (np.cos(3.0 * np.pi * x) + 0.3)
+        else:
+            # minus cone above lambda1, as m_minus searches it
+            kernel = solvers._Kernel(ProblemSpec(3.0, q, 1.1 * pair.lambda1, spec0.a, mesh), truncated=False)
+            minus = sign_partition(spec0.a).minus_components[0]
+            v = pair.phi.values + 0.05 * component_bump(mesh, minus) * pair.phi.linf()
+        assert kernel.in_cone(v, cone)
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            w = smooth_noise(mesh, rng)
+            fd = central_diff_directional(kernel.J, v, w, 1e-6)
+            an = float(np.dot(kernel.grad_J(v), w))
+            assert an == pytest.approx(fd, rel=1e-6)
