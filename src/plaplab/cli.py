@@ -111,7 +111,7 @@ def _cmd_eigen(config: RunConfig, args: argparse.Namespace) -> int:
 
 def _cmd_critical(config: RunConfig, args: argparse.Namespace) -> int:
     problem = build_problem(config)
-    crit = compute_critical_values(problem.spec0, problem.pair, seed=config.seed)
+    crit = compute_critical_values(problem.spec0, problem.pair)
     record = {
         "p": config.p,
         "q": config.q,

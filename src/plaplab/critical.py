@@ -15,12 +15,16 @@ the sign of the pairing int a*phi^q with the first eigenfunction:
     pairing = 0:  all four equal lam1
     pairing < 0:  lam1 = lam_minus < lam_zero = lam_plus = lam_star
 
-Only one value per sign case is nontrivial; it is computed by penalized
-minimization of the Rayleigh quotient with the sign constraint, followed
-by an exact feasibility restoration, so the reported value is a feasible
-upper bound. The quotient, the constraint integral and their gradients
-come from functionals.P1Energy, one EnergyPoint per point through a
-PointMemo.
+Only one value per sign case is nontrivial. It is the minimum of the
+Rayleigh quotient on the sphere {int |u'|^p = 1} under the one sign
+constraint, found by an augmented Lagrangian (Hestenes-Powell multiplier,
+bounded penalty weight) from two deterministic starts, so it takes no
+seed. `converged` reports the KKT test at the winning point: tangential
+gradient and constraint violation both below tolerance. An exact
+feasibility restoration follows, so the reported value is the quotient of
+a feasible function, an upper bound. The quotient, the constraint integral
+and their gradients come from functionals.P1Energy, one EnergyPoint per
+point through a PointMemo.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .grid import (
     gauss_values,
     integral_abs_p,
     sign_partition,
-    smooth_noise,
 )
 
 __all__ = [
@@ -59,6 +62,14 @@ __all__ = [
 PAIRING_ZERO_RTOL = 1e-10
 PICONE_TOL = 1e-12
 DEAD_CORE_RTOL = 1e-8
+
+# augmented-Lagrangian schedule of _constrained_rayleigh_min
+_AL_TOL = 1e-7  # KKT test: tangential gradient (sup norm) and constraint violation
+_AL_RHO0 = 100.0  # initial penalty weight, in units of lambda1
+_AL_GROWTH = 4.0  # penalty growth when the violation did not shrink enough
+_AL_SHRINK = 0.5  # the violation must at least halve per round to keep rho
+_AL_ROUNDS = 20
+_AL_INNER_ITER = 700
 
 
 @dataclass(frozen=True)
@@ -93,17 +104,30 @@ def _constrained_rayleigh_min(
     spec: ProblemSpec,
     pair: EigenPair,
     want_nonneg: bool,
-    seed: int = 0,
-    starts: int = 3,
-    stages: int = 6,
-    iters_per_stage: int = 700,
+    rounds: int = _AL_ROUNDS,
+    inner_iter: int = _AL_INNER_ITER,
 ) -> tuple[float, bool]:
-    """min Rayleigh quotient subject to int a|u|^q >= 0 (or <= 0).
+    """min Rayleigh quotient subject to c(u) = int a|u|^q >= 0 (or -int a|u|^q >= 0).
 
-    Exterior quadratic penalty with a 10x continuation over the penalty
-    weight, multi-start from random positive perturbations of phi, and a
-    final bisection mix with a strictly feasible bump so that the reported
-    value is the Rayleigh quotient of an exactly feasible function.
+    Augmented Lagrangian (Hestenes-Powell-Rockafellar) on the sphere
+    {int |u'|^p = 1}: each outer round minimizes
+
+        R(u) + (max(0, mu - rho c(u))^2 - mu^2) / (2 rho)
+
+    by preconditioned BB descent (at most inner_iter iterations, warm-started
+    from the last round), then sets mu <- max(0, mu - rho c). The descent
+    sees the gradient tangent to the sphere. rho grows only when the
+    violation |min(c, mu/rho)| did not halve, and at most `rounds` rounds
+    run. A start passes the KKT test when a round's descent converged (its
+    gradient, which is the tangential Lagrangian gradient at the updated
+    multiplier, is below _AL_TOL) and the violation is below _AL_TOL;
+    running out of rounds or hitting an iteration cap never counts.
+
+    Two deterministic starts, phi and the feasible bump on the widest
+    component of the required sign, plus the bump itself as a candidate.
+    Each start's result is mixed with the bump by bisection until exactly
+    feasible, so the reported value is the quotient of a feasible function,
+    an upper bound. Returns (value, whether the winning start passed KKT).
     """
     mesh, p, q = spec.mesh, spec.p, spec.q
     precond = _stiffness_preconditioner(mesh)
@@ -115,45 +139,36 @@ def _constrained_rayleigh_min(
 
     energy = P1Energy(mesh, p, q, spec.a.gauss)
     point = PointMemo(energy)
+    sign = 1.0 if want_nonneg else -1.0
 
     def rayleigh(v: np.ndarray) -> float:
         pt = point(v)
         return pt.grad_term / pt.mass
 
-    def violation_of(w: float) -> float:
-        return max(0.0, -w) if want_nonneg else max(0.0, w)
-
-    def violation(v: np.ndarray) -> float:
-        return violation_of(point(v).weight)
+    def constraint(v: np.ndarray) -> float:
+        return sign * point(v).weight
 
     def restore_feasible(v: np.ndarray) -> np.ndarray:
-        if violation(v) == 0.0:
+        if constraint(v) >= 0.0:
             return v
         lo, hi = 0.0, 1.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if violation((1.0 - mid) * v + mid * feas_dir) > 0.0:
+            if constraint((1.0 - mid) * v + mid * feas_dir) < 0.0:
                 lo = mid
             else:
                 hi = mid
         return (1.0 - hi) * v + hi * feas_dir
 
-    best = np.inf
-    any_converged = False
-
-    for k in range(starts):
-        rng = np.random.default_rng(seed * 1_000_003 + k)
-        noise = np.abs(smooth_noise(mesh, rng))
-        v0 = energy.normalize(pair.phi.values + 0.4 * noise * pair.phi.linf())
-        viol0 = violation(v0)
-        rho = pair.lambda1 / max(viol0**2, 1e-8)
-        result_status = "stalled"
-        x = v0
-        for _stage in range(stages):
+    def solve(x: np.ndarray) -> tuple[np.ndarray, bool]:
+        mu, rho = 0.0, _AL_RHO0 * pair.lambda1
+        prev_viol = np.inf
+        for _round in range(rounds):
 
             def fun(v: np.ndarray) -> float:
                 pt = point(v)
-                return pt.grad_term / pt.mass + rho * violation_of(pt.weight) ** 2
+                shifted = max(0.0, mu - rho * sign * pt.weight)
+                return pt.grad_term / pt.mass + (shifted**2 - mu**2) / (2.0 * rho)
 
             def grad_fun(v: np.ndarray) -> np.ndarray:
                 # descent calls this only at accepted points, right after
@@ -161,43 +176,55 @@ def _constrained_rayleigh_min(
                 pt = point(v)
                 dg, dm = pt.gradients()
                 out = (dg - (pt.grad_term / pt.mass) * dm) / pt.mass
-                viol = violation_of(pt.weight)
-                if viol > 0.0:
-                    sgn = -1.0 if want_nonneg else 1.0
-                    out = out + rho * 2.0 * viol * sgn * pt.weight_gradient()
+                shifted = max(0.0, mu - rho * sign * pt.weight)
+                if shifted > 0.0:
+                    out = out - (shifted * sign) * pt.weight_gradient()
+                    # the penalty is not 0-homogeneous like R: keep the part of
+                    # its gradient tangent to the sphere, the gradient of the
+                    # objective composed with normalize
+                    out = out - (float(out @ v) / (p * pt.grad_term)) * dg
                 return out
 
             res = bb_descent(
                 x,
                 fun,
                 grad_fun,
-                tol=1e-7,
-                max_iter=iters_per_stage,
+                tol=_AL_TOL,
+                max_iter=inner_iter,
                 normalize=energy.normalize,
                 precond=precond,
             )
             x = res.x
-            result_status = res.status
-            rho *= 10.0
-        x = restore_feasible(x)
-        value = rayleigh(x)
+            c = constraint(x)
+            viol = abs(min(c, mu / rho))
+            mu = max(0.0, mu - rho * c)
+            if res.status == "converged" and viol < _AL_TOL:
+                return x, True
+            if viol > _AL_SHRINK * prev_viol:
+                rho *= _AL_GROWTH
+            prev_viol = viol
+        return x, False
+
+    # the bump itself is a candidate: cheap, and sometimes better for
+    # strongly localized constraints; it never passes the KKT test
+    best, best_ok = rayleigh(feas_dir), False
+    for start in (pair.phi.values, feas_dir):
+        x, ok = solve(start)
+        value = rayleigh(restore_feasible(x))
         if value < best:
-            best = value
-            any_converged = result_status == "converged"
-    # Also try the feasible bump itself: cheap and sometimes better for
-    # strongly localized constraints.
-    best = min(best, rayleigh(feas_dir))
+            best, best_ok = value, ok
     if not np.isfinite(best):
-        raise NonConvergenceError("penalized Rayleigh minimization failed to produce a value")
-    return float(best), any_converged
+        raise NonConvergenceError("constrained Rayleigh minimization failed to produce a value")
+    return float(best), best_ok
 
 
-def compute_critical_values(spec: ProblemSpec, pair: EigenPair, seed: int = 0) -> CriticalValues:
+def compute_critical_values(spec: ProblemSpec, pair: EigenPair) -> CriticalValues:
     """Fill all four thresholds for this instance.
 
     Requires a sign-changing weight. The trivial identities are filled from
-    the pairing sign; the one nontrivial value is computed by penalized
-    minimization and always exceeds lambda1 (reported feasible).
+    the pairing sign; the one nontrivial value comes from the augmented-
+    Lagrangian search, is the quotient of a feasible function and exceeds
+    lambda1. Deterministic: the same instance gives the same record.
     """
     if not spec.a.is_sign_changing():
         raise WeightError("critical values require a sign-changing weight")
@@ -207,7 +234,7 @@ def compute_critical_values(spec: ProblemSpec, pair: EigenPair, seed: int = 0) -
     if sign == "zero":
         return CriticalValues(lam1, lam1, lam1, lam1, lam1, val, sign, True)
     if sign == "positive":
-        nontrivial, ok = _constrained_rayleigh_min(spec, pair, want_nonneg=False, seed=seed)
+        nontrivial, ok = _constrained_rayleigh_min(spec, pair, want_nonneg=False)
         return CriticalValues(
             lambda1=lam1,
             lambda_star=lam1,
@@ -218,7 +245,7 @@ def compute_critical_values(spec: ProblemSpec, pair: EigenPair, seed: int = 0) -
             pairing_sign=sign,
             converged=ok,
         )
-    nontrivial, ok = _constrained_rayleigh_min(spec, pair, want_nonneg=True, seed=seed)
+    nontrivial, ok = _constrained_rayleigh_min(spec, pair, want_nonneg=True)
     return CriticalValues(
         lambda1=lam1,
         lambda_star=nontrivial,

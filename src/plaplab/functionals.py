@@ -50,8 +50,6 @@ __all__ = [
     "EnergyPoint",
     "evaluate",
     "gradient_I",
-    "gradient_E",
-    "gradient_weight_term",
     "fiber_scale",
     "fibered_J",
     "nehari_project",
@@ -247,17 +245,6 @@ def evaluate(u: GridFn, spec: ProblemSpec) -> EnergyBreakdown:
         nehari_residual=E - full.weight,
         nehari_residual_trunc=E_t - plus.weight,
     )
-
-
-def gradient_E(u: GridFn, spec: ProblemSpec, truncated: bool = False) -> GridFn:
-    """Nodal partials of E (or its truncated variant)."""
-    dg, dm = _point(u, spec, truncated).gradients()
-    return GridFn(spec.mesh, dg - spec.lam * dm)
-
-
-def gradient_weight_term(u: GridFn, spec: ProblemSpec, truncated: bool = False) -> GridFn:
-    """Nodal partials of int a|u|^q (or int a u_+^q)."""
-    return GridFn(spec.mesh, _point(u, spec, truncated).weight_gradient())
 
 
 def gradient_I(u: GridFn, spec: ProblemSpec, truncated: bool = False) -> GridFn:

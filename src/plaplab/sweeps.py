@@ -285,7 +285,7 @@ def run_sweep(config: RunConfig) -> BranchTable:
     sweep never aborts on a single lambda.
     """
     problem = build_problem(config)
-    crit = compute_critical_values(problem.spec0, problem.pair, seed=config.seed)
+    crit = compute_critical_values(problem.spec0, problem.pair)
     lambdas = _lambda_grid(config, problem.pair.lambda1)
 
     kset: MinimizerSet | None = None

@@ -4,7 +4,7 @@ import pytest
 from plaplab.eigen import first_eigenpair
 from plaplab.functionals import ProblemSpec
 from plaplab.grid import grid_fn, make_mesh
-from plaplab.presets import orthogonal_two_bump, two_bump
+from plaplab.presets import TwoBumpParams, orthogonal_two_bump, two_bump
 from plaplab.solvers import minimizer_set_at_star
 
 
@@ -30,6 +30,16 @@ def neg_pairing_problem(mesh256):
     a = two_bump(mesh256)
     pair = first_eigenpair(mesh256, 3.0)
     return ProblemSpec(3.0, 2.0, 0.0, a, mesh256), pair
+
+
+@pytest.fixture(scope="session")
+def pos_pairing_problem(mesh256):
+    """Wide positive bump, narrow negative bump: positive pairing, p=3, q=2."""
+    prm = TwoBumpParams(
+        amp_plus=60.0, center_plus=0.45, width_plus=0.25, amp_minus=20.0, center_minus=0.85, width_minus=0.12
+    )
+    pair = first_eigenpair(mesh256, 3.0)
+    return ProblemSpec(3.0, 2.0, 0.0, two_bump(mesh256, prm), mesh256), pair
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,16 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the library's own code paths: the eigenvalue
-oracle integrates the ODE by shooting, the polynomial oracle is a dense
-grid scan, and derivative checks use central finite differences on the
-plain functional values.
+These deliberately avoid the library's own code paths: the eigenvalue and
+critical-value oracles integrate the ODE by shooting, the polynomial
+oracle is a dense grid scan, and derivative checks use central finite
+differences on the plain functional values.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import fsolve
 
 
 def shooting_lambda1(p: float, length: float = 1.0) -> float:
@@ -45,6 +46,73 @@ def shooting_lambda1(p: float, length: float = 1.0) -> float:
         raise RuntimeError(f"shooting found no zero crossing for p={p}")
     x0 = float(sol.t_events[0][0])
     return (x0 / length) ** p
+
+
+def default_two_bump(x: float) -> float:
+    """The library's default two-bump weight at x, from its cosine-bump formula:
+
+        20 cos^2(pi (x - 0.7) / 0.4)    on |x - 0.7|  < 0.2
+      - 60 cos^2(pi (x - 0.25) / 0.44)  on |x - 0.25| < 0.22
+    """
+
+    def bump(center: float, width: float) -> float:
+        t = (x - center) / width
+        return float(np.cos(0.5 * np.pi * t) ** 2) if abs(t) < 1.0 else 0.0
+
+    return 20.0 * bump(0.7, 0.2) - 60.0 * bump(0.25, 0.22)
+
+
+def shooting_lambda_star(
+    p: float, weight=default_two_bump, length: float = 1.0, guess: tuple[float, float] = (33.0, 2.0)
+) -> float:
+    """lam_* = inf R(u) over {int a u^2 >= 0} on (0, length), for q = 2 and a
+    weight whose pairing with the first eigenfunction is negative.
+
+    The constraint is then active, and the constrained minimizer u > 0 solves
+
+        -(|u'|^{p-2}u')' = lam |u|^{p-2}u + nu a u,   u(0) = u(length) = 0,
+        int a u^2 = 0,
+
+    with a multiplier nu > 0. Under u -> t u the multiplier scales as
+    t^{p-2}, so nu = 1 fixes the scale. Shoot in flux form
+        u' = sign(w)|w|^{1/(p-1)},  w' = -lam |u|^{p-2}u - a u,  z' = a u^2
+    from u(0) = 0, u'(0) = s, z(0) = 0, and solve u(length) = z(length) = 0
+    for (lam, s) with fsolve from guess; the default guess suits the default
+    two-bump weight at p = 3 (fsolve lands on the same root from lam in
+    31..35). Raises RuntimeError unless the solve converges to a solution
+    positive inside the interval.
+    """
+
+    def shoot(x):
+        lam, s = x
+
+        def rhs(t, y):
+            u, w, _z = y
+            a = weight(t)
+            du = np.sign(w) * abs(w) ** (1.0 / (p - 1.0))
+            return [du, -lam * np.sign(u) * abs(u) ** (p - 1.0) - a * u, a * u * u]
+
+        return solve_ivp(
+            rhs,
+            (0.0, length),
+            [0.0, np.sign(s) * abs(s) ** (p - 1.0), 0.0],
+            method="DOP853",
+            rtol=1e-12,
+            atol=1e-13,
+            max_step=0.005 * length,
+        )
+
+    def residual(x):
+        sol = shoot(x)
+        return [sol.y[0, -1], sol.y[2, -1]]
+
+    root, _info, ier, msg = fsolve(residual, guess, full_output=True, xtol=1e-13)
+    if ier != 1:
+        raise RuntimeError(f"shooting for lam_* did not converge: {msg}")
+    u = shoot(root).y[0]
+    if not np.all(u[1:-1] > 0.0):
+        raise RuntimeError("shooting for lam_* converged to a sign-changing solution")
+    return float(root[0])
 
 
 def picone_poly_min(p: float, q: float, n_grid: int = 200_001, s_max: float | None = None) -> tuple[float, float]:

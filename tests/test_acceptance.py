@@ -130,7 +130,7 @@ def test_criterion_04_critical_orderings(neg_pairing_problem, zero_pairing_p5_pr
     details = []
     # pairing < 0
     spec_n, pair_n = neg_pairing_problem
-    crit_n = compute_critical_values(spec_n, pair_n, seed=0)
+    crit_n = compute_critical_values(spec_n, pair_n)
     ok = (
         crit_n.pairing_sign == "negative"
         and crit_n.lambda_minus == crit_n.lambda1
@@ -142,7 +142,7 @@ def test_criterion_04_critical_orderings(neg_pairing_problem, zero_pairing_p5_pr
     )
     # pairing = 0
     spec_z, pair_z = zero_pairing_p5_problem
-    crit_z = compute_critical_values(spec_z, pair_z, seed=0)
+    crit_z = compute_critical_values(spec_z, pair_z)
     ok = ok and crit_z.pairing_sign == "zero"
     ok = ok and crit_z.lambda1 == crit_z.lambda_star == crit_z.lambda_plus == crit_z.lambda_minus == crit_z.lambda_zero
     details.append("zero: all four equal lambda1")
@@ -152,7 +152,7 @@ def test_criterion_04_critical_orderings(neg_pairing_problem, zero_pairing_p5_pr
         amp_plus=60.0, center_plus=0.45, width_plus=0.25, amp_minus=20.0, center_minus=0.85, width_minus=0.12
     )
     spec_p = ProblemSpec(3.0, 2.0, 0.0, two_bump(mesh256, prm), mesh256)
-    crit_p = compute_critical_values(spec_p, pair_p, seed=0)
+    crit_p = compute_critical_values(spec_p, pair_p)
     ok = ok and crit_p.pairing_sign == "positive"
     ok = ok and crit_p.lambda_star == crit_p.lambda1 == crit_p.lambda_plus
     ok = ok and crit_p.lambda_zero == crit_p.lambda_minus > crit_p.lambda1 + 1e-7
@@ -162,7 +162,7 @@ def test_criterion_04_critical_orderings(neg_pairing_problem, zero_pairing_p5_pr
 
 def test_criterion_05_level_monotonicity(neg_pairing_problem):
     spec0, pair = neg_pairing_problem
-    crit = compute_critical_values(spec0, pair, seed=0)
+    crit = compute_critical_values(spec0, pair)
     lams = np.linspace(0.3 * pair.lambda1, 0.97 * crit.lambda_star, 8)
     levels = []
     for lam in lams:
@@ -272,7 +272,7 @@ def test_criterion_08_nonexistence_consistency(mesh256):
 
 def test_criterion_09_divergence_detection(neg_pairing_problem, mesh256):
     spec_n, pair_n = neg_pairing_problem
-    crit = compute_critical_values(spec_n, pair_n, seed=0)
+    crit = compute_critical_values(spec_n, pair_n)
     rep_a = solvers.ground_state(
         spec_n.with_lambda(crit.lambda_star + 0.1 * pair_n.lambda1), starts=4, tol=TOL, seed=1
     )

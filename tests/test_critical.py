@@ -15,7 +15,7 @@ from plaplab.functionals import ProblemSpec
 from plaplab.grid import grid_fn, make_mesh, sign_partition
 from plaplab.presets import TwoBumpParams, orthogonal_two_bump, two_bump
 
-from oracles import picone_condition_loop, picone_poly_min
+from oracles import picone_condition_loop, picone_poly_min, shooting_lambda_star
 
 
 def sine_fn(mesh, power=1.0):
@@ -110,9 +110,7 @@ class TestRegionClassify:
 class TestCriticalValues:
     def test_converged_false_when_descents_are_capped(self, neg_pairing_problem):
         spec0, pair = neg_pairing_problem
-        _, converged = _constrained_rayleigh_min(
-            spec0, pair, want_nonneg=True, starts=1, stages=1, iters_per_stage=1
-        )
+        _, converged = _constrained_rayleigh_min(spec0, pair, want_nonneg=True, rounds=1, inner_iter=1)
         assert converged is False
 
     def test_gradient_pieces_built_only_at_accepted_points(self, neg_pairing_problem, monkeypatch):
@@ -150,7 +148,7 @@ class TestCriticalValues:
 
         monkeypatch.setattr(functionals, "scatter_gauss_gradient", counting_scatter)
         monkeypatch.setattr(critical, "bb_descent", counting_descent)
-        _constrained_rayleigh_min(spec0, pair, want_nonneg=True, starts=1, stages=2, iters_per_stage=6)
+        _constrained_rayleigh_min(spec0, pair, want_nonneg=True, rounds=1, inner_iter=6)
         # every iteration accepts a point, except one that stops at its top
         accepted = sum(r.iterations - (r.status != "max_iterations") for r in runs)
         assert len(runs) == 2 and accepted > 0
@@ -163,7 +161,7 @@ class TestCriticalValues:
     def test_negative_pairing_chain(self, neg_pairing_problem):
         spec0, pair = neg_pairing_problem
         assert pairing(spec0.a, pair, spec0.q) < 0
-        crit = compute_critical_values(spec0, pair, seed=0)
+        crit = compute_critical_values(spec0, pair)
         assert crit.pairing_sign == "negative"
         # lambda1 = lambda_minus < lambda_zero = lambda_plus = lambda_star
         assert crit.lambda_minus == crit.lambda1
@@ -172,23 +170,53 @@ class TestCriticalValues:
 
     def test_zero_pairing_chain(self, zero_pairing_p5_problem):
         spec0, pair = zero_pairing_p5_problem
-        crit = compute_critical_values(spec0, pair, seed=0)
+        crit = compute_critical_values(spec0, pair)
         assert crit.pairing_sign == "zero"
         assert crit.lambda_star == crit.lambda1 == crit.lambda_plus == crit.lambda_minus == crit.lambda_zero
 
-    def test_positive_pairing_chain(self, mesh256):
-        p, q = 3.0, 2.0
-        pair = first_eigenpair(mesh256, p)
-        prm = TwoBumpParams(
-            amp_plus=60.0, center_plus=0.45, width_plus=0.25, amp_minus=20.0, center_minus=0.85, width_minus=0.12
-        )
-        a = two_bump(mesh256, prm)
-        spec0 = ProblemSpec(p, q, 0.0, a, mesh256)
-        crit = compute_critical_values(spec0, pair, seed=0)
+    def test_positive_pairing_chain(self, pos_pairing_problem):
+        spec0, pair = pos_pairing_problem
+        crit = compute_critical_values(spec0, pair)
         assert crit.pairing_sign == "positive"
         assert crit.lambda_star == crit.lambda1 == crit.lambda_plus
         assert crit.lambda_zero == crit.lambda_minus
         assert crit.lambda_zero > crit.lambda1 + 1e-7 * 10
+
+
+    # feasible upper bounds of the penalty search this solve replaced
+    # (3 noisy starts x 6 penalty stages, seed 0); a feasible minimizer
+    # may only lower them
+    PENALTY_LAMBDA_STAR = 33.218755987163114
+    PENALTY_LAMBDA_ZERO = 143.7097111330789
+
+    def test_negative_pairing_kkt_verdict_and_value(self, neg_pairing_problem):
+        spec0, pair = neg_pairing_problem
+        crit = compute_critical_values(spec0, pair)
+        assert crit.converged is True
+        assert crit.lambda_star <= self.PENALTY_LAMBDA_STAR
+        assert crit.lambda_star == pytest.approx(self.PENALTY_LAMBDA_STAR, rel=1e-6)
+
+    def test_positive_pairing_kkt_verdict_and_value(self, pos_pairing_problem):
+        spec0, pair = pos_pairing_problem
+        crit = compute_critical_values(spec0, pair)
+        assert crit.converged is True
+        assert crit.lambda_zero <= self.PENALTY_LAMBDA_ZERO
+        assert crit.lambda_zero == pytest.approx(self.PENALTY_LAMBDA_ZERO, rel=1e-6)
+
+    def test_lambda_star_matches_shooting_oracle(self, neg_pairing_problem, mesh512):
+        # p = 3, q = 2, default two-bump weight, on n = 256 and 512 cells
+        oracle = shooting_lambda_star(3.0)
+        spec512 = ProblemSpec(3.0, 2.0, 0.0, two_bump(mesh512), mesh512)
+        errors = []
+        for spec0, pair in (neg_pairing_problem, (spec512, first_eigenpair(mesh512, 3.0))):
+            crit = compute_critical_values(spec0, pair)
+            h = spec0.mesh.h
+            rel = abs(crit.lambda_star - oracle) / oracle
+            assert crit.converged is True
+            assert rel <= 10.0 * h**2
+            errors.append(rel)
+        order = np.log2(errors[0] / errors[1])
+        assert 1.75 <= order <= 2.25
 
 
 class TestNonexistenceBound:

@@ -17,7 +17,7 @@ TOL = 1e-8
 @pytest.fixture(scope="session")
 def crit_neg(neg_pairing_problem):
     spec0, pair = neg_pairing_problem
-    return compute_critical_values(spec0, pair, seed=0)
+    return compute_critical_values(spec0, pair)
 
 
 @pytest.fixture(scope="session")
