@@ -1,22 +1,38 @@
-"""First-order descent engines: Barzilai-Borwein steps with a nonmonotone
-line search, in a plain and a projected variant.
+"""The descent engine: one nonmonotone spectral projected-gradient loop.
 
-These are deliberately simple. The objectives in this package are smooth
-away from kinks of the form t -> max(t,0)^(q-1) with q > 1, which are
-continuous but not Lipschitz; BB steps with a nonmonotone Armijo guard
-handle that without smoothing. An optional preconditioner (inverse linear
-stiffness) removes the mesh-dependent conditioning of gradient terms.
+Barzilai-Borwein steps, accepted by an Armijo test against the largest
+objective of the last `window` accepted points (Birgin, Martinez & Raydan,
+SIAM J. Optim. 10, 2000; reference value of Grippo, Lampariello & Lucidi,
+1986). The objectives here are smooth away from kinks t -> max(t,0)^(q-1),
+q > 1, which the nonmonotone test handles without smoothing. bb_descent
+and projected_descent are the loop's two entry points. Its hooks:
 
-Callback contract, shared by both engines:
+  * normalize: retraction applied to every trial (e.g. onto a sphere);
+  * project: projection applied to every trial; convergence is then judged
+    on the fixed-point residual x - project(x - g), not on g;
+  * guard: admissibility predicate; a refused trial is not valued;
+  * floor: stop "diverged" once the objective sinks below it;
+  * precond: SPD operator turning the gradient into the step direction;
+    convergence is still judged on the raw gradient.
 
-  * fun (and guard, where there is one) sees every trial point;
-  * grad sees only accepted points, each right after fun was called on
-    the same array.
+A run ends "converged" (residual sup-norm below tol), "diverged",
+"stalled" (no trial passed within the backtracking budget) or
+"max_iterations".
 
-A caller may therefore share work between the two: compute the values a
-gradient needs inside fun and reuse them in grad (PointMemo keeps the
-last point's values). Trials far outnumber accepted points, so fun should
-compute values only.
+Projected runs only: a preconditioned step is not projected in the
+preconditioner's metric, so it need not descend, and an iterate pinned to
+the boundary could creep along it within the roundoff slack forever. A
+projected trial therefore counts only if g . (trial - x) < 0, and the run
+stops "stalled" once the objective fell by no more than the slack over the
+last _STALL_WINDOW accepted iterations. Unconstrained runs keep no such
+rule: a converging solve (the p < 2 eigen problem, for one) can spend that
+long within the slack on its way below tol.
+
+Callback contract: fun (and guard) sees every trial that is valued; grad
+sees only accepted points, each right after fun on the same array. A
+caller may share work between them (PointMemo keeps the last point's
+values), and fun should compute values only: trials far outnumber
+accepted points.
 """
 
 from __future__ import annotations
@@ -33,6 +49,7 @@ _FLOAT_SLACK = 1e-14  # absolute noise floor: objective differences below this a
 _BACKTRACK_MAX = 60
 _STEP_MIN = 1e-16
 _STEP_MAX = 1e12
+_STALL_WINDOW = 100  # accepted iterations over which a projected run must make progress
 
 
 @dataclass
@@ -42,7 +59,6 @@ class DescentResult:
     grad: np.ndarray
     iterations: int
     status: str  # converged | diverged | max_iterations | stalled
-    f_history: list[float]
 
 
 class PointMemo:
@@ -76,6 +92,90 @@ def _bb_step(s: np.ndarray, y: np.ndarray, fallback: float) -> float:
     return fallback
 
 
+def _spg(
+    x0: np.ndarray,
+    fun: Callable[[np.ndarray], float],
+    grad: Callable[[np.ndarray], np.ndarray],
+    tol: float,
+    max_iter: int,
+    window: int,
+    step0: float,
+    *,
+    normalize: Callable[[np.ndarray], np.ndarray] | None = None,
+    project: Callable[[np.ndarray], np.ndarray] | None = None,
+    guard: Callable[[np.ndarray], bool] | None = None,
+    floor: float | None = None,
+    precond: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> DescentResult:
+    x = np.array(x0, dtype=float)
+    if normalize is not None:
+        x = normalize(x)
+    if project is not None:
+        x = project(x)
+    f = fun(x)
+    g = grad(x)
+    d = precond(g) if precond is not None else g
+    history = [f]  # objective at the accepted points
+    alpha = step0
+    prev_x = None
+    prev_d = None
+    status = "max_iterations"
+    it = 0
+
+    for it in range(1, max_iter + 1):
+        residual = g if project is None else x - project(x - g)
+        if float(np.max(np.abs(residual))) < tol:
+            status = "converged"
+            break
+        if floor is not None and f < floor:
+            status = "diverged"
+            break
+        if (
+            project is not None
+            and len(history) > _STALL_WINDOW
+            and history[-_STALL_WINDOW - 1] - f <= _FLOAT_SLACK * (1.0 + abs(f))
+        ):
+            status = "stalled"
+            break
+
+        if prev_x is not None:
+            alpha = _bb_step(x - prev_x, d - prev_d, alpha)
+        f_ref = max(history[-window:])
+        slack = _FLOAT_SLACK * (1.0 + abs(f_ref))
+        slope = float(np.dot(g, d))
+        step = alpha
+        accepted = False
+        for _ in range(_BACKTRACK_MAX):
+            trial = x - step * d
+            if normalize is not None:
+                trial = normalize(trial)
+            if project is None:
+                decrease = _ARMIJO_C * step * slope
+            else:
+                trial = project(trial)
+                decrease = -_ARMIJO_C * float(np.dot(g, trial - x))
+            # a trial that is no descent step, or that the guard refuses, is not valued
+            if not decrease > 0.0 or (guard is not None and not guard(trial)):
+                step *= 0.5
+                continue
+            f_trial = fun(trial)
+            if np.isfinite(f_trial) and f_trial <= f_ref - decrease + slack:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            status = "stalled"
+            break
+
+        prev_x, prev_d = x, d
+        x, f = trial, f_trial
+        g = grad(x)
+        d = precond(g) if precond is not None else g
+        history.append(f)
+
+    return DescentResult(x=x, f=f, grad=g, iterations=it, status=status)
+
+
 def bb_descent(
     x0: np.ndarray,
     fun: Callable[[np.ndarray], float],
@@ -90,72 +190,10 @@ def bb_descent(
     normalize: Callable[[np.ndarray], np.ndarray] | None = None,
     precond: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> DescentResult:
-    """Minimize fun by BB descent with nonmonotone Armijo backtracking.
-
-    fun is called on x0 and on every trial point; grad only on x0 and on
-    accepted points, each time right after fun on the same array (see the
-    module docstring).
-    guard: admissibility predicate; trial points failing it are rejected
-        (backtrack). x0 must be admissible.
-    floor: if the objective sinks below this value the run stops with
-        status "diverged" (detects levels that are actually unbounded below).
-    normalize: optional retraction applied after every trial step (e.g.
-        rescaling onto a sphere for homogeneous objectives).
-    precond: optional SPD preconditioner applied to the gradient to form
-        the step direction. Convergence is still judged on the raw gradient.
-    """
-    x = np.array(x0, dtype=float)
-    if normalize is not None:
-        x = normalize(x)
-    f = fun(x)
-    g = grad(x)
-    d = precond(g) if precond is not None else g
-    history = [f]
-    alpha = step0
-    prev_x = None
-    prev_d = None
-    status = "max_iterations"
-    it = 0
-
-    for it in range(1, max_iter + 1):
-        gnorm_sup = float(np.max(np.abs(g)))
-        if gnorm_sup < tol:
-            status = "converged"
-            break
-        if floor is not None and f < floor:
-            status = "diverged"
-            break
-
-        if prev_x is not None:
-            alpha = _bb_step(x - prev_x, d - prev_d, alpha)
-        f_ref = max(history[-window:])
-        slope = float(np.dot(g, d))
-        step = alpha
-        accepted = False
-        for _ in range(_BACKTRACK_MAX):
-            trial = x - step * d
-            if normalize is not None:
-                trial = normalize(trial)
-            if guard is not None and not guard(trial):
-                step *= 0.5
-                continue
-            f_trial = fun(trial)
-            slack = _FLOAT_SLACK * (1.0 + abs(f_ref))
-            if np.isfinite(f_trial) and f_trial <= f_ref - _ARMIJO_C * step * slope + slack:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            status = "stalled"
-            break
-
-        prev_x, prev_d = x, d
-        x, f = trial, f_trial
-        g = grad(x)
-        d = precond(g) if precond is not None else g
-        history.append(f)
-
-    return DescentResult(x=x, f=f, grad=g, iterations=it, status=status, f_history=history)
+    """Minimize fun by the descent loop from normalize(x0), which must pass guard."""
+    return _spg(
+        x0, fun, grad, tol, max_iter, window, step0, normalize=normalize, guard=guard, floor=floor, precond=precond
+    )
 
 
 def projected_descent(
@@ -170,58 +208,5 @@ def projected_descent(
     step0: float = 1e-2,
     precond: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> DescentResult:
-    """Spectral projected-gradient descent onto a convex (or retractable) set.
-
-    Convergence is judged on the fixed-point residual x - project(x - g)
-    with the raw gradient, which reduces to the plain gradient wherever the
-    constraint is inactive. fun is called on the projected start and on
-    every trial point; grad only on the start and on accepted points, each
-    time right after fun on the same array (see the module docstring).
-    """
-    x = project(np.array(x0, dtype=float))
-    f = fun(x)
-    g = grad(x)
-    d = precond(g) if precond is not None else g
-    history = [f]
-    alpha = step0
-    prev_x = None
-    prev_d = None
-    status = "max_iterations"
-    it = 0
-
-    for it in range(1, max_iter + 1):
-        residual = x - project(x - g)
-        if float(np.max(np.abs(residual))) < tol:
-            status = "converged"
-            break
-
-        if prev_x is not None:
-            alpha = _bb_step(x - prev_x, d - prev_d, alpha)
-        f_ref = max(history[-window:])
-        step = alpha
-        accepted = False
-        for _ in range(_BACKTRACK_MAX):
-            trial = project(x - step * d)
-            dx = trial - x
-            slope = float(np.dot(g, dx))
-            f_trial = fun(trial)
-            slack = _FLOAT_SLACK * (1.0 + abs(f_ref))
-            if (
-                np.isfinite(f_trial)
-                and f_trial <= f_ref + _ARMIJO_C * min(slope, 0.0) + slack
-                and not np.array_equal(trial, x)
-            ):
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            status = "stalled"
-            break
-
-        prev_x, prev_d = x, d
-        x, f = trial, f_trial
-        g = grad(x)
-        d = precond(g) if precond is not None else g
-        history.append(f)
-
-    return DescentResult(x=x, f=f, grad=g, iterations=it, status=status, f_history=history)
+    """Minimize fun over a convex (or retractable) set by the descent loop from project(x0)."""
+    return _spg(x0, fun, grad, tol, max_iter, window, step0, project=project, precond=precond)

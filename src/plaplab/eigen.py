@@ -4,17 +4,19 @@ The eigenvalue is the infimum of the Rayleigh quotient
 
     R(u) = int |u'|^p / int |u|^p
 
-over nonzero Dirichlet functions. The solver is projected gradient descent
-on R over the sphere {int |u'|^p = 1} with Barzilai-Borwein steps and a
+over nonzero Dirichlet functions. The solver is descent.bb_descent on R
+over the sphere {int |u'|^p = 1}, retracted by P1Energy.normalize, from a
 positive initial guess (which biases the iteration to the first,
-sign-constant eigenfunction). The raw gradient is preconditioned by the
-inverse of the linear P1 stiffness matrix; without that, the iteration
-count grows with the mesh and stalls for p < 2.
+sign-constant eigenfunction). Its gradient is the residual dg - R*dm of
+the quotient's numerator and denominator gradients, so it vanishes
+exactly at eigenpairs, and it is preconditioned by the inverse of the
+linear P1 stiffness matrix; without that, the iteration count grows with
+the mesh and stalls for p < 2.
 
 The two integrals of R, their nodal gradients and the sphere retraction
-come from functionals.P1Energy with no weight term. Trial steps are valued
-only; the gradients are built at the accepted point, from the same
-EnergyPoint.
+come from functionals.P1Energy with no weight term, through a PointMemo:
+trial steps are valued only, and the gradients are built at the accepted
+point from the same EnergyPoint.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
+from .descent import PointMemo, bb_descent
 from .errors import MeshMismatchError, NonConvergenceError, WeightError
 from .functionals import P1Energy
 from .grid import GridFn, Mesh, Weight, grad_seminorm_p, integral_abs_p, weighted_integral_q
 
 __all__ = ["EigenPair", "rayleigh", "first_eigenpair", "pairing", "orthogonalize_weight"]
 
-_STALL_SPAN = 5  # iterations over which the eigenvalue must be flat
 _MAX_ITER = 100_000
 
 _cache: dict[tuple[Mesh, float, float], "EigenPair"] = {}
@@ -85,10 +87,9 @@ def first_eigenpair(
     """Compute the first eigenpair on this mesh.
 
     Converged when the sup-norm of the Rayleigh-gradient residual
-    dg - lambda*dm drops below tol and the relative eigenvalue change
-    stays below tol over 5 consecutive iterations. Deterministic for the
-    default start (constant 1 on the interior nodes). Results for the
-    default start are cached per (mesh, p, tol).
+    dg - lambda*dm drops below tol. Deterministic for the default start
+    (constant 1 on the interior nodes). Results for the default start are
+    cached per (mesh, p, tol).
     """
     if p <= 1.0:
         raise ValueError(f"exponent must exceed 1, got p={p}")
@@ -107,68 +108,36 @@ def first_eigenpair(
         if not np.any(vals != 0.0):
             raise ValueError("start must be nonzero")
 
-    precond = _stiffness_preconditioner(mesh)
     energy = P1Energy(mesh, p)
-    x = energy.normalize(vals)
-    pt = energy(x)
-    lam = pt.grad_term / pt.mass
-    dg, dm = pt.gradients()
-    resid = dg - lam * dm
-    d = precond(resid)
-    alpha = 1.0
-    prev_x: np.ndarray | None = None
-    prev_d: np.ndarray | None = None
-    history = [lam]
-    status = "max_iterations"
-    it = 0
+    point = PointMemo(energy)
 
-    for it in range(1, max_iter + 1):
-        residual_sup = float(np.max(np.abs(resid)))
-        if residual_sup < tol and len(history) > _STALL_SPAN:
-            recent = history[-(_STALL_SPAN + 1) :]
-            if max(recent) - min(recent) <= tol * max(1.0, abs(lam)):
-                status = "converged"
-                break
+    def quotient(v: np.ndarray) -> float:
+        pt = point(v)
+        return pt.grad_term / pt.mass
 
-        if prev_x is not None:
-            s = x - prev_x
-            y = d - prev_d
-            sy = float(np.dot(s, y))
-            if sy > 0.0:
-                alpha = min(max(float(np.dot(s, s)) / sy, 1e-14), 1e10)
-        f_ref = max(history[-10:])
-        slope = float(np.dot(resid, d))  # descent rate in the preconditioned metric
-        step = alpha
-        accepted = False
-        for _ in range(60):
-            trial = energy.normalize(x - step * d)
-            pt = energy(trial)
-            lam_t = pt.grad_term / pt.mass
-            if lam_t <= f_ref - 1e-4 * step * slope:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            if residual_sup < tol:
-                status = "converged"
-                break
-            status = "stalled"
-            break
-
-        prev_x, prev_d = x, d
-        x = trial
-        lam = lam_t
+    def residual(v: np.ndarray) -> np.ndarray:
+        # called only at accepted points, right after quotient on the same array
+        pt = point(v)
         dg, dm = pt.gradients()
-        resid = dg - lam * dm
-        d = precond(resid)
-        history.append(lam)
+        return dg - (pt.grad_term / pt.mass) * dm
 
-    if status != "converged":
+    res = bb_descent(
+        vals,
+        quotient,
+        residual,
+        tol=tol,
+        max_iter=max_iter,
+        step0=1.0,
+        normalize=energy.normalize,
+        precond=_stiffness_preconditioner(mesh),
+    )
+    if res.status != "converged":
         raise NonConvergenceError(
-            f"eigen solver {status} after {it} iterations (p={p}, n={mesh.n_cells}, "
-            f"residual={float(np.max(np.abs(resid))):.3e})"
+            f"eigen solver {res.status} after {res.iterations} iterations (p={p}, n={mesh.n_cells}, "
+            f"residual={float(np.max(np.abs(res.grad))):.3e})"
         )
 
+    x = res.x
     if np.sum(x) < 0.0:
         x = -x
     x = energy.normalize(x)
@@ -176,11 +145,11 @@ def first_eigenpair(
     if np.any(phi.values[1:-1] <= 0.0):
         raise NonConvergenceError("eigen solver converged to a sign-changing function")
     pair = EigenPair(
-        lambda1=float(lam),
+        lambda1=float(res.f),
         phi=phi,
         p=float(p),
-        residual_sup=float(np.max(np.abs(resid))),
-        iterations=it,
+        residual_sup=float(np.max(np.abs(res.grad))),
+        iterations=res.iterations,
     )
     if start is None:
         _cache[key] = pair

@@ -1,9 +1,10 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the library's own code paths: the eigenvalue and
-critical-value oracles integrate the ODE by shooting, the polynomial
-oracle is a dense grid scan, and derivative checks use central finite
-differences on the plain functional values.
+These deliberately avoid the library's own code paths: the eigenvalue
+comes in closed form and by shooting, the critical-value oracle integrates
+the ODE by shooting, the polynomial oracle is a dense grid scan, and
+derivative checks use central finite differences on the plain functional
+values.
 """
 
 from __future__ import annotations
@@ -46,6 +47,15 @@ def shooting_lambda1(p: float, length: float = 1.0) -> float:
         raise RuntimeError(f"shooting found no zero crossing for p={p}")
     x0 = float(sol.t_events[0][0])
     return (x0 / length) ** p
+
+
+def closed_form_lambda1(p: float, length: float = 1.0) -> float:
+    """First Dirichlet eigenvalue on (0, length) in closed form (Lindqvist, 1995):
+
+        lambda1 = (p-1) (pi_p / length)^p,   pi_p = 2 pi / (p sin(pi/p)).
+    """
+    pi_p = 2.0 * np.pi / (p * np.sin(np.pi / p))
+    return (p - 1.0) * (pi_p / length) ** p
 
 
 def default_two_bump(x: float) -> float:

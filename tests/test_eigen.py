@@ -6,7 +6,7 @@ from plaplab.errors import WeightError
 from plaplab.eigen import _stiffness_preconditioner, first_eigenpair, orthogonalize_weight, pairing, rayleigh
 from plaplab.grid import grad_seminorm_p, grid_fn, integral_abs_p, make_mesh, weight_fn
 
-from oracles import shooting_lambda1
+from oracles import closed_form_lambda1, shooting_lambda1
 
 
 def sine_fn(mesh, power=1.0):
@@ -55,6 +55,19 @@ class TestFirstEigenpair:
         pair = first_eigenpair(mesh, p)
         oracle = shooting_lambda1(p)
         assert pair.lambda1 == pytest.approx(oracle, rel=5e-3)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 5.0])
+    def test_closed_form_error_and_observed_order(self, p):
+        # P1 converges at O(h^2): the relative error is below 10 h^2 on each
+        # mesh and halves twice per halving of h
+        exact = closed_form_lambda1(p)
+        errs = []
+        for n in (256, 512, 1024):
+            pair = first_eigenpair(make_mesh(0.0, 1.0, n), p)
+            errs.append(abs(pair.lambda1 - exact) / exact)
+            assert errs[-1] <= 10.0 / n**2
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 1.75 <= np.log2(coarse / fine) <= 2.25
 
     def test_normalization(self):
         mesh = make_mesh(0.0, 1.0, 512)

@@ -171,6 +171,7 @@ class TestContinuation:
         rep = solvers.local_min_continuation(spec0.with_lambda(1.1 * bound), kset_p5, tol=TOL)
         classified = solvers.classify(rep, part, 1e-8 * max(rep.u.linf(), 1e-30))
         assert rep.status == "window_exceeded" or classified.dead_core_components
+        assert rep.iterations < 5_000  # a pinned run stops early, not at its 50 000 cap
 
 
 class TestOrderInterval:
