@@ -16,15 +16,18 @@ Branches covered:
                        minimizers past the threshold;
   * order_interval_min box-constrained minimization between a zero
                        subsolution and a supersolution from a larger lam;
-  * mountain_pass      string-method saddle search between two nonnegative
-                       states joined by the q-mean path
-                       ((1-s) u^q + s w^q)^(1/q).
+  * mountain_pass      saddle between two nonnegative states by one
+                       climbing-string run (string_relax) on the q-mean
+                       path ((1-s) u^q + s w^q)^(1/q).
 
-Every descent uses Barzilai-Borwein steps with a nonmonotone line search
-and the linear-stiffness preconditioner; iterates are raw nodal arrays
-with pinned boundary zeros. The energy terms, their gradients and the
-sphere retraction come from functionals.P1Energy through _Kernel, which
-adds only the algebra of E, I, the ray-optimal J and the cones.
+Every minimization is a descent.py run: Barzilai-Borwein steps, a
+nonmonotone line search and the linear-stiffness preconditioner. The
+climbing string steps its own beads with the same preconditioner: a
+Barzilai-Borwein step for the climbing bead, a per-bead Armijo search for
+the others. Iterates are raw nodal arrays with pinned boundary zeros.
+The energy terms, their gradients and the sphere retraction come from
+functionals.P1Energy through _Kernel, which adds only the algebra of E,
+I, the ray-optimal J and the cones.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ _CONE_EPS = 1e-12
 # integral means the iterate has pushed its Rayleigh quotient onto lam
 # while staying admissible: the minimization level is unbounded below.
 _E_COLLAPSE_RTOL = 1e-8
+SADDLE_TOL = 1e-6  # saddle residuals bottom out near the C^1 kink noise floor
 
 
 @dataclass(frozen=True)
@@ -112,6 +116,8 @@ class PathState:
 
     beads: tuple[GridFn, ...]
     energies: tuple[float, ...]
+    # sup-norm gradient at the highest interior bead, set by string_relax
+    residual: float | None = None
 
 
 class _Kernel:
@@ -657,53 +663,87 @@ def string_relax(
     spec: ProblemSpec,
     path: PathState,
     *,
-    tol: float = 1e-6,
+    tol: float = SADDLE_TOL,
     max_sweeps: int = 2000,
-    reparam_every: int = 1,
 ) -> tuple[PathState, list[float]]:
-    """Relax the interior beads of a path by tangentially projected descent.
+    """Relax a path by the climbing string method until its top bead is a saddle.
 
-    Every sweep moves each interior bead along the preconditioned component
-    of its energy gradient orthogonal to the local path tangent, with a
-    per-bead monotone line search, so the max-bead energy cannot increase
-    within a sweep: the recorded barrier history is nonincreasing between
-    reparametrizations. Beads are redistributed by arclength every
-    reparam_every sweeps, which keeps the chain connected across the
-    barrier (skipping it lets beads drain into the endpoint basins) but may
-    step the recorded barrier up at those sweeps. Returns the relaxed path
-    and the per-sweep barrier history.
+    Every sweep the highest interior bead climbs: its step reverses the
+    tangential part of the preconditioned gradient, reflected in the
+    stiffness metric M (the preconditioner is P = M^-1),
+
+        d = P g - 2 (g . tau) / (tau . M tau) tau,   tau = x[i+1] - x[i-1],
+
+    with a Barzilai-Borwein step, taken in the metric M and capped at 1
+    and at twice its last value. Every other interior bead descends along
+    the preconditioned gradient with its (Euclidean) tangential part
+    removed, under a per-bead Armijo test on that projected slope whose
+    step grows 1.5x per accepted sweep up to 10. Then the beads on each
+    side of the climbing bead are redistributed evenly by sup-norm
+    arclength, the climbing bead the fixed end of both segments, and every
+    interior bead is valued once: its energy and gradient come from that
+    one point. The climbing bead is chosen anew after every sweep.
+
+    Stops once the climbing bead's full gradient is below tol in sup norm
+    (that residual is the returned path's residual), or after max_sweeps.
+    Returns the path and the per-sweep barrier, the highest bead energy
+    after each sweep. (Ren & Vanden-Eijnden, J. Chem. Phys. 138, 134105,
+    2013, on the simplified string method of E, Ren & Vanden-Eijnden,
+    J. Chem. Phys. 126, 164103, 2007.)
     """
     kernel = _Kernel(spec, truncated=True)
+    h = spec.mesh.h
     chain = [np.array(b.values) for b in path.beads]
     n = len(chain)
-    energies = [kernel.I(v) for v in chain]
+    energies = [kernel.I(chain[0])] + [0.0] * (n - 2) + [kernel.I(chain[-1])]
+    grads: list[np.ndarray] = [np.zeros(0)] * n
+
+    def revalue() -> tuple[int, float]:
+        """Value each interior bead once; the climbing bead and its residual."""
+        for i in range(1, n - 1):
+            energies[i], grads[i] = kernel.I(chain[i]), kernel.grad_I(chain[i])
+        top = 1 + int(np.argmax(energies[1:-1]))
+        return top, float(np.max(np.abs(grads[top])))
+
+    top, residual = revalue()
     steps = [1e-2] * n
+    climb_step = 1e-2
+    climber, prev_x, prev_d = 0, chain[0], chain[0]  # bead 0 never climbs: no BB pair yet
     barrier_history: list[float] = []
 
-    for sweep in range(1, max_sweeps + 1):
-        worst_res = 0.0
+    while residual >= tol and len(barrier_history) < max_sweeps:
         for i in range(1, n - 1):
-            g = kernel.grad_I(chain[i])
+            g = grads[i]
             tau = chain[i + 1] - chain[i - 1]
+            if i == top:
+                d = kernel.precond(g)
+                dtau = np.diff(tau)
+                tau_m_tau = float(np.dot(dtau, dtau)) / h
+                if tau_m_tau > 0.0:
+                    d -= (2.0 * float(np.dot(g, tau)) / tau_m_tau) * tau
+                if climber == i:
+                    # Barzilai-Borwein step in the stiffness metric d lives in
+                    ds, dy = np.diff(chain[i] - prev_x), np.diff(d - prev_d)
+                    sy = float(np.dot(ds, dy))
+                    if sy > 0.0:
+                        climb_step = min(float(np.dot(ds, ds)) / sy, 1.0, 2.0 * climb_step)
+                climber, prev_x, prev_d = i, chain[i], d
+                chain[i] = chain[i] - climb_step * d
+                continue
             norm = float(np.linalg.norm(tau))
             if norm > 0.0:
                 tau /= norm
-                g_perp = g - float(np.dot(g, tau)) * tau
-            else:
-                g_perp = g
-            worst_res = max(worst_res, float(np.max(np.abs(g_perp))))
-            d = kernel.precond(g_perp)
-            slope = float(np.dot(g_perp, d))
+                g = g - float(np.dot(g, tau)) * tau
+            d = kernel.precond(g)
+            slope = float(np.dot(g, d))
             if slope <= 0.0:
                 continue
             step = steps[i]
-            e_old = energies[i]
             for _ in range(40):
                 trial = chain[i] - step * d
                 e_new = kernel.I(trial)
-                if np.isfinite(e_new) and e_new <= e_old - 1e-4 * step * slope:
+                if np.isfinite(e_new) and e_new <= energies[i] - 1e-4 * step * slope:
                     chain[i] = trial
-                    energies[i] = e_new
                     # modest growth cap: racing a bead down the far valley
                     # outruns the redistribution and disconnects the chain
                     steps[i] = min(step * 1.5, 10.0)
@@ -711,117 +751,12 @@ def string_relax(
                 step *= 0.5
             else:
                 steps[i] = max(step, 1e-14)
+        chain = _reparametrize(chain[: top + 1]) + _reparametrize(chain[top:])[1:]
+        top, residual = revalue()
         barrier_history.append(max(energies))
-        if worst_res < tol:
-            break
-        if sweep % reparam_every == 0:
-            chain = _reparametrize(chain)
-            energies = [kernel.I(v) for v in chain]
 
     beads = tuple(GridFn(spec.mesh, v) for v in chain)
-    return PathState(beads=beads, energies=tuple(energies)), barrier_history
-
-
-def _climb(kernel: _Kernel, x: np.ndarray, tau: np.ndarray, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
-    """Saddle refinement by reflected preconditioned descent (dimer-style).
-
-    Gradient-only: curvature information enters solely through
-    finite-difference products (grad(x+eps*w)-grad(x-eps*w))/(2*eps). The
-    unstable direction v tracks the minimizer of the Hessian quotient
-    v.Hv / v.Mv (M = linear stiffness), warm-started between translation
-    steps; the translation reverses the preconditioned gradient component
-    along v and is safeguarded by a monotone residual test.
-    """
-    mesh = kernel.mesh
-    h = mesh.h
-
-    def m_dot(w1: np.ndarray, w2: np.ndarray) -> float:
-        return float(np.dot(np.diff(w1), np.diff(w2))) / h
-
-    def m_normalize(w: np.ndarray) -> np.ndarray:
-        return w / np.sqrt(max(m_dot(w, w), 1e-300))
-
-    def hess_apply(xc: np.ndarray, w: np.ndarray) -> np.ndarray:
-        eps = 1e-5 * (1.0 + float(np.max(np.abs(xc)))) / max(float(np.max(np.abs(w))), 1e-30)
-        return (kernel.grad_I(xc + eps * w) - kernel.grad_I(xc - eps * w)) / (2.0 * eps)
-
-    # Largest curvature of the preconditioned Hessian quotient, by power
-    # iteration; bounds the stable step sizes of both loops below.
-    def theta_max(xc: np.ndarray) -> float:
-        w = m_normalize(np.sin(np.linspace(0.0, 3.0 * np.pi, mesh.n_nodes)))
-        est = 1.0
-        for _ in range(10):
-            w = kernel.precond(hess_apply(xc, w))
-            nrm = np.sqrt(max(m_dot(w, w), 1e-300))
-            est = nrm
-            w /= nrm
-        hv = hess_apply(xc, w)
-        return max(abs(float(np.dot(w, hv))) / max(m_dot(w, w), 1e-300), est, 1e-6)
-
-    def refine_direction(xc: np.ndarray, v: np.ndarray, sweeps: int, eta: float) -> tuple[np.ndarray, float]:
-        v = m_normalize(v)
-        theta = 0.0
-        for _ in range(sweeps):
-            hv = hess_apply(xc, v)
-            theta = float(np.dot(v, hv))  # v.Hv with v.Mv = 1
-            resid = hv - theta * _apply_stiffness(v, h)
-            d = kernel.precond(resid)
-            v = m_normalize(v - eta * d)
-        return v, theta
-
-    g = kernel.grad_I(x)
-    res = float(np.max(np.abs(g)))
-    t_max = theta_max(x)
-    eta = 0.5 / t_max
-    v, theta = refine_direction(x, tau, 30, eta)
-    alpha = 0.8 / t_max
-    it = 0
-    for it in range(1, max_iter + 1):
-        if res < tol:
-            break
-        v, theta = refine_direction(x, v, 3, eta)
-        gamma = 0.8 / max(abs(theta), t_max * 1e-3)
-        d = kernel.precond(g)
-        mv = _apply_stiffness(v, h)
-        c = float(np.dot(d, mv))
-        accepted = False
-        s = 1.0
-        for _ in range(40):
-            trial = x - s * (alpha * (d - c * v) - gamma * c * v)
-            g_t = kernel.grad_I(trial)
-            res_t = float(np.max(np.abs(g_t)))
-            if res_t <= res * (1.0 + 1e-12) + 1e-18:
-                x, g, res = trial, g_t, res_t
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            break
-    return x, it
-
-
-def _apply_stiffness(w: np.ndarray, h: float) -> np.ndarray:
-    """Linear P1 stiffness matrix applied to nodal values (Dirichlet rows zero)."""
-    dw = np.diff(w) / h
-    out = np.zeros_like(w)
-    out[:-1] -= dw
-    out[1:] += dw
-    out[0] = out[-1] = 0.0
-    return out
-
-
-SADDLE_TOL = 1e-6  # saddle residuals bottom out near the C^1 kink noise floor
-
-
-def _linear_path(spec: ProblemSpec, kernel: _Kernel, w_lo: np.ndarray, w_hi: np.ndarray, beads: int) -> PathState:
-    chain = []
-    energies = []
-    for s in np.linspace(0.0, 1.0, beads):
-        v = (1.0 - s) * w_lo + s * w_hi
-        v[0] = v[-1] = 0.0
-        chain.append(GridFn(spec.mesh, v))
-        energies.append(kernel.I(v))
-    return PathState(beads=tuple(chain), energies=tuple(energies))
+    return PathState(beads=beads, energies=tuple(energies), residual=residual), barrier_history
 
 
 def mountain_pass(
@@ -831,84 +766,36 @@ def mountain_pass(
     beads: int = 17,
     *,
     tol: float = SADDLE_TOL,
-    string_tol: float = 1e-7,
-    max_sweeps: int = 600,
-    zoom_levels: int = 8,
-    climb_iter: int = 300,
+    max_sweeps: int = 5000,
 ) -> SolveReport:
     """Saddle between a local minimum u and a lower state omega.
 
-    Relaxes the q-mean path by the string method, then recursively
-    re-strings the segment between the beads flanking the energy maximum
-    (each zoom cuts the bead spacing by an order of magnitude), and
-    finishes with a short dimer-style polish. Fails with status
-    "saddle_not_found" when the path collapses into one basin.
+    One climbing-string run (string_relax) on the q-mean path from u to
+    omega: the highest interior bead climbs to the saddle while the other
+    beads relax onto the minimum energy path. The report is that bead, with
+    the residual the string's stop test read. Fails with status
+    "saddle_not_found" when the run ends at max_sweeps, or when the bead
+    does not rise above both endpoints (the path collapsed into one basin).
 
     The default tolerance is looser than for the minimization solvers: the
     truncated energy is C^1 but not C^2 across dead-core boundaries, which
     caps how far saddle residuals can be driven down.
     """
-    kernel = _Kernel(spec, truncated=True)
-    e_u = kernel.I(np.array(u.values))
-    e_w = kernel.I(np.array(omega.values))
-    if not e_w < e_u:
-        raise ValueError("omega must have strictly lower energy than u")
     path0 = initial_path(spec, u, omega, beads)
-    path, barrier_history = string_relax(spec, path0, tol=string_tol, max_sweeps=max_sweeps)
-    energies = np.array(path.energies)
-    top = int(np.argmax(energies))
-    iterations = len(barrier_history)
-    if top in (0, len(energies) - 1) or energies[top] <= max(e_u, e_w) + 1e-14:
-        return SolveReport(
-            u=path.beads[top],
-            breakdown=evaluate(path.beads[top], spec),
-            residual_sup=kernel.residual_sup(np.array(path.beads[top].values)),
-            kind="mountain_pass",
-            iterations=iterations,
-            lam=spec.lam,
-            status="saddle_not_found",
-        )
-
-    best_x = np.array(path.beads[top].values)
-    best_res = kernel.residual_sup(best_x)
-    best_tau = path.beads[min(top + 1, beads - 1)].values - path.beads[max(top - 1, 0)].values
-    for _ in range(zoom_levels):
-        if best_res < tol:
-            break
-        lo = max(top - 1, 0)
-        hi = min(top + 1, len(path.beads) - 1)
-        sub = _linear_path(spec, kernel, np.array(path.beads[lo].values), np.array(path.beads[hi].values), beads)
-        # short segments cannot drain into the basins; redistributing less
-        # often lets the top bead settle tightly
-        path, hist = string_relax(spec, sub, tol=string_tol * 0.01, max_sweeps=max_sweeps, reparam_every=10)
-        iterations += len(hist)
-        energies = np.array(path.energies)
-        top = int(np.argmax(energies))
-        x = np.array(path.beads[top].values)
-        res = kernel.residual_sup(x)
-        if res < best_res:
-            best_x, best_res = x.copy(), res
-            best_tau = (
-                path.beads[min(top + 1, beads - 1)].values - path.beads[max(top - 1, 0)].values
-            )
-        if top in (0, len(path.beads) - 1):
-            break
-    if best_res >= tol and climb_iter > 0:
-        x, climb_its = _climb(kernel, best_x, best_tau, tol, climb_iter)
-        iterations += climb_its
-        res = kernel.residual_sup(x)
-        if res < best_res:
-            best_x, best_res = x, res
-    status = "converged" if best_res < tol else "saddle_not_found"
-    ugrid = GridFn(spec.mesh, best_x)
+    if not path0.energies[-1] < path0.energies[0]:
+        raise ValueError("omega must have strictly lower energy than u")
+    path, barrier_history = string_relax(spec, path0, tol=tol, max_sweeps=max_sweeps)
+    top = 1 + int(np.argmax(path.energies[1:-1]))
+    found = path.residual < tol and path.energies[top] > path.energies[0] + 1e-14
+    saddle = path.beads[top]
     return SolveReport(
-        u=ugrid,
-        breakdown=evaluate(ugrid, spec),
-        residual_sup=best_res,
+        u=saddle,
+        breakdown=evaluate(saddle, spec),
+        residual_sup=path.residual,
         kind="mountain_pass",
-        iterations=iterations,
+        iterations=len(barrier_history),
         lam=spec.lam,
-        status=status,
+        status="converged" if found else "saddle_not_found",
     )
 
 

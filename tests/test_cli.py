@@ -4,7 +4,9 @@ import sys
 import numpy as np
 import pytest
 
+from plaplab.cli import main
 from plaplab.errors import ConfigError
+from plaplab.solvers import SADDLE_TOL
 from plaplab.sweeps import load_config, parse_config, run_certify, run_region_map, run_sweep
 from plaplab.tables import BranchRow, BranchTable, emit, parse_table
 
@@ -141,6 +143,39 @@ sample_count = 2
         assert ground_rows and m_rows and cont_rows
         assert all(r.energy < 0 for r in ground_rows + cont_rows)
         assert all(r.energy > 0 for r in m_rows)
+
+
+class TestSaddlePastThreshold:
+    # the sweep-p3 benchmark settings with the grid carried past lambda*
+    # (about 1.174 lambda1) to 1.2 lambda1, where the sweep continues the
+    # local minimum and runs the mountain pass from it
+    CONFIG = """
+n_cells = 256
+x_lo = 0.0
+x_hi = 1.0
+p = 3.0
+q = 2.0
+weight_family = two-bump
+lambda_start = 0.9
+lambda_stop = 1.2
+lambda_count = 3
+tol = 1e-8
+seed = 7
+"""
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_mountain_pass_row_ok(self, tmp_path, seed):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(self.CONFIG)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--seed", str(seed), "--out", str(out), "--format", "csv"]) == 0
+        rows = parse_table(out).rows
+        lam = max(r.lam for r in rows)
+        at_top = {r.branch: r for r in rows if r.lam == lam}
+        saddle, local_min = at_top["mountain_pass"], at_top["local_min"]
+        assert saddle.status == "ok" and local_min.status == "ok"
+        assert saddle.residual < SADDLE_TOL
+        assert local_min.energy < saddle.energy < 0.0
 
 
 class TestThreeSolutionScan:

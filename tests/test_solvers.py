@@ -28,6 +28,34 @@ def cont_p5(zero_pairing_p5_problem, kset_p5):
     return rep
 
 
+@pytest.fixture(scope="module")
+def relaxed_p5(zero_pairing_p5_problem, cont_p5):
+    """One climbing-string run on the q-mean path from the p=5 local minimum."""
+    spec0, pair = zero_pairing_p5_problem
+    spec = spec0.with_lambda(1.05 * pair.lambda1)
+    omega = solvers.runaway_state(spec, cont_p5.breakdown.I_trunc - 1.0, pair)
+    path = solvers.initial_path(spec, cont_p5.u, omega, beads=17)
+    max_sweeps = 2000
+    relaxed, history = solvers.string_relax(spec, path, max_sweeps=max_sweeps)
+    return relaxed, history, max_sweeps
+
+
+@pytest.fixture(scope="module")
+def runaway_p5(zero_pairing_p5_problem, cont_p5):
+    """The p=5 problem at 1.05 lambda1 and a runaway state far below the local minimum."""
+    spec0, pair = zero_pairing_p5_problem
+    spec = spec0.with_lambda(1.05 * pair.lambda1)
+    level = cont_p5.breakdown.I_trunc
+    return spec, solvers.runaway_state(spec, level - 10.0 * abs(level) - 1.0, pair)
+
+
+@pytest.fixture(scope="module")
+def saddle_p5(runaway_p5, cont_p5):
+    """The default-tolerance saddle between the p=5 local minimum and the runaway state."""
+    spec, omega = runaway_p5
+    return solvers.mountain_pass(spec, cont_p5.u, omega, beads=17)
+
+
 class TestGroundState:
     def test_subcritical_converges_negative_positive(self, neg_pairing_problem):
         spec0, pair = neg_pairing_problem
@@ -217,38 +245,40 @@ class TestMountainPass:
         assert np.array_equal(path.beads[0].values, cont_p5.u.values)
         assert np.array_equal(path.beads[-1].values, omega.values)
 
-    def test_barrier_monotone(self, zero_pairing_p5_problem, cont_p5):
-        # pure relaxation (no redistribution): the max-bead energy is a
-        # per-sweep descent quantity
-        spec0, pair = zero_pairing_p5_problem
-        spec = spec0.with_lambda(1.05 * pair.lambda1)
-        omega = solvers.runaway_state(spec, cont_p5.breakdown.I_trunc - 1.0, pair)
-        path = solvers.initial_path(spec, cont_p5.u, omega, beads=17)
-        _, history = solvers.string_relax(
-            spec, path, tol=1e-7, max_sweeps=120, reparam_every=10**9
-        )
-        assert all(history[i + 1] <= history[i] + 1e-14 for i in range(len(history) - 1))
+    def test_string_stops_before_cap(self, relaxed_p5):
+        _, history, max_sweeps = relaxed_p5
+        assert len(history) < max_sweeps
 
-    def test_barrier_monotone_between_reparametrizations(self, zero_pairing_p5_problem, cont_p5):
+    def test_climbing_bead_is_interior_saddle(self, zero_pairing_p5_problem, relaxed_p5):
+        # the climbing string ends on its top bead: interior, strictly highest,
+        # the barrier it last recorded, and a critical point to within tol
         spec0, pair = zero_pairing_p5_problem
         spec = spec0.with_lambda(1.05 * pair.lambda1)
-        omega = solvers.runaway_state(spec, cont_p5.breakdown.I_trunc - 1.0, pair)
-        path = solvers.initial_path(spec, cont_p5.u, omega, beads=17)
-        _, history = solvers.string_relax(spec, path, tol=1e-7, max_sweeps=95, reparam_every=10)
-        for k in range(len(history) - 1):
-            if (k + 1) % 10 != 0:  # sweeps right after a redistribution may step up
-                assert history[k + 1] <= history[k] + 1e-14
+        path, history, _ = relaxed_p5
+        energies = np.array(path.energies)
+        top = int(np.argmax(energies))
+        assert history[-1] == energies[top]
+        assert 0 < top < len(energies) - 1
+        assert np.all(np.delete(energies, top) < energies[top])
+        residual = gradient_I(path.beads[top], spec, truncated=True).linf()
+        assert residual < solvers.SADDLE_TOL
+        assert path.residual == pytest.approx(residual, rel=1e-9)
 
-    def test_saddle_between_levels(self, zero_pairing_p5_problem, cont_p5):
-        spec0, pair = zero_pairing_p5_problem
-        spec = spec0.with_lambda(1.05 * pair.lambda1)
+    def test_saddle_between_levels(self, cont_p5, saddle_p5):
         level = cont_p5.breakdown.I_trunc
-        omega = solvers.runaway_state(spec, level - 10.0 * abs(level) - 1.0, pair)
-        rep = solvers.mountain_pass(spec, cont_p5.u, omega, beads=17)
+        rep = saddle_p5
         assert rep.ok
         assert rep.residual_sup < solvers.SADDLE_TOL
         assert level < rep.breakdown.I_trunc < 0.0
         assert rep.breakdown.I_trunc - level > 1e-7
+
+    def test_tight_tolerance_reaches_the_same_critical_point(self, runaway_p5, cont_p5, saddle_p5):
+        spec, omega = runaway_p5
+        rep = solvers.mountain_pass(spec, cont_p5.u, omega, beads=17, tol=1e-8)
+        assert rep.ok
+        assert rep.residual_sup < 1e-8
+        assert np.max(np.abs(rep.u.values - saddle_p5.u.values)) < 1e-3
+        assert abs(rep.breakdown.I_trunc - saddle_p5.breakdown.I_trunc) < 1e-8
 
     def test_rejects_higher_omega(self, zero_pairing_p5_problem, cont_p5):
         spec0, pair = zero_pairing_p5_problem
