@@ -10,14 +10,15 @@
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on solver failure.
 For ground, sweep and three, a solver failure is a branch of the table
-without a single ok row; certify rows are verdicts and exit 0. Without
---out, tables are printed to stdout in the requested format.
+without a single ok row; certify rows are verdicts and exit 0. Every
+result, a table or the single record of eigen and critical, is written by
+tables.emit in the requested format: to --out, or to stdout when --out is
+omitted.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
@@ -35,38 +36,9 @@ from .sweeps import (
     run_sweep,
     run_three_solutions,
 )
-from .tables import BranchTable, emit
+from .tables import BranchTable, RegionTable, emit
 
 __all__ = ["main"]
-
-
-def _record_text(record: dict, format: str) -> str:
-    if format == "json":
-        parts = []
-        for k, v in record.items():
-            if isinstance(v, bool):
-                parts.append(f'"{k}": {"true" if v else "false"}')
-            elif isinstance(v, float):
-                parts.append(f'"{k}": {format_float(v)}')
-            elif isinstance(v, int):
-                parts.append(f'"{k}": {v}')
-            else:
-                parts.append(f'"{k}": {json.dumps(v)}')
-        return "{" + ", ".join(parts) + "}\n"
-    header = ",".join(record.keys())
-    cells = []
-    for v in record.values():
-        if isinstance(v, bool):
-            cells.append("true" if v else "false")
-        elif isinstance(v, float):
-            cells.append(format_float(v))
-        else:
-            cells.append(str(v))
-    return header + "\n" + ",".join(cells) + "\n"
-
-
-def format_float(x: float) -> str:
-    return format(x, ".17g")
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -79,24 +51,16 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 
 def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    """Retired: every command writes through tables.emit.
+
+    The name stays only because the benchmark's tracer
+    (perfbench/tracing.py) wraps it; remove the two together.
+    """
+    raise NotImplementedError("write through tables.emit")
 
 
-def _emit_table(table, args: argparse.Namespace) -> None:
-    if args.out is None:
-        text = table.to_csv() if args.format == "csv" else table.to_json()
-        sys.stdout.write(text)
-    else:
-        emit(table, args.out, args.format)
-
-
-def _cmd_eigen(config: RunConfig, args: argparse.Namespace) -> int:
-    problem = build_problem(config)
-    pair = problem.pair
+def _cmd_eigen(config: RunConfig) -> tuple[dict, int]:
+    pair = build_problem(config).pair
     record = {
         "p": config.p,
         "n_cells": config.n_cells,
@@ -105,11 +69,10 @@ def _cmd_eigen(config: RunConfig, args: argparse.Namespace) -> int:
         "iterations": pair.iterations,
         "phi_linf": pair.phi.linf(),
     }
-    _write(_record_text(record, args.format), args.out)
-    return 0
+    return record, 0
 
 
-def _cmd_critical(config: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_critical(config: RunConfig) -> tuple[dict, int]:
     problem = build_problem(config)
     crit = compute_critical_values(problem.spec0, problem.pair)
     record = {
@@ -124,8 +87,7 @@ def _cmd_critical(config: RunConfig, args: argparse.Namespace) -> int:
         "lambda_zero": crit.lambda_zero,
         "converged": crit.converged,
     }
-    _write(_record_text(record, args.format), args.out)
-    return 0
+    return record, 0
 
 
 def _branch_exit_code(table: BranchTable) -> int:
@@ -134,44 +96,25 @@ def _branch_exit_code(table: BranchTable) -> int:
     return 3 if any(r.branch not in ok for r in table.rows) else 0
 
 
-def _cmd_ground(config: RunConfig, args: argparse.Namespace) -> int:
-    table = run_ground(config)
-    _emit_table(table, args)
-    return _branch_exit_code(table)
+def _branches(table: BranchTable) -> tuple[BranchTable, int]:
+    return table, _branch_exit_code(table)
 
 
-def _cmd_sweep(config: RunConfig, args: argparse.Namespace) -> int:
-    table = run_sweep(config)
-    _emit_table(table, args)
-    return _branch_exit_code(table)
-
-
-def _cmd_three(config: RunConfig, args: argparse.Namespace) -> int:
-    table = run_three_solutions(config)
-    _emit_table(table, args)
-    return _branch_exit_code(table)
-
-
-def _cmd_region(config: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_region(config: RunConfig) -> tuple[RegionTable, int]:
     p_grid = np.linspace(config.region_p_min, config.region_p_max, config.region_p_count)
     q_grid = np.linspace(config.region_q_min, config.region_q_max, config.region_q_count)
-    _emit_table(run_region_map(p_grid, q_grid), args)
-    return 0
+    return run_region_map(p_grid, q_grid), 0
 
 
-def _cmd_certify(config: RunConfig, args: argparse.Namespace) -> int:
-    _emit_table(run_certify(config), args)
-    return 0
-
-
+# command -> (result to emit, exit code)
 _COMMANDS = {
     "eigen": _cmd_eigen,
     "critical": _cmd_critical,
-    "ground": _cmd_ground,
-    "sweep": _cmd_sweep,
-    "three": _cmd_three,
+    "ground": lambda config: _branches(run_ground(config)),
+    "sweep": lambda config: _branches(run_sweep(config)),
+    "three": lambda config: _branches(run_three_solutions(config)),
     "region": _cmd_region,
-    "certify": _cmd_certify,
+    "certify": lambda config: (run_certify(config), 0),
 }
 
 
@@ -192,7 +135,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _apply_overrides(load_config(args.config), args)
-        code = _COMMANDS[args.command](config, args)
+        result, code = _COMMANDS[args.command](config)
+        emit(result, args.out, args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -11,18 +11,27 @@ Three families cover every parameter regime the solvers distinguish:
                       vanishes to roundoff. The shift makes the weight
                       negative outside the positive bump, so exactly one
                       positive component survives.
-  perturbed           any base weight plus mu times a nonnegative bump.
+  perturbed           the orthogonal-two-bump weight `base` plus
+                      mu*||base||_inf*b, with b a nonnegative cosine bump
+                      centred at b_center (default center_minus), of width
+                      b_width (default 0.12*(x_hi - x_lo)) and amplitude
+                      b_amp (default 0.4*||base||_inf). This is the family
+                      of the three-solution scan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .eigen import EigenPair, first_eigenpair, orthogonalize_weight, pairing
 from .errors import ConfigError
 from .grid import Mesh, Weight, cos_bump
+
+if TYPE_CHECKING:
+    from .sweeps import RunConfig
 
 __all__ = [
     "TwoBumpParams",
@@ -110,33 +119,38 @@ def perturbed(base: Weight, b: Weight, mu: float) -> Weight:
     return Weight(base.mesh, base.values + mu * b.values)
 
 
-def build_weight(
-    mesh: Mesh,
-    family: str,
-    p: float,
-    q: float,
-    *,
-    params: TwoBumpParams | None = None,
-    mu: float = 0.0,
-    b_center: float | None = None,
-    b_width: float | None = None,
-    weight_file: str | None = None,
-    eigen_tol: float = 1e-9,
-) -> Weight:
-    """Instantiate a weight family by name (the CLI entry point)."""
+def build_weight(mesh: Mesh, config: RunConfig) -> tuple[Weight, Weight]:
+    """A run config's weight family on the mesh, as (base, weight).
+
+    The two-bump geometry keys of the config override the family's
+    defaults one by one. base is the weight itself, except for perturbed,
+    where it is the orthogonal two-bump weight before the perturbation.
+    """
+    family = config.weight_family
     if family == "file":
-        if weight_file is None:
+        if not config.weight_file:
             raise ConfigError("weight_family=file requires weight_file")
-        vals = np.loadtxt(weight_file)
-        return Weight(mesh, vals)
+        try:
+            weight = Weight(mesh, np.loadtxt(config.weight_file))
+        except ValueError as exc:
+            raise ConfigError(f"weight file {config.weight_file}: {exc}") from None
+        return weight, weight
+    if family not in ("two-bump", "orthogonal-two-bump", "perturbed"):
+        raise ConfigError(f"unknown weight family: {family!r}")
+    defaults = TwoBumpParams() if family == "two-bump" else _ORTHO_DEFAULTS
+    given = {f.name: getattr(config, f.name) for f in fields(TwoBumpParams)}
+    params = replace(defaults, **{name: v for name, v in given.items() if v is not None})
     if family == "two-bump":
-        return two_bump(mesh, params or TwoBumpParams())
+        weight = two_bump(mesh, params)
+        return weight, weight
+    base = orthogonal_two_bump(mesh, config.p, config.q, params)
     if family == "orthogonal-two-bump":
-        return orthogonal_two_bump(mesh, p, q, params or _ORTHO_DEFAULTS, eigen_tol)
-    if family == "perturbed":
-        prm = params or _ORTHO_DEFAULTS
-        base = orthogonal_two_bump(mesh, p, q, prm, eigen_tol)
-        center = b_center if b_center is not None else prm.center_plus
-        width = b_width if b_width is not None else prm.width_plus
-        return perturbed(base, bump_weight(mesh, center, width), mu)
-    raise ConfigError(f"unknown weight family: {family!r}")
+        return base, base
+    scale = base.linf()
+    b = bump_weight(
+        mesh,
+        params.center_minus if config.b_center is None else config.b_center,
+        0.12 * (config.x_hi - config.x_lo) if config.b_width is None else config.b_width,
+        amp=0.4 * scale if config.b_amp is None else config.b_amp,
+    )
+    return base, perturbed(base, b, config.mu * scale)

@@ -74,6 +74,7 @@ _CONE_EPS = 1e-12
 # while staying admissible: the minimization level is unbounded below.
 _E_COLLAPSE_RTOL = 1e-8
 SADDLE_TOL = 1e-6  # saddle residuals bottom out near the C^1 kink noise floor
+MIN_BEADS = 9  # fewest beads of a mountain-pass string
 
 
 @dataclass(frozen=True)
@@ -620,8 +621,8 @@ def initial_path(spec: ProblemSpec, u: GridFn, omega: GridFn, beads: int = 17) -
     Both endpoints must be nonnegative; the path then stays nonnegative and
     hits the endpoints exactly at s = 0 and s = 1.
     """
-    if beads < 9:
-        raise ValueError("need at least 9 beads")
+    if beads < MIN_BEADS:
+        raise ValueError(f"need at least {MIN_BEADS} beads")
     if u.mesh != spec.mesh or omega.mesh != spec.mesh:
         raise MeshMismatchError("path endpoints live on a different mesh")
     if np.min(u.values) < 0.0 or np.min(omega.values) < 0.0:

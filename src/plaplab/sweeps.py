@@ -1,16 +1,28 @@
-"""Experiment drivers: run configuration, parameter sweeps, the
-three-solution scan, the exponent region map, and the nonexistence
-certification experiment.
+"""Experiment drivers: run configuration, the problem builder, parameter
+sweeps, the three-solution scan, the exponent region map, and the
+nonexistence certification experiment.
 
-A run configuration is a flat key=value text file with # comments; unknown
-keys are rejected. The lambda grid may be given in absolute units or as
-multiples of the first eigenvalue (lambda_scale = lambda1, the default),
-which is how every preset experiment is phrased.
+A run configuration is a flat key=value text file with # comments. Its
+keys are the fields of RunConfig: a field's default is the key's default,
+and its declared type converts the key's text. Unknown keys, values that do
+not convert and degenerate values (fewer than two cells, an empty interval,
+a tolerance that is not finite and positive, no starts, too few beads, a
+lambda range that is not finite) raise ConfigError. The lambda grid may be
+given in absolute units or as multiples of the first eigenvalue
+(lambda_scale = lambda1, the default), which is how every preset
+experiment is phrased.
+
+build_problem is the one path from a config to its mesh, weight (see
+presets.build_weight), eigenpair and sign partition; every driver solves on
+the problem it builds. A solve that raises becomes a marker row
+error:<Type> of the branch it was computing, so no driver aborts on a
+single lambda.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +39,7 @@ from .eigen import EigenPair, first_eigenpair
 from .errors import ConfigError, PlapLabError, SolverError
 from .functionals import ProblemSpec
 from .grid import Mesh, SignPartition, Weight, make_mesh, sign_partition
-from .presets import TwoBumpParams, build_weight, bump_weight, perturbed
+from .presets import build_weight
 from .solvers import MinimizerSet, SolveReport
 from .tables import BranchRow, BranchTable, RegionRow, RegionTable
 
@@ -43,104 +55,79 @@ __all__ = [
     "run_ground",
 ]
 
-_CONFIG_DEFAULTS: dict[str, object] = {
-    "n_cells": 256,
-    "x_lo": 0.0,
-    "x_hi": 1.0,
-    "p": 3.0,
-    "q": 2.0,
-    "weight_family": "two-bump",
-    "weight_file": "",
-    "amp_plus": None,
-    "center_plus": None,
-    "width_plus": None,
-    "amp_minus": None,
-    "center_minus": None,
-    "width_minus": None,
-    "mu": 0.0,
-    "b_center": None,
-    "b_width": None,
-    "b_amp": None,
-    "lambda_start": 0.5,
-    "lambda_stop": 1.2,
-    "lambda_count": 8,
-    "lambda_scale": "lambda1",
-    "tol": 1e-8,
-    "seed": 0,
-    "starts": 8,
-    "beads": 17,
-    "sample_count": 4,
-    "region_p_min": 1.1,
-    "region_p_max": 6.0,
-    "region_p_count": 50,
-    "region_q_min": 1.05,
-    "region_q_max": 4.0,
-    "region_q_count": 50,
-    "certify_starts": 16,
-}
-
-_INT_KEYS = {
-    "n_cells",
-    "lambda_count",
-    "seed",
-    "starts",
-    "beads",
-    "sample_count",
-    "region_p_count",
-    "region_q_count",
-    "certify_starts",
-}
-_STR_KEYS = {"weight_family", "weight_file", "lambda_scale"}
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    n_cells: int
-    x_lo: float
-    x_hi: float
-    p: float
-    q: float
-    weight_family: str
-    weight_file: str
-    amp_plus: float | None
-    center_plus: float | None
-    width_plus: float | None
-    amp_minus: float | None
-    center_minus: float | None
-    width_minus: float | None
-    mu: float
-    b_center: float | None
-    b_width: float | None
-    b_amp: float | None
-    lambda_start: float
-    lambda_stop: float
-    lambda_count: int
-    lambda_scale: str
-    tol: float
-    seed: int
-    starts: int
-    beads: int
-    sample_count: int
-    region_p_min: float
-    region_p_max: float
-    region_p_count: int
-    region_q_min: float
-    region_q_max: float
-    region_q_count: int
-    certify_starts: int
+    """One run's settings; the field defaults are the config file defaults."""
+
+    n_cells: int = 256
+    x_lo: float = 0.0
+    x_hi: float = 1.0
+    p: float = 3.0
+    q: float = 2.0
+    weight_family: str = "two-bump"
+    weight_file: str = ""
+    amp_plus: float | None = None
+    center_plus: float | None = None
+    width_plus: float | None = None
+    amp_minus: float | None = None
+    center_minus: float | None = None
+    width_minus: float | None = None
+    mu: float = 0.0
+    b_center: float | None = None
+    b_width: float | None = None
+    b_amp: float | None = None
+    lambda_start: float = 0.5
+    lambda_stop: float = 1.2
+    lambda_count: int = 8
+    lambda_scale: str = "lambda1"
+    tol: float = 1e-8
+    seed: int = 0
+    starts: int = 8
+    beads: int = 17
+    sample_count: int = 4
+    region_p_min: float = 1.1
+    region_p_max: float = 6.0
+    region_p_count: int = 50
+    region_q_min: float = 1.05
+    region_q_max: float = 4.0
+    region_q_count: int = 50
+    certify_starts: int = 16
 
     def __post_init__(self) -> None:
+        if self.n_cells < 2:
+            raise ConfigError(f"n_cells must be at least 2, got {self.n_cells}")
+        if not self.x_lo < self.x_hi:
+            raise ConfigError(f"need x_lo < x_hi, got x_lo={self.x_lo}, x_hi={self.x_hi}")
         if self.lambda_count < 1:
             raise ConfigError("lambda grid must be nonempty")
+        if not (math.isfinite(self.lambda_start) and math.isfinite(self.lambda_stop)):
+            raise ConfigError(
+                f"lambda_start and lambda_stop must be finite, got {self.lambda_start}, {self.lambda_stop}"
+            )
         if self.lambda_scale not in ("lambda1", "absolute"):
             raise ConfigError(f"lambda_scale must be lambda1 or absolute, got {self.lambda_scale!r}")
         if not 1.0 < self.q < self.p:  # also rejects p <= 1 and NaN
             raise ConfigError(f"need 1 < q < p, got q={self.q}, p={self.p}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
+        for name in ("starts", "sample_count", "certify_starts"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.beads < solvers.MIN_BEADS:
+            raise ConfigError(f"beads must be at least {solvers.MIN_BEADS}, got {self.beads}")
+
+
+# a field's declared type -> the conversion of its config text
+_CONVERT = {"int": int, "float": float, "float | None": float, "str": str}
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse the flat key=value format; unknown keys are errors."""
-    values = dict(_CONFIG_DEFAULTS)
+    """Parse the flat key=value format; unknown keys are errors.
+
+    Each value is converted by the declared type of its RunConfig field.
+    """
+    types = {f.name: f.type for f in fields(RunConfig)}
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -150,14 +137,13 @@ def parse_config(text: str) -> RunConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in values:
+        if key not in types:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in _STR_KEYS:
-            values[key] = val
-        elif key in _INT_KEYS:
-            values[key] = int(val)
-        else:
-            values[key] = float(val)
+        convert = _CONVERT[types[key]]
+        try:
+            values[key] = convert(val)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: {key} = {val!r} is not a valid {convert.__name__}") from None
     return RunConfig(**values)  # type: ignore[arg-type]
 
 
@@ -169,15 +155,6 @@ def load_config(path) -> RunConfig:
     return parse_config(text)
 
 
-def _two_bump_params(config: RunConfig, family_defaults: TwoBumpParams) -> TwoBumpParams:
-    kwargs = {}
-    for name in ("amp_plus", "center_plus", "width_plus", "amp_minus", "center_minus", "width_minus"):
-        v = getattr(config, name)
-        if v is not None:
-            kwargs[name] = v
-    return replace(family_defaults, **kwargs)
-
-
 @dataclass(frozen=True)
 class Problem:
     """Everything a driver needs: instance pieces plus the eigenpair."""
@@ -185,34 +162,19 @@ class Problem:
     config: RunConfig
     mesh: Mesh
     weight: Weight
+    base: Weight  # the weight before the perturbation of the perturbed family
     spec0: ProblemSpec  # lam = 0 carrier; use spec0.with_lambda(lam)
     pair: EigenPair
     partition: SignPartition
 
 
 def build_problem(config: RunConfig) -> Problem:
-    from .presets import _ORTHO_DEFAULTS  # family defaults live with the presets
-
+    """The one path from a config to its mesh, weight, eigenpair and partition."""
     mesh = make_mesh(config.x_lo, config.x_hi, config.n_cells)
-    if config.weight_family in ("orthogonal-two-bump", "perturbed"):
-        defaults = _ORTHO_DEFAULTS
-    else:
-        defaults = TwoBumpParams()
-    params = _two_bump_params(config, defaults)
-    weight = build_weight(
-        mesh,
-        config.weight_family,
-        config.p,
-        config.q,
-        params=params,
-        mu=config.mu,
-        b_center=config.b_center,
-        b_width=config.b_width,
-        weight_file=config.weight_file or None,
-    )
+    base, weight = build_weight(mesh, config)
     pair = first_eigenpair(mesh, config.p, min(config.tol, 1e-9))
     spec0 = ProblemSpec(config.p, config.q, 0.0, weight, mesh)
-    return Problem(config, mesh, weight, spec0, pair, sign_partition(weight))
+    return Problem(config, mesh, weight, base, spec0, pair, sign_partition(weight))
 
 
 def _lambda_grid(config: RunConfig, lambda1: float) -> np.ndarray:
@@ -266,13 +228,17 @@ def _sweep_one(problem: Problem, crit: CriticalValues, kset: MinimizerSet | None
         try:
             cont = solvers.local_min_continuation(spec, kset, tol=config.tol)
             rows.append(_row_from_report(cont, "local_min", problem.partition))
-            if cont.ok:
+        except PlapLabError as exc:
+            rows.append(_failure_row(lam, "local_min", f"error:{type(exc).__name__}"))
+            return rows
+        if cont.ok:
+            try:
                 level = cont.breakdown.I_trunc
                 omega = solvers.runaway_state(spec, level - 10.0 * abs(level) - 1.0, problem.pair)
                 mp = solvers.mountain_pass(spec, cont.u, omega, beads=config.beads)
                 rows.append(_row_from_report(mp, "mountain_pass", problem.partition))
-        except PlapLabError as exc:
-            rows.append(_failure_row(lam, "local_min", f"error:{type(exc).__name__}"))
+            except PlapLabError as exc:
+                rows.append(_failure_row(lam, "mountain_pass", f"error:{type(exc).__name__}"))
     return rows
 
 
@@ -314,38 +280,25 @@ THREE_SCAN_BASE_OFFSET = 0.005  # of lambda1, halved per step
 def run_three_solutions(config: RunConfig) -> BranchTable:
     """Scan a left neighborhood of the first eigenvalue for three solutions.
 
-    Requires p > 2q and the perturbed weight family (orthogonalized base
-    plus mu times a nonnegative bump). The scan starts 0.5% of lambda1
+    Requires p > 2q and weight_family = perturbed (an orthogonalized base
+    plus a multiple of a nonnegative bump). The scan starts 0.5% of lambda1
     below the eigenvalue and halves the offset per step: the window where
     the deep branch undercuts the local branch is typically narrower than
     a fixed 0.5% step. Emits rows for every probed lambda; the successful
     lambda carries the ground/local_min/mountain_pass triple with ok
     status and pairwise separation above 100 times the tolerance.
     """
+    if config.weight_family != "perturbed":
+        raise ConfigError(f"three-solution scan requires weight_family = perturbed, got {config.weight_family!r}")
     if not config.p > 2.0 * config.q:
         raise ConfigError("three-solution scan requires p > 2q")
-    if config.mu < 0.0:
-        raise ConfigError("mu must be nonnegative")
     # mu = 0 degrades to the zero-pairing case: the deep branch never
     # separates below the eigenvalue and every probe reports no_distinct_pair
-    from .presets import _ORTHO_DEFAULTS
-
-    mesh = make_mesh(config.x_lo, config.x_hi, config.n_cells)
-    params = _two_bump_params(config, _ORTHO_DEFAULTS)
-    base = build_weight(mesh, "orthogonal-two-bump", config.p, config.q, params=params)
-    b_center = config.b_center if config.b_center is not None else params.center_minus
-    b_width = config.b_width if config.b_width is not None else 0.12 * (config.x_hi - config.x_lo)
-    b_amp = config.b_amp if config.b_amp is not None else 0.4 * base.linf()
-    b = bump_weight(mesh, b_center, b_width, amp=b_amp)
-    mu = config.mu * base.linf()
-    a_mu = perturbed(base, b, mu)
-    partition = sign_partition(a_mu)
-
-    pair = first_eigenpair(mesh, config.p, min(config.tol, 1e-9))
-    spec_base0 = ProblemSpec(config.p, config.q, 0.0, base, mesh)
-    spec_mu0 = ProblemSpec(config.p, config.q, 0.0, a_mu, mesh)
+    problem = build_problem(config)
+    pair, partition = problem.pair, problem.partition
+    # the minimizer set of the unperturbed problem, whose threshold is lambda1
     kset = solvers.minimizer_set_at_star(
-        spec_base0.with_lambda(pair.lambda1),
+        ProblemSpec(config.p, config.q, pair.lambda1, problem.base, problem.mesh),
         sample_count=config.sample_count,
         tol=config.tol,
         seed=config.seed,
@@ -355,12 +308,16 @@ def run_three_solutions(config: RunConfig) -> BranchTable:
     rows: list[BranchRow] = []
     for j in range(THREE_SCAN_STEPS):
         lam = (1.0 - THREE_SCAN_BASE_OFFSET * 0.5**j) * pair.lambda1
-        spec = spec_mu0.with_lambda(lam)
+        spec = problem.spec0.with_lambda(lam)
         try:
             w = solvers.ground_state(spec, starts=config.starts, tol=config.tol, seed=config.seed)
-            u = solvers.local_min_continuation(spec, kset, tol=config.tol)
         except PlapLabError as exc:
             rows.append(_failure_row(lam, "ground", f"error:{type(exc).__name__}"))
+            continue
+        try:
+            u = solvers.local_min_continuation(spec, kset, tol=config.tol)
+        except PlapLabError as exc:
+            rows.append(_failure_row(lam, "local_min", f"error:{type(exc).__name__}"))
             continue
         sep_wu = float(np.max(np.abs(w.u.values - u.u.values)))
         ordered = (
@@ -369,7 +326,11 @@ def run_three_solutions(config: RunConfig) -> BranchTable:
         if not ordered:
             rows.append(_failure_row(lam, "ground", "no_distinct_pair"))
             continue
-        v = solvers.mountain_pass(spec, u.u, w.u, beads=config.beads)
+        try:
+            v = solvers.mountain_pass(spec, u.u, w.u, beads=config.beads)
+        except PlapLabError as exc:
+            rows.append(_failure_row(lam, "mountain_pass", f"error:{type(exc).__name__}"))
+            continue
         sep_uv = float(np.max(np.abs(u.u.values - v.u.values)))
         sep_wv = float(np.max(np.abs(w.u.values - v.u.values)))
         three = (

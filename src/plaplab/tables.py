@@ -1,14 +1,21 @@
-"""Branch and region tables with deterministic CSV/JSON round-trips.
+"""Branch and region tables, single records, and their one text format.
 
-Floats are serialized with 17 significant digits, which round-trips IEEE
-doubles exactly; failed rows keep their marker in the status column and
-leave the value fields empty.
+Every output of the command line goes through `emit`. A BranchTable or
+RegionTable is written as CSV (a header, then one line per row) or as a
+JSON array with one object per line; a single record, a dict such as the
+eigen and critical results, as a one-row CSV or one JSON object. Floats
+are serialized with 17 significant digits, which round-trips IEEE doubles
+exactly, and booleans as lowercase true/false. A missing value is an empty
+CSV cell or JSON null: failed rows keep their marker in the status column
+and leave the value fields empty. `parse_table` reads a branch table back
+from either format, field-exact.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -26,11 +33,14 @@ BRANCH_COLUMNS = [
     "iterations",
     "status",
 ]
+# the type of each branch column, in BranchRow's field order
+_BRANCH_TYPES = (float, str, float, float, float, bool, int, int, str)
 
 REGION_COLUMNS = ["p", "q", "classification", "picone_holds", "picone_min", "existence_p_gt_2q"]
 
 
-def _fmt(value) -> str:
+def _cell(value) -> str:
+    """A value as a CSV cell."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -40,20 +50,48 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _parse_float(text: str) -> float | None:
-    return None if text == "" else float(text)
+def _json_value(value) -> str:
+    """A value as JSON text; numbers and booleans as in CSV."""
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return json.dumps(value)
+    return _cell(value)
 
 
-def _parse_int(text: str) -> int | None:
-    return None if text == "" else int(text)
+def _json_object(columns, values) -> str:
+    return "{" + ", ".join([f'"{c}": {_json_value(v)}' for c, v in zip(columns, values)]) + "}"
 
 
-def _parse_bool(text: str) -> bool | None:
-    if text == "":
+def _text(table, format: str) -> str:
+    """The text of a table, or of one record given as a dict."""
+    if isinstance(table, dict):
+        columns, records = list(table), [tuple(table.values())]
+    else:
+        columns = table.columns
+        names = [f.name for f in fields(table.rows[0])] if table.rows else []
+        records = [tuple(getattr(row, name) for name in names) for row in table.rows]
+    if format == "csv":
+        return "".join(",".join(map(_cell, values)) + "\n" for values in [columns, *records])
+    if format == "json":
+        objects = [_json_object(columns, values) for values in records]
+        if isinstance(table, dict):
+            return objects[0] + "\n"
+        return "[\n" + ",\n".join("  " + obj for obj in objects) + "\n]\n"
+    raise ConfigError(f"unknown output format: {format!r}")
+
+
+def _parse_value(value, kind):
+    """A CSV cell or JSON value as a column of the given type; empty and null are None."""
+    if kind is str:
+        return value
+    if value is None or value == "":
         return None
-    if text in ("true", "false"):
-        return text == "true"
-    raise ConfigError(f"bad boolean field: {text!r}")
+    if kind is bool and not isinstance(value, bool):
+        if value not in ("true", "false"):
+            raise ConfigError(f"bad boolean field: {value!r}")
+        return value == "true"
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -68,23 +106,11 @@ class BranchRow:
     iterations: int | None = None
     status: str = "ok"
 
-    def as_record(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "branch": self.branch,
-            "energy": self.energy,
-            "linf_norm": self.linf_norm,
-            "residual": self.residual,
-            "positive_on_plus": self.positive_on_plus,
-            "dead_cores": self.dead_cores,
-            "iterations": self.iterations,
-            "status": self.status,
-        }
-
 
 @dataclass(frozen=True)
 class BranchTable:
     rows: tuple[BranchRow, ...]
+    columns = BRANCH_COLUMNS  # a class attribute, not a field
 
     def sorted(self) -> "BranchTable":
         return BranchTable(tuple(sorted(self.rows, key=lambda r: (r.branch, r.lam))))
@@ -93,32 +119,7 @@ class BranchTable:
         return tuple(r for r in self.rows if r.status == "ok")
 
     def to_csv(self) -> str:
-        lines = [",".join(BRANCH_COLUMNS)]
-        for r in self.rows:
-            rec = r.as_record()
-            lines.append(",".join(_fmt(rec[c]) for c in BRANCH_COLUMNS))
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        parts = []
-        for r in self.rows:
-            rec = r.as_record()
-            fields_txt = []
-            for c in BRANCH_COLUMNS:
-                v = rec[c]
-                if v is None:
-                    rendered = "null"
-                elif isinstance(v, bool):
-                    rendered = "true" if v else "false"
-                elif isinstance(v, float):
-                    rendered = format(v, ".17g")
-                elif isinstance(v, int):
-                    rendered = str(v)
-                else:
-                    rendered = json.dumps(v)
-                fields_txt.append(f'"{c}": {rendered}')
-            parts.append("  {" + ", ".join(fields_txt) + "}")
-        return "[\n" + ",\n".join(parts) + "\n]\n"
+        return _text(self, "csv")
 
 
 @dataclass(frozen=True)
@@ -134,92 +135,37 @@ class RegionRow:
 @dataclass(frozen=True)
 class RegionTable:
     rows: tuple[RegionRow, ...]
+    columns = REGION_COLUMNS  # a class attribute, not a field
 
     def to_csv(self) -> str:
-        lines = [",".join(REGION_COLUMNS)]
-        for r in self.rows:
-            rec = {
-                "p": r.p,
-                "q": r.q,
-                "classification": r.classification,
-                "picone_holds": r.picone_holds,
-                "picone_min": r.picone_min,
-                "existence_p_gt_2q": r.existence_p_gt_2q,
-            }
-            lines.append(",".join(_fmt(rec[c]) for c in REGION_COLUMNS))
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        parts = []
-        for r in self.rows:
-            parts.append(
-                "  {"
-                + ", ".join(
-                    [
-                        f'"p": {format(r.p, ".17g")}',
-                        f'"q": {format(r.q, ".17g")}',
-                        f'"classification": {json.dumps(r.classification)}',
-                        f'"picone_holds": {"true" if r.picone_holds else "false"}',
-                        f'"picone_min": {format(r.picone_min, ".17g")}',
-                        f'"existence_p_gt_2q": {"true" if r.existence_p_gt_2q else "false"}',
-                    ]
-                )
-                + "}"
-            )
-        return "[\n" + ",\n".join(parts) + "\n]\n"
+        return _text(self, "csv")
 
 
 def emit(table, path, format: str = "csv") -> None:
-    """Write a table; format is csv or json."""
-    if format == "csv":
-        text = table.to_csv()
-    elif format == "json":
-        text = table.to_json()
+    """Write a table, or one record given as a dict, as csv or json.
+
+    The text goes to stdout when path is None.
+    """
+    text = _text(table, format)
+    if path is None:
+        sys.stdout.write(text)
     else:
-        raise ConfigError(f"unknown output format: {format!r}")
-    Path(path).write_text(text)
-
-
-def _branch_row_from_record(rec: dict) -> BranchRow:
-    return BranchRow(
-        lam=float(rec["lambda"]),
-        branch=rec["branch"],
-        energy=rec["energy"] if rec["energy"] is None else float(rec["energy"]),
-        linf_norm=rec["linf_norm"] if rec["linf_norm"] is None else float(rec["linf_norm"]),
-        residual=rec["residual"] if rec["residual"] is None else float(rec["residual"]),
-        positive_on_plus=rec["positive_on_plus"],
-        dead_cores=rec["dead_cores"] if rec["dead_cores"] is None else int(rec["dead_cores"]),
-        iterations=rec["iterations"] if rec["iterations"] is None else int(rec["iterations"]),
-        status=rec["status"],
-    )
+        Path(path).write_text(text)
 
 
 def parse_table(path) -> BranchTable:
     """Read a branch table back from a csv or json file (field-exact)."""
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("["):
+    if text.lstrip().startswith("["):
         records = json.loads(text)
-        return BranchTable(tuple(_branch_row_from_record(r) for r in records))
-    lines = [ln for ln in text.splitlines() if ln != ""]
-    header = lines[0].split(",")
-    if header != BRANCH_COLUMNS:
-        raise ConfigError(f"unexpected CSV header: {header}")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        rec = dict(zip(BRANCH_COLUMNS, cells))
-        rows.append(
-            BranchRow(
-                lam=float(rec["lambda"]),
-                branch=rec["branch"],
-                energy=_parse_float(rec["energy"]),
-                linf_norm=_parse_float(rec["linf_norm"]),
-                residual=_parse_float(rec["residual"]),
-                positive_on_plus=_parse_bool(rec["positive_on_plus"]),
-                dead_cores=_parse_int(rec["dead_cores"]),
-                iterations=_parse_int(rec["iterations"]),
-                status=rec["status"],
-            )
+    else:
+        header, *lines = [ln.split(",") for ln in text.splitlines() if ln != ""]
+        if header != BRANCH_COLUMNS:
+            raise ConfigError(f"unexpected CSV header: {header}")
+        records = [dict(zip(BRANCH_COLUMNS, cells)) for cells in lines]
+    return BranchTable(
+        tuple(
+            BranchRow(*(_parse_value(rec[c], kind) for c, kind in zip(BRANCH_COLUMNS, _BRANCH_TYPES)))
+            for rec in records
         )
-    return BranchTable(tuple(rows))
+    )

@@ -1,13 +1,25 @@
+import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from plaplab import solvers
 from plaplab.cli import main
-from plaplab.errors import ConfigError
+from plaplab.errors import ConfigError, SolverError
 from plaplab.solvers import SADDLE_TOL
-from plaplab.sweeps import load_config, parse_config, run_certify, run_region_map, run_sweep
+from plaplab.sweeps import (
+    RunConfig,
+    build_problem,
+    load_config,
+    parse_config,
+    run_certify,
+    run_region_map,
+    run_sweep,
+    run_three_solutions,
+)
 from plaplab.tables import BranchRow, BranchTable, emit, parse_table
 
 SMALL_SWEEP = """
@@ -53,6 +65,48 @@ class TestConfig:
         assert cfg.n_cells == 96
         assert cfg.seed == 7
         assert cfg.lambda_count == 2
+
+    def test_defaults_are_the_field_defaults(self):
+        assert parse_config("") == RunConfig()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n_cells = 7.5\n",
+            "seed = 1e3\n",
+            "tol = abc\n",
+            "b_center = \n",
+            "n_cells = 1\n",
+            "x_lo = 1.0\n",
+            "x_lo = 2.0\nx_hi = 1.0\n",
+            "x_hi = nan\n",
+            "starts = 0\n",
+            "sample_count = 0\n",
+            "certify_starts = -1\n",
+            "beads = 3\n",
+            "tol = 0\n",
+            "tol = -1e-8\n",
+            "tol = inf\n",
+            "tol = nan\n",
+            "lambda_start = nan\n",
+            "lambda_stop = inf\n",
+            "lambda_scale = absolute\nlambda_start = nan\n",
+        ],
+    )
+    def test_degenerate_value_rejected(self, text):
+        with pytest.raises(ConfigError):
+            parse_config(text)
+
+    def test_unconvertible_value_names_line_and_key(self):
+        with pytest.raises(ConfigError, match="line 3: n_cells = '7.5' is not a valid int"):
+            parse_config("# mesh\np = 3.0\nn_cells = 7.5\n")
+
+    def test_weight_file_must_match_the_mesh(self, tmp_path):
+        path = tmp_path / "weight.txt"
+        path.write_text("1.0\n-2.0\n3.0\n")
+        cfg = parse_config(f"n_cells = 64\nweight_family = file\nweight_file = {path}\n")
+        with pytest.raises(ConfigError, match="weight file"):
+            build_problem(cfg)
 
 
 class TestTables:
@@ -206,6 +260,109 @@ sample_count = 2
             run_three_solutions(cfg)
 
 
+class TestProblemBuilder:
+    # the config of acceptance criterion 07
+    THREE = """
+n_cells = 256
+p = 5.0
+q = 2.0
+weight_family = perturbed
+mu = 0.05
+tol = 1e-8
+seed = 5
+starts = 5
+sample_count = 3
+"""
+
+    def test_three_scan_solves_with_the_built_weight(self, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def first_solve(spec, **kwargs):
+            seen.append(spec)
+            raise Stop
+
+        monkeypatch.setattr(solvers, "minimizer_set_at_star", lambda *args, **kwargs: None)
+        monkeypatch.setattr(solvers, "ground_state", first_solve)
+        cfg = parse_config(self.THREE)
+        with pytest.raises(Stop):
+            run_three_solutions(cfg)
+        problem = build_problem(cfg)
+        assert np.array_equal(seen[0].a.values, problem.weight.values)
+        assert seen[0].mesh == problem.mesh
+
+    def test_perturbation_is_scaled_by_the_base(self):
+        problem = build_problem(parse_config(self.THREE + "b_amp = 2.0\nb_width = 0.1\n"))
+        bump = problem.weight.values - problem.base.values
+        assert np.min(bump) >= 0.0
+        # mu times ||base||_inf times a bump of amplitude b_amp
+        assert np.max(bump) == pytest.approx(0.05 * problem.base.linf() * 2.0, rel=1e-12)
+        # the bump sits on the negative part of the base (center_minus = 0.75)
+        assert abs(problem.mesh.nodes[np.argmax(bump)] - 0.75) <= problem.mesh.h
+
+    def test_three_requires_the_perturbed_family(self):
+        cfg = parse_config("n_cells = 64\np = 5.0\nq = 2.0\nweight_family = two-bump\n")
+        with pytest.raises(ConfigError, match="perturbed"):
+            run_three_solutions(cfg)
+
+
+class TestSweepFailureRows:
+    # past the threshold of a zero-pairing weight: the local minimum is ok,
+    # then the mountain pass over it is made to fail
+    CONFIG = """
+n_cells = 128
+p = 5.0
+q = 2.0
+weight_family = orthogonal-two-bump
+lambda_start = 1.0
+lambda_count = 1
+seed = 7
+starts = 3
+sample_count = 2
+"""
+
+    @pytest.mark.parametrize("failing", ["runaway_state", "mountain_pass"])
+    def test_failure_row_names_the_mountain_pass(self, tmp_path, monkeypatch, failing):
+        def fail(*args, **kwargs):
+            raise SolverError("forced failure")
+
+        monkeypatch.setattr(solvers, failing, fail)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(self.CONFIG)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+        rows = [(r.branch, r.status) for r in parse_table(out).rows]
+        assert rows == [("local_min", "ok"), ("mountain_pass", "error:SolverError")]
+
+
+class TestThreeFailureRows:
+    """A solve of the scan that raises gives a row of its own branch, and the scan goes on."""
+
+    @staticmethod
+    def _report(level, peak):
+        u = SimpleNamespace(values=np.array([0.0, peak, 0.0]))
+        return SimpleNamespace(ok=True, breakdown=SimpleNamespace(I_trunc=level), u=u)
+
+    @pytest.mark.parametrize(
+        "failing, branch",
+        [("ground_state", "ground"), ("local_min_continuation", "local_min"), ("mountain_pass", "mountain_pass")],
+    )
+    def test_failure_row_names_the_failed_solve(self, monkeypatch, failing, branch):
+        def fail(*args, **kwargs):
+            raise SolverError("forced failure")
+
+        monkeypatch.setattr(solvers, "minimizer_set_at_star", lambda *args, **kwargs: None)
+        monkeypatch.setattr(solvers, "ground_state", lambda *args, **kwargs: self._report(-2.0, 2.0))
+        monkeypatch.setattr(solvers, "local_min_continuation", lambda *args, **kwargs: self._report(-1.0, 1.0))
+        monkeypatch.setattr(solvers, failing, fail)
+        cfg = parse_config("n_cells = 64\np = 5.0\nq = 2.0\nweight_family = perturbed\nmu = 0.05\n")
+        rows = run_three_solutions(cfg).rows
+        assert len(rows) == 10
+        assert {(r.branch, r.status) for r in rows} == {(branch, "error:SolverError")}
+
+
 class TestRegionMap:
     def test_examples_present(self):
         table = run_region_map([2.0, 3.0, 5.0], [1.5, 2.0])
@@ -296,6 +453,51 @@ class TestExitCodes:
         assert self._code((1.0, "ground", "no_distinct_pair"), (2.0, "mountain_pass", "no_third_solution")) == 3
 
 
+def _csv_records(text):
+    header, *lines = [line.split(",") for line in text.splitlines()]
+    return [dict(zip(header, cells)) for cells in lines]
+
+
+def _cell_value(cell, like):
+    """A CSV cell read as the type of the matching JSON value."""
+    if like is None:
+        return None if cell == "" else cell
+    if isinstance(like, bool):
+        return {"true": True, "false": False}.get(cell, cell)
+    if isinstance(like, (int, float)):
+        return float(cell)
+    return cell
+
+
+class TestSerializer:
+    """JSON output parses, and carries the CSV output's values field-exact."""
+
+    CONFIGS = {
+        "eigen": "n_cells = 64\np = 2.0\nq = 1.5\n",
+        "critical": "n_cells = 64\np = 3.0\nq = 2.0\nweight_family = two-bump\n",
+        "region": "region_p_count = 4\nregion_q_count = 3\n",
+        "sweep": SMALL_SWEEP,
+    }
+
+    @pytest.mark.parametrize("command", list(CONFIGS))
+    def test_json_parses_and_equals_csv(self, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.CONFIGS[command])
+        texts = {}
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"out.{fmt}"
+            assert main([command, "--config", str(cfg), "--out", str(out), "--format", fmt]) == 0
+            texts[fmt] = out.read_text()
+        records = json.loads(texts["json"])
+        if isinstance(records, dict):  # the single record of eigen and critical
+            records = [records]
+        csv_records = _csv_records(texts["csv"])
+        assert len(records) == len(csv_records) > 0
+        for rec, cells in zip(records, csv_records):
+            assert list(rec) == list(cells)
+            assert {k: _cell_value(cells[k], v) for k, v in rec.items()} == rec
+
+
 class TestCommandLine:
     def _run(self, args):
         return subprocess.run(
@@ -321,6 +523,18 @@ class TestCommandLine:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("p = 1.5\n")  # default q = 2
         res = self._run(["eigen", "--config", str(cfg)])
+        assert res.returncode == 2
+        assert "config error:" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "text", ["n_cells = 7.5\n", "n_cells = 64\nweight_family = file\nweight_file = {dir}/w.txt\n"]
+    )
+    def test_degenerate_config_exit_code(self, tmp_path, text):
+        (tmp_path / "w.txt").write_text("1.0\n-2.0\n3.0\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.replace("{dir}", str(tmp_path)))
+        res = self._run(["ground", "--config", str(cfg)])
         assert res.returncode == 2
         assert "config error:" in res.stderr
         assert "Traceback" not in res.stderr
