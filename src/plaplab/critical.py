@@ -42,11 +42,11 @@ from .grid import (
     Mesh,
     SignPartition,
     Weight,
-    component_bump,
     gauss_integral,
     gauss_values,
     integral_abs_p,
     sign_partition,
+    widest_component_bump,
 )
 
 __all__ = [
@@ -61,6 +61,8 @@ __all__ = [
 
 PAIRING_ZERO_RTOL = 1e-10
 PICONE_TOL = 1e-12
+# nodal values below this fraction of the sup norm count as zero: the dead
+# cores of a classified solution, the zero set of the Picone certificate
 DEAD_CORE_RTOL = 1e-8
 
 # augmented-Lagrangian schedule of _constrained_rayleigh_min
@@ -135,7 +137,7 @@ def _constrained_rayleigh_min(
     comps = part.plus_components if want_nonneg else part.minus_components
     if not comps:
         raise SolverError("weight has no component of the required sign")
-    feas_dir = component_bump(mesh, max(comps, key=lambda c: c[1] - c[0]))
+    feas_dir = widest_component_bump(mesh, comps)
 
     energy = P1Energy(mesh, p, q, spec.a.gauss)
     point = PointMemo(energy)

@@ -82,7 +82,6 @@ def first_eigenpair(
     p: float,
     tol: float = 1e-9,
     start: GridFn | None = None,
-    max_iter: int = _MAX_ITER,
 ) -> EigenPair:
     """Compute the first eigenpair on this mesh.
 
@@ -126,7 +125,7 @@ def first_eigenpair(
         quotient,
         residual,
         tol=tol,
-        max_iter=max_iter,
+        max_iter=_MAX_ITER,
         step0=1.0,
         normalize=energy.normalize,
         precond=_stiffness_preconditioner(mesh),

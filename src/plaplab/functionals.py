@@ -267,14 +267,26 @@ def _fiber_parts(u: GridFn, spec: ProblemSpec, truncated: bool) -> tuple[float, 
     return b.E, b.weight_term, b
 
 
-def _fiber_scales(b: EnergyBreakdown, spec: ProblemSpec) -> tuple[float, float]:
-    # Magnitudes against which E and the weight integral are judged zero;
-    # both scale with the function itself so tiny Nehari points stay valid.
+def _defined_fiber(u: GridFn, spec: ProblemSpec, truncated: bool) -> tuple[float, float]:
+    """E and the weight integral of u; FiberUndefinedError unless they share a strict sign.
+
+    Each is judged zero against a magnitude that scales with u itself, so
+    tiny Nehari points stay valid.
+    """
+    E, G, b = _fiber_parts(u, spec, truncated)
     scale_E = b.grad_term + abs(spec.lam) * b.mass_term
     measure = spec.mesh.x_hi - spec.mesh.x_lo
     # Hoelder: int |u|^q <= (int |u|^p)^(q/p) * measure^(1-q/p)
     scale_G = spec.a.linf() * b.mass_term ** (spec.q / spec.p) * measure ** (1.0 - spec.q / spec.p)
-    return scale_E, scale_G
+    if abs(E) <= FIBER_ZERO_RTOL * scale_E or abs(G) <= FIBER_ZERO_RTOL * scale_G or E * G < 0.0:
+        raise FiberUndefinedError(f"fiber undefined: E={E:.3e}, weight integral={G:.3e}")
+    return E, G
+
+
+def _fibered_value(E: float, G: float, p: float, q: float) -> float:
+    """J in closed form from E and the weight integral G, sharing a strict sign."""
+    coeff = (p - q) / (p * q)
+    return -np.sign(E) * coeff * abs(G) ** (p / (p - q)) / abs(E) ** (q / (p - q))
 
 
 def fiber_scale(u: GridFn, spec: ProblemSpec, truncated: bool = False) -> float:
@@ -283,22 +295,14 @@ def fiber_scale(u: GridFn, spec: ProblemSpec, truncated: bool = False) -> float:
     Requires E(u) and the weight integral to share a strict sign; raises
     FiberUndefinedError otherwise (including the near-zero tolerance case).
     """
-    E, G, b = _fiber_parts(u, spec, truncated)
-    scale_E, scale_G = _fiber_scales(b, spec)
-    if abs(E) <= FIBER_ZERO_RTOL * scale_E or abs(G) <= FIBER_ZERO_RTOL * scale_G or E * G < 0.0:
-        raise FiberUndefinedError(f"fiber undefined: E={E:.3e}, weight integral={G:.3e}")
+    E, G = _defined_fiber(u, spec, truncated)
     return (G / E) ** (1.0 / (spec.p - spec.q))
 
 
 def fibered_J(u: GridFn, spec: ProblemSpec, truncated: bool = False) -> float:
     """Ray-optimal energy J(u) = I(t(u) u), 0-homogeneous in u."""
-    E, G, b = _fiber_parts(u, spec, truncated)
-    scale_E, scale_G = _fiber_scales(b, spec)
-    if abs(E) <= FIBER_ZERO_RTOL * scale_E or abs(G) <= FIBER_ZERO_RTOL * scale_G or E * G < 0.0:
-        raise FiberUndefinedError(f"fiber undefined: E={E:.3e}, weight integral={G:.3e}")
-    p, q = spec.p, spec.q
-    coeff = (p - q) / (p * q)
-    return -np.sign(E) * coeff * abs(G) ** (p / (p - q)) / abs(E) ** (q / (p - q))
+    E, G = _defined_fiber(u, spec, truncated)
+    return _fibered_value(E, G, spec.p, spec.q)
 
 
 def nehari_project(u: GridFn, spec: ProblemSpec, truncated: bool = False) -> GridFn:

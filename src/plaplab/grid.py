@@ -31,6 +31,7 @@ __all__ = [
     "integral_abs_p",
     "weighted_integral_q",
     "component_bump",
+    "widest_component_bump",
     "smooth_noise",
     "sign_partition",
 ]
@@ -263,6 +264,11 @@ def component_bump(mesh: Mesh, comp: tuple[int, int]) -> np.ndarray:
     vals = cos_bump(mesh, 0.5 * (lo + hi), 0.5 * (hi - lo))
     vals[0] = vals[-1] = 0.0
     return vals
+
+
+def widest_component_bump(mesh: Mesh, comps: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """component_bump on the widest of the given components (the first of equals)."""
+    return component_bump(mesh, max(comps, key=lambda c: c[1] - c[0]))
 
 
 def smooth_noise(mesh: Mesh, rng: np.random.Generator, modes: int = 6) -> np.ndarray:

@@ -20,6 +20,12 @@ Branches covered:
                        climbing-string run (string_relax) on the q-mean
                        path ((1-s) u^q + s w^q)^(1/q).
 
+Every multistart solve takes its starts from one generator, _starts: the
+solver's fixed candidates in order, then jittered copies of the
+eigenfunction, draw k from its own RNG seed, each kept only if it passes
+the solver's acceptance test. ground_state and m_minus share one
+ray-optimal phase, _ray_descent, in their two cones.
+
 Every minimization is a descent.py run: Barzilai-Borwein steps, a
 nonmonotone line search and the linear-stiffness preconditioner. The
 climbing string steps its own beads with the same preconditioner: a
@@ -32,11 +38,13 @@ I, the ray-optimal J and the cones.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
-from .descent import PointMemo, bb_descent, projected_descent
+from .descent import DescentResult, PointMemo, bb_descent, projected_descent
 from .eigen import EigenPair, _stiffness_preconditioner, first_eigenpair
 from .errors import (
     AttainabilityError,
@@ -44,8 +52,8 @@ from .errors import (
     MeshMismatchError,
     SolverError,
 )
-from .functionals import EnergyBreakdown, P1Energy, ProblemSpec, evaluate
-from .grid import GridFn, SignPartition, component_bump, sign_partition, smooth_noise
+from .functionals import EnergyBreakdown, P1Energy, ProblemSpec, _fibered_value, evaluate
+from .grid import GridFn, SignPartition, component_bump, sign_partition, smooth_noise, widest_component_bump
 
 __all__ = [
     "SolveReport",
@@ -67,7 +75,6 @@ __all__ = [
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50_000
 J_FLOOR = -1e7
-DEAD_CORE_RTOL = 1e-8
 _CONE_EPS = 1e-12
 # On the gradient-normalized sphere, E this small with a positive weight
 # integral means the iterate has pushed its Rayleigh quotient onto lam
@@ -165,9 +172,7 @@ class _Kernel:
     # -- fibered objective ---------------------------------------------
     def J(self, v: np.ndarray) -> float:
         E, G = self.EG(v)
-        p, q = self.p, self.q
-        coeff = (p - q) / (p * q)
-        return -np.sign(E) * coeff * abs(G) ** (p / (p - q)) / abs(E) ** (q / (p - q))
+        return _fibered_value(E, G, self.p, self.q)
 
     def grad_J(self, v: np.ndarray) -> np.ndarray:
         E, G = self.EG(v)
@@ -209,75 +214,61 @@ class _Kernel:
         return float(np.max(np.abs(self.grad_I(v))))
 
 
-def _plus_cone_seeds(
-    kernel: _Kernel, partition: SignPartition, pair: EigenPair, count: int, seed: int
+def _starts(
+    count: int,
+    fixed: Iterable[np.ndarray],
+    jitter: Callable[[np.random.Generator], np.ndarray],
+    salt: int,
+    seed: int,
+    accept: Callable[[np.ndarray], bool],
 ) -> list[np.ndarray]:
-    """Nonnegative starts inside {E > 0, weight integral > 0}.
+    """Up to count starts of a multistart solve, each passing accept.
 
-    Bump functions centered in each positive-weight component, then random
-    positive perturbations of the eigenfunction; one fixed RNG seed per
-    start index keeps runs deterministic.
+    The fixed candidates come first, in order; then jitter draws, draw k
+    from its own generator seeded seed * salt + k (deterministic runs), at
+    most 8 * count draws.
     """
-    seeds: list[np.ndarray] = []
-    for comp in partition.plus_components:
-        v = component_bump(kernel.mesh, comp)
-        if kernel.in_cone(v, +1):
-            seeds.append(v)
-        if len(seeds) >= count:
-            return seeds
-    phi = pair.phi.values
-    # The bare eigenfunction direction reaches minimizers that hybridize
-    # with it (they sit behind a narrow low-E throat that noisy starts miss).
-    if len(seeds) < count and kernel.in_cone(phi, +1):
-        seeds.append(np.array(phi))
-    k = 0
-    scale = float(np.max(phi))
-    while len(seeds) < count and k < 8 * count:
-        rng = np.random.default_rng(seed * 1_000_003 + k)
-        v = phi + 0.35 * scale * np.abs(smooth_noise(kernel.mesh, rng))
-        v[0] = v[-1] = 0.0
-        if kernel.in_cone(v, +1):
-            seeds.append(v)
-        k += 1
-    return seeds
+    starts: list[np.ndarray] = []
+    for v in fixed:
+        if len(starts) == count:
+            return starts
+        if accept(v):
+            starts.append(v)
+    for k in range(8 * count):
+        if len(starts) == count:
+            break
+        v = jitter(np.random.default_rng(seed * salt + k))
+        if accept(v):
+            starts.append(v)
+    return starts
 
 
-def _minus_cone_seeds(
-    kernel: _Kernel, partition: SignPartition, pair: EigenPair, count: int, seed: int
-) -> list[np.ndarray]:
-    """Starts inside {E < 0, weight integral < 0}: the eigenfunction mixed
-    with bumps in negative-weight components plus small perturbations."""
-    seeds: list[np.ndarray] = []
-    phi = pair.phi.values
-    if kernel.in_cone(phi, -1):
-        seeds.append(np.array(phi))
-    for comp in partition.minus_components:
-        for t in (0.2, 0.5):
-            v = phi + t * component_bump(kernel.mesh, comp) * float(np.max(phi))
-            if kernel.in_cone(v, -1):
-                seeds.append(v)
-            if len(seeds) >= count:
-                return seeds
-    k = 0
-    scale = float(np.max(phi))
-    while len(seeds) < count and k < 8 * count:
-        rng = np.random.default_rng(seed * 2_000_003 + k)
-        v = phi + 0.1 * scale * smooth_noise(kernel.mesh, rng)
-        v[0] = v[-1] = 0.0
-        if kernel.in_cone(v, -1):
-            seeds.append(v)
-        k += 1
-    return seeds
+def _ray_descent(kernel: _Kernel, v0: np.ndarray, sign: int, tol: float) -> DescentResult:
+    """The ray-optimal phase: minimize the 0-homogeneous J over normalized
+    functions in the cone of this sign, at a tolerance looser than the
+    polish that follows. Only the plus cone can sink below J_FLOOR: J > 0
+    in the minus cone."""
+    return bb_descent(
+        v0,
+        kernel.J,
+        kernel.grad_J,
+        tol=max(100.0 * tol, 1e-6),
+        max_iter=4_000,
+        guard=lambda v: kernel.in_cone(v, sign),
+        floor=J_FLOOR,
+        normalize=kernel.normalize,
+        precond=kernel.precond,
+    )
 
 
 def _report_from(
-    kernel: _Kernel, vals: np.ndarray, spec: ProblemSpec, kind: str, iterations: int, status: str
+    spec: ProblemSpec, vals: np.ndarray, residual: float, kind: str, iterations: int, status: str
 ) -> SolveReport:
     u = GridFn(spec.mesh, vals)
     return SolveReport(
         u=u,
         breakdown=evaluate(u, spec),
-        residual_sup=kernel.residual_sup(vals),
+        residual_sup=residual,
         kind=kind,
         iterations=iterations,
         lam=spec.lam,
@@ -290,10 +281,8 @@ def ground_state(
     starts: int = 8,
     *,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     seed: int = 0,
     truncated: bool = True,
-    j_floor: float = J_FLOOR,
 ) -> SolveReport:
     """Least-energy solution via ray-optimal minimization over the plus cone.
 
@@ -302,38 +291,40 @@ def ground_state(
     set; polish with monotone descent on the (truncated, by default)
     energy. The level estimate is breakdown.I_trunc of the returned report.
 
-    If the ray-optimal values sink below j_floor the run is reported with
-    status "diverged": the minimization level is unbounded below there and
-    any returned minimizer would be spurious.
+    The starts are a bump in each positive-weight component, the
+    eigenfunction, then positive perturbations of it. If the ray-optimal
+    values sink below J_FLOOR the run is reported with status "diverged":
+    the minimization level is unbounded below there and any returned
+    minimizer would be spurious.
     """
     kernel = _Kernel(spec, truncated)
     partition = sign_partition(spec.a)
-    pair = first_eigenpair(spec.mesh, spec.p)
-    seeds = _plus_cone_seeds(kernel, partition, pair, starts, seed)
+    phi = first_eigenpair(spec.mesh, spec.p).phi.values
+    scale = float(np.max(phi))
+    # The bare eigenfunction direction reaches minimizers that hybridize
+    # with it (they sit behind a narrow low-E throat that noisy starts miss).
+    fixed = [component_bump(spec.mesh, comp) for comp in partition.plus_components] + [np.array(phi)]
+    seeds = _starts(
+        starts,
+        fixed,
+        lambda rng: phi + 0.35 * scale * np.abs(smooth_noise(spec.mesh, rng)),
+        1_000_003,
+        seed,
+        lambda v: kernel.in_cone(v, +1),
+    )
     if not seeds:
         raise SolverError("no admissible start in the positive cone; weight misconfigured?")
 
-    guard = lambda v: kernel.in_cone(v, +1)
     best: SolveReport | None = None
     diverged: SolveReport | None = None
     total_iters = 0
 
     for v0 in seeds:
-        res_a = bb_descent(
-            v0,
-            kernel.J,
-            kernel.grad_J,
-            tol=max(100.0 * tol, 1e-6),
-            max_iter=min(max_iter, 4_000),
-            guard=guard,
-            floor=j_floor,
-            normalize=kernel.normalize,
-            precond=kernel.precond,
-        )
+        res_a = _ray_descent(kernel, v0, +1, tol)
         total_iters += res_a.iterations
         if res_a.status == "diverged" or kernel.energy_collapsed(res_a.x):
             proj = kernel.normalize(res_a.x)
-            diverged = _report_from(kernel, proj, spec, "ground", total_iters, "diverged")
+            diverged = _report_from(spec, proj, kernel.residual_sup(proj), "ground", total_iters, "diverged")
             continue
         x = kernel.fiber_project(res_a.x)
         res_b = bb_descent(
@@ -341,18 +332,19 @@ def ground_state(
             kernel.I,
             kernel.grad_I,
             tol=tol,
-            max_iter=max_iter,
+            max_iter=DEFAULT_MAX_ITER,
             window=5,
-            floor=j_floor,
+            floor=J_FLOOR,
             precond=kernel.precond,
         )
         total_iters += res_b.iterations
         if res_b.status == "diverged":
-            diverged = _report_from(kernel, kernel.normalize(res_b.x), spec, "ground", total_iters, "diverged")
+            proj = kernel.normalize(res_b.x)
+            diverged = _report_from(spec, proj, kernel.residual_sup(proj), "ground", total_iters, "diverged")
             continue
         if res_b.status not in ("converged",):
             continue
-        cand = _report_from(kernel, res_b.x, spec, "ground", total_iters, "converged")
+        cand = _report_from(spec, res_b.x, kernel.residual_sup(res_b.x), "ground", total_iters, "converged")
         cand_level = cand.breakdown.I_trunc if truncated else cand.breakdown.I
         if best is None or cand_level < (best.breakdown.I_trunc if truncated else best.breakdown.I):
             best = cand
@@ -368,15 +360,16 @@ def m_minus(
     starts: int = 8,
     *,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     seed: int = 0,
 ) -> SolveReport:
     """Least positive-energy solution over the minus cone {E < 0, int a|u|^q < 0}.
 
     The ray-optimal value is positive there (a fiber maximum); minimizing
     it over the cone and scaling onto the Nehari set yields a saddle-type
-    solution. Raises EmptyConeError when lam is at or below the first
-    eigenvalue (the cone is empty there).
+    solution. The starts are the eigenfunction, its mixtures with bumps in
+    the negative-weight components, then small perturbations of it. Raises
+    EmptyConeError when lam is at or below the first eigenvalue (the cone
+    is empty there).
     """
     kernel = _Kernel(spec, truncated=False)
     partition = sign_partition(spec.a)
@@ -385,24 +378,22 @@ def m_minus(
         raise EmptyConeError(
             f"minus cone empty: lam={spec.lam} is not above lambda1={pair.lambda1}"
         )
-    seeds = _minus_cone_seeds(kernel, partition, pair, starts, seed)
+    phi = pair.phi.values
+    scale = float(np.max(phi))
+    fixed = [np.array(phi)] + [
+        phi + t * component_bump(spec.mesh, comp) * scale for comp in partition.minus_components for t in (0.2, 0.5)
+    ]
+    guard = lambda v: kernel.in_cone(v, -1)
+    seeds = _starts(
+        starts, fixed, lambda rng: phi + 0.1 * scale * smooth_noise(spec.mesh, rng), 2_000_003, seed, guard
+    )
     if not seeds:
         raise EmptyConeError("no admissible start in the minus cone")
 
-    guard = lambda v: kernel.in_cone(v, -1)
     best: SolveReport | None = None
     total_iters = 0
     for v0 in seeds:
-        res_a = bb_descent(
-            v0,
-            kernel.J,
-            kernel.grad_J,
-            tol=max(100.0 * tol, 1e-6),
-            max_iter=min(max_iter, 4_000),
-            guard=guard,
-            normalize=kernel.normalize,
-            precond=kernel.precond,
-        )
+        res_a = _ray_descent(kernel, v0, -1, tol)
         total_iters += res_a.iterations
         x = kernel.fiber_project(res_a.x)
         res_b = bb_descent(
@@ -410,14 +401,15 @@ def m_minus(
             kernel.J,
             kernel.grad_J,
             tol=tol,
-            max_iter=max_iter,
+            max_iter=DEFAULT_MAX_ITER,
             guard=guard,
             precond=kernel.precond,
         )
         total_iters += res_b.iterations
         x = kernel.fiber_project(res_b.x)
-        status = "converged" if res_b.status in ("converged", "stalled") and kernel.residual_sup(x) < 10 * tol else "failed"
-        cand = _report_from(kernel, x, spec, "m_minus", total_iters, status)
+        residual = kernel.residual_sup(x)
+        status = "converged" if res_b.status in ("converged", "stalled") and residual < 10 * tol else "failed"
+        cand = _report_from(spec, x, residual, "m_minus", total_iters, status)
         if cand.ok and (best is None or cand.breakdown.I < best.breakdown.I):
             best = cand
     if best is None:
@@ -434,18 +426,16 @@ def _sup_dist_to_members(vals: np.ndarray, members: tuple[GridFn, ...]) -> tuple
 def minimizer_set_at_star(
     spec_at_star: ProblemSpec,
     sample_count: int = 8,
-    delta: float | None = None,
     *,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
-    starts_per_sample: int = 2,
 ) -> MinimizerSet:
     """Sample the set of minimizers at the threshold parameter.
 
-    Runs sample_count independent multi-start ground-state solves, keeps
+    Runs sample_count independent two-start ground-state solves, keeps
     the converged ones at the common minimal level, and clusters them by
-    sup-norm distance. The neighborhood radius defaults to half the
-    minimal inter-cluster distance, floored at 5% of the largest member
+    sup-norm distance. The neighborhood radius is half the minimal
+    inter-cluster distance, floored at a quarter of the largest member
     amplitude. Raises AttainabilityError when every run diverges (wrong
     regime, e.g. positive pairing).
     """
@@ -453,9 +443,7 @@ def minimizer_set_at_star(
     failures = 0
     for k in range(sample_count):
         try:
-            rep = ground_state(
-                spec_at_star, starts=starts_per_sample, tol=tol, seed=seed + 17 * k + 1
-            )
+            rep = ground_state(spec_at_star, starts=2, tol=tol, seed=seed + 17 * k + 1)
         except SolverError:
             failures += 1
             continue
@@ -478,18 +466,11 @@ def minimizer_set_at_star(
             clusters.append(r.u)
     members = tuple(clusters)
     max_amp = max(m.linf() for m in members)
-    if delta is None:
-        # Floor at a quarter of the member amplitude: the continued local
-        # minimum drifts by a few percent of the amplitude per percent of
-        # lam, and a tighter tube falsely reports window exhaustion.
-        if len(members) >= 2:
-            gaps = []
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    gaps.append(float(np.max(np.abs(members[i].values - members[j].values))))
-            delta = max(0.5 * min(gaps), 0.25 * max_amp)
-        else:
-            delta = 0.25 * max_amp
+    gaps = [float(np.max(np.abs(a.values - b.values))) for a, b in combinations(members, 2)]
+    # Floor at a quarter of the member amplitude: the continued local
+    # minimum drifts by a few percent of the amplitude per percent of
+    # lam, and a tighter tube falsely reports window exhaustion.
+    delta = max(0.5 * min(gaps), 0.25 * max_amp) if gaps else 0.25 * max_amp
     return MinimizerSet(members=members, delta=float(delta), level=float(level), lambda_star=spec_at_star.lam)
 
 
@@ -536,11 +517,11 @@ def local_min_continuation(
         d, _ = _sup_dist_to_members(res.x, members)
         interior = d < 0.9 * delta
         if res.status == "converged" and interior:
-            cand = _report_from(kernel, res.x, spec, "local_min", total_iters, "converged")
+            cand = _report_from(spec, res.x, kernel.residual_sup(res.x), "local_min", total_iters, "converged")
             if best is None or cand.breakdown.I_trunc < best.breakdown.I_trunc:
                 best = cand
         else:
-            cand = _report_from(kernel, res.x, spec, "local_min", total_iters, "window_exceeded")
+            cand = _report_from(spec, res.x, kernel.residual_sup(res.x), "local_min", total_iters, "window_exceeded")
             if pinned is None or cand.breakdown.I_trunc < pinned.breakdown.I_trunc:
                 pinned = cand
     if best is not None:
@@ -554,7 +535,6 @@ def order_interval_min(
     upper: GridFn,
     *,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SolveReport:
     """Minimize the energy over the order interval {0 <= u <= upper}.
 
@@ -598,21 +578,12 @@ def order_interval_min(
         kernel.grad_I,
         clip,
         tol=tol,
-        max_iter=max_iter,
+        max_iter=DEFAULT_MAX_ITER,
         precond=kernel.precond,
     )
     status = "converged" if res.status == "converged" else "failed"
-    u = GridFn(spec.mesh, clip(res.x))
     fp_residual = float(np.max(np.abs(res.x - clip(res.x - kernel.grad_I(res.x)))))
-    return SolveReport(
-        u=u,
-        breakdown=evaluate(u, spec),
-        residual_sup=fp_residual,
-        kind="order_interval_min",
-        iterations=res.iterations,
-        lam=spec.lam,
-        status=status,
-    )
+    return _report_from(spec, clip(res.x), fp_residual, "order_interval_min", res.iterations, status)
 
 
 def initial_path(spec: ProblemSpec, u: GridFn, omega: GridFn, beads: int = 17) -> PathState:
@@ -767,7 +738,6 @@ def mountain_pass(
     beads: int = 17,
     *,
     tol: float = SADDLE_TOL,
-    max_sweeps: int = 5000,
 ) -> SolveReport:
     """Saddle between a local minimum u and a lower state omega.
 
@@ -775,7 +745,7 @@ def mountain_pass(
     omega: the highest interior bead climbs to the saddle while the other
     beads relax onto the minimum energy path. The report is that bead, with
     the residual the string's stop test read. Fails with status
-    "saddle_not_found" when the run ends at max_sweeps, or when the bead
+    "saddle_not_found" when the run ends at 5000 sweeps, or when the bead
     does not rise above both endpoints (the path collapsed into one basin).
 
     The default tolerance is looser than for the minimization solvers: the
@@ -785,26 +755,17 @@ def mountain_pass(
     path0 = initial_path(spec, u, omega, beads)
     if not path0.energies[-1] < path0.energies[0]:
         raise ValueError("omega must have strictly lower energy than u")
-    path, barrier_history = string_relax(spec, path0, tol=tol, max_sweeps=max_sweeps)
+    path, barrier_history = string_relax(spec, path0, tol=tol, max_sweeps=5000)
     top = 1 + int(np.argmax(path.energies[1:-1]))
     found = path.residual < tol and path.energies[top] > path.energies[0] + 1e-14
-    saddle = path.beads[top]
-    return SolveReport(
-        u=saddle,
-        breakdown=evaluate(saddle, spec),
-        residual_sup=path.residual,
-        kind="mountain_pass",
-        iterations=len(barrier_history),
-        lam=spec.lam,
-        status="converged" if found else "saddle_not_found",
-    )
+    status = "converged" if found else "saddle_not_found"
+    return _report_from(spec, path.beads[top].values, path.residual, "mountain_pass", len(barrier_history), status)
 
 
 def runaway_state(
     spec: ProblemSpec,
     below: float,
     pair: EigenPair | None = None,
-    mix: tuple[float, ...] = (0.05, 0.02, 0.01, 0.003, 0.0),
 ) -> GridFn:
     """Nonnegative state with truncated energy under the given level.
 
@@ -819,8 +780,8 @@ def runaway_state(
     partition = sign_partition(spec.a)
     bump = None
     if partition.plus_components:
-        bump = component_bump(spec.mesh, max(partition.plus_components, key=lambda c: c[1] - c[0]))
-    for eps in mix:
+        bump = widest_component_bump(spec.mesh, partition.plus_components)
+    for eps in (0.05, 0.02, 0.01, 0.003, 0.0):
         dirv = pair.phi.values.copy()
         if bump is not None and eps > 0.0:
             dirv = dirv + eps * bump * pair.phi.linf()
@@ -841,46 +802,41 @@ def multistart_truncated_descent(
     count: int = 16,
     *,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     seed: int = 0,
-    floor: float = J_FLOOR,
 ) -> list[SolveReport]:
     """Plain truncated-energy descent from count deterministic seeds.
 
-    Used by nonexistence experiments: each run either converges to some
-    nonnegative critical point (possibly with dead cores) or dives below
-    the floor and is reported as diverged.
+    The starts are a bump in each positive-weight component, half a bump in
+    each negative-weight one, then scaled eigenfunctions with positive
+    noise. Used by nonexistence experiments: each run either converges to
+    some nonnegative critical point (possibly with dead cores) or dives
+    below J_FLOOR and is reported as diverged.
     """
     kernel = _Kernel(spec, truncated=True)
     partition = sign_partition(spec.a)
-    pair = first_eigenpair(spec.mesh, spec.p)
-    seeds: list[np.ndarray] = []
-    for comp in partition.plus_components:
-        seeds.append(component_bump(spec.mesh, comp))
-    for comp in partition.minus_components:
-        seeds.append(0.5 * component_bump(spec.mesh, comp))
-    k = 0
-    phi_amp = float(np.max(pair.phi.values))
-    while len(seeds) < count:
-        rng = np.random.default_rng(seed * 3_000_017 + k)
+    phi = first_eigenpair(spec.mesh, spec.p).phi.values
+    phi_amp = float(np.max(phi))
+
+    def jitter(rng: np.random.Generator) -> np.ndarray:
         amp = 0.5 + 1.5 * rng.random()
-        v = amp * (pair.phi.values / phi_amp) + 0.4 * np.abs(smooth_noise(spec.mesh, rng))
-        v[0] = v[-1] = 0.0
-        seeds.append(v)
-        k += 1
+        return amp * (phi / phi_amp) + 0.4 * np.abs(smooth_noise(spec.mesh, rng))
+
+    fixed = [component_bump(spec.mesh, comp) for comp in partition.plus_components] + [
+        0.5 * component_bump(spec.mesh, comp) for comp in partition.minus_components
+    ]
     reports = []
-    for v0 in seeds[:count]:
+    for v0 in _starts(count, fixed, jitter, 3_000_017, seed, lambda v: True):
         res = bb_descent(
             v0,
             kernel.I,
             kernel.grad_I,
             tol=tol,
-            max_iter=max_iter,
-            floor=floor,
+            max_iter=DEFAULT_MAX_ITER,
+            floor=J_FLOOR,
             precond=kernel.precond,
         )
         status = {"converged": "converged", "diverged": "diverged"}.get(res.status, "failed")
-        reports.append(_report_from(kernel, res.x, spec, "local_min", res.iterations, status))
+        reports.append(_report_from(spec, res.x, kernel.residual_sup(res.x), "local_min", res.iterations, status))
     return reports
 
 

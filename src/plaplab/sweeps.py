@@ -29,6 +29,7 @@ import numpy as np
 
 from . import solvers
 from .critical import (
+    DEAD_CORE_RTOL,
     CriticalValues,
     _region_of,
     compute_critical_values,
@@ -185,7 +186,7 @@ def _lambda_grid(config: RunConfig, lambda1: float) -> np.ndarray:
 
 
 def _row_from_report(rep: SolveReport, branch: str, partition: SignPartition) -> BranchRow:
-    classified = solvers.classify(rep, partition, 1e-8 * max(rep.u.linf(), 1e-30))
+    classified = solvers.classify(rep, partition, DEAD_CORE_RTOL * max(rep.u.linf(), 1e-30))
     pos = bool(classified.positive_on_plus) and all(classified.positive_on_plus)
     return BranchRow(
         lam=rep.lam,
@@ -231,7 +232,9 @@ def _sweep_one(problem: Problem, crit: CriticalValues, kset: MinimizerSet | None
         except PlapLabError as exc:
             rows.append(_failure_row(lam, "local_min", f"error:{type(exc).__name__}"))
             return rows
-        if cont.ok:
+        # the mountain pass climbs from the local minimum to a runaway
+        # state, which exists only for lam above lambda1
+        if cont.ok and lam > crit.lambda1 * (1.0 + 1e-12):
             try:
                 level = cont.breakdown.I_trunc
                 omega = solvers.runaway_state(spec, level - 10.0 * abs(level) - 1.0, problem.pair)
@@ -246,9 +249,9 @@ def run_sweep(config: RunConfig) -> BranchTable:
     """Trace every applicable branch across the lambda grid.
 
     Below the threshold: ground states, plus the positive-level branch when
-    the pairing is negative. At and above: minimizer-set continuation and
-    the mountain-pass branch over it. Failures become marker rows; the
-    sweep never aborts on a single lambda.
+    the pairing is negative. At and above: minimizer-set continuation, and
+    the mountain-pass branch over it where lam exceeds lambda1. Failures
+    become marker rows; the sweep never aborts on a single lambda.
     """
     problem = build_problem(config)
     crit = compute_critical_values(problem.spec0, problem.pair)
@@ -390,14 +393,12 @@ def run_certify(config: RunConfig) -> BranchTable:
         if rep.status != "converged":
             rows.append(_failure_row(float(lam), "certify", rep.status))
             continue
-        classified = solvers.classify(rep, problem.partition, 1e-8 * max(rep.u.linf(), 1e-30))
-        positive = bool(classified.positive_on_plus) and all(classified.positive_on_plus)
-        if positive:
-            residual = picone_certificate(classified.u, spec, problem.pair)
+        row = _row_from_report(rep, "certify", problem.partition)
+        if row.positive_on_plus:
+            residual = picone_certificate(rep.u, spec, problem.pair)
             status = "certified_spurious" if residual < -config.tol else "uncertified_positive"
         else:
-            status = "dead_core" if classified.dead_core_components else "not_positive"
-        row = _row_from_report(rep, "certify", problem.partition)
+            status = "dead_core" if row.dead_cores else "not_positive"
         rows.append(replace(row, status=status))
     return BranchTable(tuple(rows))
 

@@ -309,14 +309,14 @@ sample_count = 3
 
 
 class TestSweepFailureRows:
-    # past the threshold of a zero-pairing weight: the local minimum is ok,
-    # then the mountain pass over it is made to fail
+    # past the threshold of a zero-pairing weight, where lambda* = lambda1:
+    # the local minimum is ok, then the mountain pass over it is made to fail
     CONFIG = """
 n_cells = 128
 p = 5.0
 q = 2.0
 weight_family = orthogonal-two-bump
-lambda_start = 1.0
+lambda_start = {lam}
 lambda_count = 1
 seed = 7
 starts = 3
@@ -330,11 +330,19 @@ sample_count = 2
 
         monkeypatch.setattr(solvers, failing, fail)
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(self.CONFIG)
+        cfg.write_text(self.CONFIG.format(lam=1.02))
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
         rows = [(r.branch, r.status) for r in parse_table(out).rows]
         assert rows == [("local_min", "ok"), ("mountain_pass", "error:SolverError")]
+
+    def test_no_mountain_pass_at_lambda1(self, tmp_path):
+        # no runaway state exists at lam = lambda1, so there is no branch to fail
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(self.CONFIG.format(lam=1.0))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        assert [(r.branch, r.status) for r in parse_table(out).rows] == [("local_min", "ok")]
 
 
 class TestThreeFailureRows:

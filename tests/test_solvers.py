@@ -292,6 +292,74 @@ class TestMountainPass:
             solvers.runaway_state(spec0.with_lambda(0.5 * pair.lambda1), -100.0, pair)
 
 
+class _StartsTaken(Exception):
+    pass
+
+
+class TestStarts:
+    """The starts each multistart solver takes from the one start generator."""
+
+    # solver, lam / lambda1, cone its starts must lie in (None: no cone test)
+    SOLVERS = {
+        "ground_state": (solvers.ground_state, 0.5, +1),
+        "m_minus": (solvers.m_minus, 1.1, -1),
+        "multistart_truncated_descent": (solvers.multistart_truncated_descent, 1.02, None),
+    }
+
+    @staticmethod
+    def starts_of(monkeypatch, problem, name, count, seed):
+        """The starts the solver draws, stopping it before its first descent."""
+        solve, factor, _ = TestStarts.SOLVERS[name]
+        spec0, pair = problem
+        taken = []
+        real = solvers._starts
+
+        def take(*args, **kwargs):
+            taken.extend(real(*args, **kwargs))
+            raise _StartsTaken
+
+        monkeypatch.setattr(solvers, "_starts", take)
+        with pytest.raises(_StartsTaken):
+            solve(spec0.with_lambda(factor * pair.lambda1), count, seed=seed)
+        monkeypatch.undo()
+        return taken
+
+    @pytest.mark.parametrize("name", list(SOLVERS))
+    def test_count_is_honoured(self, monkeypatch, neg_pairing_problem, name):
+        for count in (1, 3):
+            assert len(self.starts_of(monkeypatch, neg_pairing_problem, name, count, seed=0)) == count
+        # the plus cone of a negative-pairing weight admits few perturbations
+        # of phi: its 96 draws may run out before 12 starts are found
+        assert 0 < len(self.starts_of(monkeypatch, neg_pairing_problem, name, 12, seed=0)) <= 12
+
+    @pytest.mark.parametrize("name", ["ground_state", "m_minus"])
+    def test_every_start_lies_in_the_cone(self, monkeypatch, neg_pairing_problem, name):
+        _, factor, sign = self.SOLVERS[name]
+        spec0, pair = neg_pairing_problem
+        kernel = solvers._Kernel(spec0.with_lambda(factor * pair.lambda1), truncated=sign > 0)
+        starts = self.starts_of(monkeypatch, neg_pairing_problem, name, 6, seed=0)
+        assert starts and all(kernel.in_cone(v, sign) for v in starts)
+
+    @pytest.mark.parametrize("name", list(SOLVERS))
+    def test_boundary_entries_are_exact_zeros(self, monkeypatch, neg_pairing_problem, name):
+        for v in self.starts_of(monkeypatch, neg_pairing_problem, name, 6, seed=3):
+            assert v[0] == 0.0 and v[-1] == 0.0
+
+    @pytest.mark.parametrize("name", list(SOLVERS))
+    def test_same_seed_same_bytes(self, monkeypatch, neg_pairing_problem, name):
+        first = self.starts_of(monkeypatch, neg_pairing_problem, name, 6, seed=5)
+        again = self.starts_of(monkeypatch, neg_pairing_problem, name, 6, seed=5)
+        assert [v.tobytes() for v in first] == [v.tobytes() for v in again]
+
+    @pytest.mark.parametrize("name", list(SOLVERS))
+    def test_seeds_change_the_jittered_tail(self, monkeypatch, neg_pairing_problem, name):
+        a = self.starts_of(monkeypatch, neg_pairing_problem, name, 6, seed=0)
+        b = self.starts_of(monkeypatch, neg_pairing_problem, name, 6, seed=1)
+        differ = [u.tobytes() != v.tobytes() for u, v in zip(a, b)]
+        # the fixed candidates lead both lists; past them every start is a draw
+        assert all(differ[differ.index(True) :])
+
+
 class TestClassify:
     def test_zero_function_every_plus_is_dead(self, neg_pairing_problem):
         spec0, _ = neg_pairing_problem

@@ -13,8 +13,9 @@ differs and a short diff, and exits 1 on any difference.
 The list holds the commands of the four benchmark workloads, whose configs
 are read from this checkout's perfbench/configs/, and small configs taken
 from the test suite: sweeps on both sides of the threshold, the
-three-solution scan, ground, certify, critical, JSON and stdout output, a
-sweep whose mountain pass fails, and configs that must be refused.
+three-solution scan, ground, certify, critical, JSON and stdout output,
+zero-pairing sweeps at lambda1 (no mountain-pass branch) and just past it
+(a mountain pass over the local minimum), and configs that must be refused.
 """
 
 from __future__ import annotations
@@ -116,12 +117,23 @@ seed = 5
 starts = 3
 sample_count = 2
 """,
-    "mountain-pass-fails": """
+    "zero-pairing-at-lambda1": """
 n_cells = 128
 p = 5.0
 q = 2.0
 weight_family = orthogonal-two-bump
 lambda_start = 1.0
+lambda_count = 1
+seed = 7
+starts = 3
+sample_count = 2
+""",
+    "zero-pairing-past-lambda1": """
+n_cells = 128
+p = 5.0
+q = 2.0
+weight_family = orthogonal-two-bump
+lambda_start = 1.02
 lambda_count = 1
 seed = 7
 starts = 3
@@ -187,8 +199,10 @@ COMMANDS = (
     Command("region-small-stdout-json", "region", "region-small", format="json", to_file=False),
     # the perturbed weight outside the three-solution scan
     Command("critical-p5-perturbed", "critical", "three-p5.cfg"),
-    # a mountain pass that fails after an ok local minimum
-    Command("mountain-pass-fails", "sweep", "mountain-pass-fails"),
+    # the zero-pairing threshold lambda* = lambda1: a local minimum and no
+    # runaway state at lambda1, a mountain pass over it just past lambda1
+    Command("zero-pairing-at-lambda1", "sweep", "zero-pairing-at-lambda1"),
+    Command("zero-pairing-past-lambda1", "sweep", "zero-pairing-past-lambda1"),
     # configs that must be refused
     Command("three-two-bump", "three", "three-two-bump"),
     Command("bad-n-cells-fraction", "eigen", "bad-n-cells-fraction"),
