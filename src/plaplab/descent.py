@@ -25,8 +25,8 @@ the boundary could creep along it within the roundoff slack forever. A
 projected trial therefore counts only if g . (trial - x) < 0, and the run
 stops "stalled" once the objective fell by no more than the slack over the
 last _STALL_WINDOW accepted iterations. Unconstrained runs keep no such
-rule: a converging solve (the p < 2 eigen problem, for one) can spend that
-long within the slack on its way below tol.
+rule: a converging solve can spend that long within the slack on its way
+below tol.
 
 Callback contract: fun (and guard) sees every trial that is valued; grad
 sees only accepted points, each right after fun on the same array. A

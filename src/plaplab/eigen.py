@@ -4,19 +4,24 @@ The eigenvalue is the infimum of the Rayleigh quotient
 
     R(u) = int |u'|^p / int |u|^p
 
-over nonzero Dirichlet functions. The solver is descent.bb_descent on R
-over the sphere {int |u'|^p = 1}, retracted by P1Energy.normalize, from a
-positive initial guess (which biases the iteration to the first,
-sign-constant eigenfunction). Its gradient is the residual dg - R*dm of
-the quotient's numerator and denominator gradients, so it vanishes
-exactly at eigenpairs, and it is preconditioned by the inverse of the
-linear P1 stiffness matrix; without that, the iteration count grows with
-the mesh and stalls for p < 2.
+over nonzero Dirichlet functions. The solver is the inverse power
+iteration of Biezuner, Ercole & Martins (J. Funct. Anal. 257, 2009),
 
-The two integrals of R, their nodal gradients and the sphere retraction
-come from functionals.P1Energy with no weight term, through a PointMemo:
-trial steps are valued only, and the gradients are built at the accepted
-point from the same EnergyPoint.
+    u <- normalize(S(dm(u))),
+
+from a positive start (which selects the first, sign-constant
+eigenfunction). dg and dm are the nodal gradients of int |u'|^p and
+int |u|^p (functionals.P1Energy), normalize scales onto the gradient
+sphere {int |u'|^p = 1}, and S is the exact solve of the discrete
+problem dg(w) = b, w = 0 at both ends. A fixed point satisfies
+dg(u) = lambda*dm(u) with lambda its Rayleigh quotient.
+
+In 1D that solve costs O(n). dg couples the nodes only through the cell
+fluxes F_k = p*sign(du_k)*|du_k|^(p-1)/h^(p-1), and node i reads
+F_(i-1) - F_i = b_i, so every flux is F_k = F_0 - (b_1 + ... + b_k) and
+every slope du_k follows from its flux. The one unknown F_0 is the root
+of the increasing function F_0 -> sum du_k = w(1), which lies between the
+smallest and the largest partial sum and is found by bisection.
 """
 
 from __future__ import annotations
@@ -26,14 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .descent import PointMemo, bb_descent
 from .errors import MeshMismatchError, NonConvergenceError, WeightError
 from .functionals import P1Energy
 from .grid import GridFn, Mesh, Weight, grad_seminorm_p, integral_abs_p, weighted_integral_q
 
 __all__ = ["EigenPair", "rayleigh", "first_eigenpair", "pairing", "orthogonalize_weight"]
 
-_MAX_ITER = 100_000
+_MAX_STEPS = 100  # inverse-iteration steps; 9-10 suffice for 1.25 <= p <= 5
 
 _cache: dict[tuple[Mesh, float, float], "EigenPair"] = {}
 
@@ -77,6 +81,37 @@ def _stiffness_preconditioner(mesh: Mesh):
     return apply
 
 
+def _solve_dg(mesh: Mesh, p: float, b: np.ndarray) -> np.ndarray:
+    """The nodal w with dg(w) = b on the interior nodes and w = 0 at both ends.
+
+    dg is the gradient of int |w'|^p (EnergyPoint.gradients); b's boundary
+    entries are ignored. The root F_0 is bisected until the midpoint
+    equals an endpoint, and w(1) = 0 is then set exactly.
+    """
+    c = np.zeros(mesh.n_cells)
+    np.cumsum(b[1:-1], out=c[1:])
+    e = 1.0 / (p - 1.0)
+
+    def end_value(f0: float) -> float:
+        # w(1) up to the positive factor h / p^e
+        d = f0 - c
+        return float(np.copysign(np.abs(d) ** e, d).sum())
+
+    lo, hi = float(c.min()), float(c.max())
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if end_value(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    flux = mid - c
+    du = mesh.h * np.copysign((np.abs(flux) / p) ** e, flux)
+    w = np.zeros(mesh.n_nodes)
+    np.cumsum(du[:-1], out=w[1:-1])
+    return w
+
+
 def first_eigenpair(
     mesh: Mesh,
     p: float,
@@ -85,10 +120,12 @@ def first_eigenpair(
 ) -> EigenPair:
     """Compute the first eigenpair on this mesh.
 
-    Converged when the sup-norm of the Rayleigh-gradient residual
-    dg - lambda*dm drops below tol. Deterministic for the default start
-    (constant 1 on the interior nodes). Results for the default start are
-    cached per (mesh, p, tol).
+    Converged when an inverse-iteration step moves the normalized iterate
+    by less than tol relative to its sup-norm; raises NonConvergenceError
+    after _MAX_STEPS steps. lambda1 is the Rayleigh quotient of the
+    returned phi and residual_sup the sup-norm of dg - lambda1*dm there.
+    Deterministic for the default start (constant 1 on the interior
+    nodes). Results for the default start are cached per (mesh, p, tol).
     """
     if p <= 1.0:
         raise ValueError(f"exponent must exceed 1, got p={p}")
@@ -108,47 +145,34 @@ def first_eigenpair(
             raise ValueError("start must be nonzero")
 
     energy = P1Energy(mesh, p)
-    point = PointMemo(energy)
-
-    def quotient(v: np.ndarray) -> float:
-        pt = point(v)
-        return pt.grad_term / pt.mass
-
-    def residual(v: np.ndarray) -> np.ndarray:
-        # called only at accepted points, right after quotient on the same array
-        pt = point(v)
-        dg, dm = pt.gradients()
-        return dg - (pt.grad_term / pt.mass) * dm
-
-    res = bb_descent(
-        vals,
-        quotient,
-        residual,
-        tol=tol,
-        max_iter=_MAX_ITER,
-        step0=1.0,
-        normalize=energy.normalize,
-        precond=_stiffness_preconditioner(mesh),
-    )
-    if res.status != "converged":
+    x = energy.normalize(vals)
+    for steps in range(1, _MAX_STEPS + 1):
+        _, dm = energy(x).gradients()
+        nxt = energy.normalize(_solve_dg(mesh, p, dm))
+        step = float(np.max(np.abs(nxt - x))) / float(np.max(np.abs(nxt)))
+        x = nxt
+        if step < tol:
+            break
+    else:
         raise NonConvergenceError(
-            f"eigen solver {res.status} after {res.iterations} iterations (p={p}, n={mesh.n_cells}, "
-            f"residual={float(np.max(np.abs(res.grad))):.3e})"
+            f"eigen solver not converged after {steps} inverse-iteration steps (p={p}, n={mesh.n_cells}, "
+            f"last relative step={step:.3e})"
         )
 
-    x = res.x
     if np.sum(x) < 0.0:
         x = -x
-    x = energy.normalize(x)
     phi = GridFn(mesh, x)
     if np.any(phi.values[1:-1] <= 0.0):
         raise NonConvergenceError("eigen solver converged to a sign-changing function")
+    pt = energy(x)
+    lam = pt.grad_term / pt.mass
+    dg, dm = pt.gradients()
     pair = EigenPair(
-        lambda1=float(res.f),
+        lambda1=float(lam),
         phi=phi,
         p=float(p),
-        residual_sup=float(np.max(np.abs(res.grad))),
-        iterations=res.iterations,
+        residual_sup=float(np.max(np.abs(dg - lam * dm))),
+        iterations=steps,
     )
     if start is None:
         _cache[key] = pair

@@ -12,11 +12,11 @@ import pytest
 
 from plaplab import solvers
 from plaplab.critical import (
+    _region_of,
     compute_critical_values,
     nonexistence_bound,
     picone_certificate,
     picone_condition,
-    region_classify,
 )
 from plaplab.eigen import first_eigenpair, pairing
 from plaplab.functionals import ProblemSpec, evaluate, fibered_J, gradient_I, nehari_project
@@ -302,7 +302,7 @@ def test_criterion_10_picone_region_map():
                 disagreements += 1
             if rep.holds and not (p <= q + 1.0 + 1e-9 and p <= 2.0 * q + 1e-9):
                 violations += 1
-            cls = region_classify(float(p), float(q))  # raises on overlap
+            cls = _region_of(rep)  # region_classify's verdict from the same report; raises on overlap
             if cls == "existence_regime" and rep.holds:
                 overlaps += 1
     ok = disagreements == 0 and violations == 0 and overlaps == 0

@@ -521,6 +521,15 @@ class TestCommandLine:
         lam1 = float(res.stdout.split('"lambda1": ')[1].split(",")[0])
         assert abs(lam1 - np.pi**2) < 0.01
 
+    def test_eigen_subcommand_at_p_1_25(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_cells = 256\np = 1.25\nq = 1.1\n")
+        res = self._run(["eigen", "--config", str(cfg), "--format", "json"])
+        assert res.returncode == 0, res.stderr
+        record = json.loads(res.stdout)
+        assert record["p"] == 1.25 and record["n_cells"] == 256
+        assert record["iterations"] > 0 and record["phi_linf"] > 0.0
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense_key = 1\n")

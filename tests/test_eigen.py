@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import solveh_banded
 
-from plaplab.errors import WeightError
-from plaplab.eigen import _stiffness_preconditioner, first_eigenpair, orthogonalize_weight, pairing, rayleigh
+from plaplab import eigen
+from plaplab.errors import NonConvergenceError, WeightError
+from plaplab.eigen import _solve_dg, _stiffness_preconditioner, first_eigenpair, orthogonalize_weight, pairing, rayleigh
+from plaplab.functionals import P1Energy
 from plaplab.grid import grad_seminorm_p, grid_fn, integral_abs_p, make_mesh, weight_fn
 
 from oracles import closed_form_lambda1, shooting_lambda1
@@ -56,7 +58,7 @@ class TestFirstEigenpair:
         oracle = shooting_lambda1(p)
         assert pair.lambda1 == pytest.approx(oracle, rel=5e-3)
 
-    @pytest.mark.parametrize("p", [1.5, 3.0, 5.0])
+    @pytest.mark.parametrize("p", [1.25, 1.5, 3.0, 5.0])
     def test_closed_form_error_and_observed_order(self, p):
         # P1 converges at O(h^2): the relative error is below 10 h^2 on each
         # mesh and halves twice per halving of h
@@ -68,6 +70,11 @@ class TestFirstEigenpair:
             assert errs[-1] <= 10.0 / n**2
         for coarse, fine in zip(errs, errs[1:]):
             assert 1.75 <= np.log2(coarse / fine) <= 2.25
+
+    def test_step_cap_names_the_last_step(self, monkeypatch):
+        monkeypatch.setattr(eigen, "_MAX_STEPS", 2)
+        with pytest.raises(NonConvergenceError, match="after 2 inverse-iteration steps.*last relative step="):
+            first_eigenpair(make_mesh(0.0, 1.0, 32), 2.2)
 
     def test_normalization(self):
         mesh = make_mesh(0.0, 1.0, 512)
@@ -170,3 +177,58 @@ def test_factored_preconditioner_matches_solveh_banded_bit_for_bit(n):
         z = apply(r)
         assert z[0] == 0.0 and z[-1] == 0.0
         assert np.array_equal(z[1:-1], solveh_banded(ab, r[1:-1]))
+
+
+def _zigzag(mesh, rng):
+    """A random Dirichlet function whose slopes stay away from zero.
+
+    Near a zero slope (or flux) the slope-flux map |F|^(1/(p-1)) or its
+    inverse has an infinite derivative, so one rounding error of the
+    largest flux moves a small slope by far more than 1e-10 relative, in
+    any floating-point solve: on white-noise w, S(dg(w)) is off by up to
+    1e-4 in sup at p = 5 and dg(S(b)) by up to 2e-4 at p = 1.25. Slopes
+    of random sign and magnitude in [0.5, 1.5] h keep both directions
+    well conditioned.
+    """
+    n = mesh.n_cells
+    du = rng.uniform(0.5, 1.5, n) * mesh.h
+    down = rng.permutation(n)[: n // 2]
+    du[down] *= -du.sum() / du[down].sum() + 1.0  # the slopes now sum to zero
+    w = np.zeros(mesh.n_nodes)
+    np.cumsum(du[:-1], out=w[1:-1])
+    return w
+
+
+class TestExactSolve:
+    """_solve_dg inverts dg, the gradient of int |w'|^p, on Dirichlet functions."""
+
+    @pytest.mark.parametrize("p", [1.25, 1.5, 3.0, 5.0])
+    def test_solve_of_dg_returns_w(self, p):
+        mesh = make_mesh(0.0, 1.0, 256)
+        rng = np.random.default_rng(int(4 * p))
+        for _ in range(5):
+            w = _zigzag(mesh, rng)
+            dg, _ = P1Energy(mesh, p)(w).gradients()
+            back = _solve_dg(mesh, p, dg)
+            assert back[0] == 0.0 and back[-1] == 0.0
+            assert np.max(np.abs(back - w)) <= 1e-10 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("p", [1.25, 1.5, 3.0, 5.0])
+    def test_dg_of_solve_returns_b(self, p):
+        mesh = make_mesh(0.0, 2.0, 256)
+        rng = np.random.default_rng(int(4 * p) + 1)
+        energy = P1Energy(mesh, p)
+        for _ in range(5):
+            b, _ = energy(_zigzag(mesh, rng)).gradients()
+            b = np.array(b)
+            b[0], b[-1] = rng.normal(size=2)  # ignored by the solve
+            w = _solve_dg(mesh, p, b)
+            dg, _ = energy(w).gradients()
+            assert np.max(np.abs(dg[1:-1] - b[1:-1])) <= 1e-10 * np.max(np.abs(b[1:-1]))
+
+
+def test_p15_ladder_iteration_gate():
+    # the inverse iteration's step count does not grow with the mesh
+    for n in (256, 512, 1024, 2048, 4096):
+        pair = first_eigenpair(make_mesh(0.0, 1.0, n), 1.5)
+        assert pair.iterations <= 15, (n, pair.iterations)

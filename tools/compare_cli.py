@@ -13,9 +13,10 @@ differs and a short diff, and exits 1 on any difference.
 The list holds the commands of the four benchmark workloads, whose configs
 are read from this checkout's perfbench/configs/, and small configs taken
 from the test suite: sweeps on both sides of the threshold, the
-three-solution scan, ground, certify, critical, JSON and stdout output,
-zero-pairing sweeps at lambda1 (no mountain-pass branch) and just past it
-(a mountain pass over the local minimum), and configs that must be refused.
+three-solution scan, ground, certify, critical, the eigenpair at p = 1.25
+(n = 256, q = 1.1), JSON and stdout output, zero-pairing sweeps at
+lambda1 (no mountain-pass branch) and just past it (a mountain pass over
+the local minimum), and configs that must be refused.
 """
 
 from __future__ import annotations
@@ -142,6 +143,7 @@ sample_count = 2
     "three-two-bump": "n_cells = 64\np = 5.0\nq = 2.0\nweight_family = two-bump\nstarts = 2\n",
     "region-small": "region_p_count = 4\nregion_q_count = 3\n",
     "eigen-small": "n_cells = 64\np = 2.0\nq = 1.5\n",
+    "eigen-p1.25": "n_cells = 256\np = 1.25\nq = 1.1\n",
     "bad-n-cells-fraction": "n_cells = 7.5\n",
     "bad-tol-text": "tol = abc\n",
     "bad-n-cells-one": "n_cells = 1\n",
@@ -188,6 +190,7 @@ COMMANDS = (
     Command("past-threshold-seed3", "sweep", "past-threshold", ("--seed", "3")),
     Command("three-mu0", "three", "three-mu0"),
     Command("ground-small", "ground", "ground-small"),
+    Command("eigen-p1.25-n256", "eigen", "eigen-p1.25", format="json"),
     # output formats: JSON of every kind of output, and stdout
     Command("critical-p3-json", "critical", "sweep-p3.cfg", format="json"),
     Command("region-small-json", "region", "region-small", format="json"),
