@@ -24,7 +24,8 @@ gradient and constraint violation both below tolerance. An exact
 feasibility restoration follows, so the reported value is the quotient of
 a feasible function, an upper bound. The quotient, the constraint integral
 and their gradients come from functionals.P1Energy, one EnergyPoint per
-point through a PointMemo.
+point through a PointMemo; the descent is preconditioned with the
+p-stiffness of the point that memo holds (EnergyPoint.precondition).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descent import PointMemo, bb_descent
-from .eigen import EigenPair, _stiffness_preconditioner, first_eigenpair, pairing
+from .eigen import EigenPair, first_eigenpair, pairing
 from .errors import NonConvergenceError, SolverError, WeightError
 from .functionals import P1Energy, ProblemSpec
 from .grid import (
@@ -116,14 +117,15 @@ def _constrained_rayleigh_min(
 
         R(u) + (max(0, mu - rho c(u))^2 - mu^2) / (2 rho)
 
-    by preconditioned BB descent (at most inner_iter iterations, warm-started
-    from the last round), then sets mu <- max(0, mu - rho c). The descent
-    sees the gradient tangent to the sphere. rho grows only when the
-    violation |min(c, mu/rho)| did not halve, and at most `rounds` rounds
-    run. A start passes the KKT test when a round's descent converged (its
-    gradient, which is the tangential Lagrangian gradient at the updated
-    multiplier, is below _AL_TOL) and the violation is below _AL_TOL;
-    running out of rounds or hitting an iteration cap never counts.
+    by BB descent in the p-stiffness metric of the iterate (at most
+    inner_iter iterations, warm-started from the last round), then sets
+    mu <- max(0, mu - rho c). The descent sees the gradient tangent to the
+    sphere. rho grows only when the violation |min(c, mu/rho)| did not
+    halve, and at most `rounds` rounds run. A start passes the KKT test
+    when a round's descent converged (its gradient, which is the
+    tangential Lagrangian gradient at the updated multiplier, is below
+    _AL_TOL) and the violation is below _AL_TOL; running out of rounds or
+    hitting an iteration cap never counts.
 
     Two deterministic starts, phi and the feasible bump on the widest
     component of the required sign, plus the bump itself as a candidate.
@@ -132,7 +134,6 @@ def _constrained_rayleigh_min(
     an upper bound. Returns (value, whether the winning start passed KKT).
     """
     mesh, p, q = spec.mesh, spec.p, spec.q
-    precond = _stiffness_preconditioner(mesh)
     part = sign_partition(spec.a)
     comps = part.plus_components if want_nonneg else part.minus_components
     if not comps:
@@ -194,7 +195,8 @@ def _constrained_rayleigh_min(
                 tol=_AL_TOL,
                 max_iter=inner_iter,
                 normalize=energy.normalize,
-                precond=precond,
+                # descent calls this right after grad_fun: the memo holds the point
+                precond=lambda g: point.last.precondition(g),
             )
             x = res.x
             c = constraint(x)

@@ -13,7 +13,8 @@ and projected_descent are the loop's two entry points. Its hooks:
   * guard: admissibility predicate; a refused trial is not valued;
   * floor: stop "diverged" once the objective sinks below it;
   * precond: SPD operator turning the gradient into the step direction;
-    convergence is still judged on the raw gradient.
+    convergence is still judged on the raw gradient. It may change from
+    one accepted point to the next (a metric that follows the iterate).
 
 A run ends "converged" (residual sup-norm below tol), "diverged",
 "stalled" (no trial passed within the backtracking budget) or
@@ -29,10 +30,11 @@ rule: a converging solve can spend that long within the slack on its way
 below tol.
 
 Callback contract: fun (and guard) sees every trial that is valued; grad
-sees only accepted points, each right after fun on the same array. A
-caller may share work between them (PointMemo keeps the last point's
-values), and fun should compute values only: trials far outnumber
-accepted points.
+sees only accepted points, each right after fun on the same array, and
+precond is called right after grad, on the gradient of that same point.
+A caller may share work between them (PointMemo keeps the last point's
+values, so precond can apply the metric of the point it holds), and fun
+should compute values only: trials far outnumber accepted points.
 """
 
 from __future__ import annotations
@@ -81,6 +83,11 @@ class PointMemo:
         if key != self._key:
             self._value = self._fn(v)
             self._key = key
+        return self._value
+
+    @property
+    def last(self) -> object:
+        """fn of the array of the last call (None before the first)."""
         return self._value
 
 

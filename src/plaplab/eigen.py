@@ -29,10 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import MeshMismatchError, NonConvergenceError, WeightError
-from .functionals import P1Energy
+from .functionals import P1Energy, _stiffness_solver
 from .grid import GridFn, Mesh, Weight, grad_seminorm_p, integral_abs_p, weighted_integral_q
 
 __all__ = ["EigenPair", "rayleigh", "first_eigenpair", "pairing", "orthogonalize_weight"]
@@ -64,21 +63,12 @@ def rayleigh(u: GridFn, p: float) -> float:
 def _stiffness_preconditioner(mesh: Mesh):
     """Apply the inverse of the linear P1 stiffness matrix (interior nodes).
 
-    The tridiagonal matrix is factored once (LAPACK pttrf) and every call
-    is one pttrs solve: the two steps ptsv takes per call, so the result is
-    bit-for-bit that of solveh_banded on the same band.
+    Factored once (LAPACK pttrf), one pttrs solve per call: bit-for-bit
+    solveh_banded on the same band. The descents precondition with the
+    p-stiffness at their iterate (EnergyPoint.precondition), which is this
+    matrix at p = 2; the climbing string keeps this one (solvers.string_relax).
     """
-    n_int = mesh.n_nodes - 2
-    d, e, info = dpttrf(np.full(n_int, 2.0 / mesh.h), np.full(n_int - 1, -1.0 / mesh.h))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"stiffness factorization failed (info={info})")
-
-    def apply(r: np.ndarray) -> np.ndarray:
-        z = np.zeros(mesh.n_nodes)
-        z[1:-1] = dpttrs(d, e, r[1:-1])[0]
-        return z
-
-    return apply
+    return _stiffness_solver(mesh, np.ones(mesh.n_cells))
 
 
 def _solve_dg(mesh: Mesh, p: float, b: np.ndarray) -> np.ndarray:

@@ -22,7 +22,8 @@ Every energy in the package is built from the three P1 integrals
 int |u'|^p, int |u|^p and int a|u|^q (or their positive-part variants) and
 their nodal gradients. P1Energy is that kernel: called on a nodal vector
 it returns an EnergyPoint holding the three values and, on request, the
-gradients, and its normalize scales a vector onto the gradient sphere
+gradients and the inverse of the p-stiffness at that point (the descent
+metric), and its normalize scales a vector onto the gradient sphere
 {int |u'|^p = 1}. The eigen solver, the critical-value search and the
 fibered solvers use it and keep only their own algebra on top.
 """
@@ -32,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import FiberUndefinedError, MeshMismatchError
 from .grid import (
@@ -59,6 +61,31 @@ __all__ = [
 # Relative cutoff below which E or the weight integral counts as zero when
 # deciding whether the fiber scale is defined.
 FIBER_ZERO_RTOL = 1e-12
+# Regularization of the p-stiffness metric (EnergyPoint.precondition): a
+# cell's slope counts as at least about this fraction of the largest slope.
+METRIC_EPS = 1e-2
+
+
+def _stiffness_solver(mesh: Mesh, w: np.ndarray):
+    """Apply the inverse of the P1 stiffness with positive cell weights w.
+
+    The matrix sum_k w_k (e_k - e_(k+1))(e_k - e_(k+1))^T / h on the
+    interior nodes is tridiagonal: it is factored once (LAPACK pttrf) and
+    every call is one pttrs solve, the two steps ptsv takes per call. The
+    returned z solves K z = r on the interior and is zero at the boundary;
+    r's boundary entries are ignored. With every w_k = 1 it is the linear
+    stiffness.
+    """
+    d, e, info = dpttrf((w[:-1] + w[1:]) / mesh.h, -w[1:-1] / mesh.h)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stiffness factorization failed (info={info})")
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        z = np.zeros(mesh.n_nodes)
+        z[1:-1] = dpttrs(d, e, r[1:-1])[0]
+        return z
+
+    return apply
 
 
 @dataclass(frozen=True)
@@ -134,14 +161,19 @@ class P1Energy:
 
         Returns a new array. The boundary entries are set to zero first, so
         the rescaling never amplifies boundary dust; the zero function
-        raises ValueError.
+        raises ValueError. When the power sum under- or overflows (large p
+        times n), v is first divided by its largest slope and summed again.
         """
         v = np.array(v)
         v[0] = v[-1] = 0.0
         du = v[1:] - v[:-1]
         g = float((np.abs(du) ** self.p).sum()) / self.h_scale
-        if g == 0.0:
-            raise ValueError("cannot normalize the zero function")
+        if g == 0.0 or not np.isfinite(g):
+            top = float(np.max(np.abs(du)))
+            if top == 0.0:
+                raise ValueError("cannot normalize the zero function")
+            v, du = v / top, du / top
+            g = float((np.abs(du) ** self.p).sum()) / self.h_scale
         return v / g ** (1.0 / self.p)
 
 
@@ -152,10 +184,13 @@ class EnergyPoint:
     difference and one gauss_values pass. The nodal gradients are built only
     when asked for and then kept, so a caller holding the point pays for
     each at most once: gradients() assembles dg from the cell fluxes and
-    scatters dm, weight_gradient() scatters dw.
+    scatters dm, weight_gradient() scatters dw, precondition() factors the
+    p-stiffness at this point.
     """
 
-    __slots__ = ("grad_term", "mass", "weight", "_k", "_du", "_abs_du", "_g", "_b", "_signs", "_grads", "_dw")
+    __slots__ = (
+        "grad_term", "mass", "weight", "_k", "_du", "_abs_du", "_g", "_b", "_signs", "_grads", "_dw", "_metric"
+    )
 
     def __init__(self, kernel: P1Energy, v: np.ndarray):
         p, q, mesh = kernel.p, kernel.q, kernel.mesh
@@ -174,7 +209,7 @@ class EnergyPoint:
             a1, a2 = kernel.a_gauss
             self.weight = gauss_integral(mesh, a1 * b1**q, a2 * b2**q)
         self._du, self._abs_du, self._g, self._b = du, abs_du, (g1, g2), (b1, b2)
-        self._signs = self._grads = self._dw = None
+        self._signs = self._grads = self._dw = self._metric = None
 
     def _gauss_power(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         # d/dg of b^(r+1)/(r+1) at both Gauss points: b^r, times sign(g)
@@ -215,6 +250,29 @@ class EnergyPoint:
             self._dw = scatter_gauss_gradient(k.mesh, k.qa[0] * w1, k.qa[1] * w2)
             self._dw.flags.writeable = False
         return self._dw
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """z with K z = r, K the regularized p-stiffness at this point; factored once.
+
+        K is the P1 stiffness with the cell weights
+        (s_k^2 + (METRIC_EPS max s)^2)^((p-2)/2), s_k = |du_k|/h, divided by
+        their maximum: the cell weight of the Hessian of int |u'|^p up to a
+        constant, kept positive on flat cells (p > 2, where it would vanish)
+        and bounded on them (p < 2, where it would blow up). At p = 2, and at
+        the zero vector, every weight is 1 and K is the linear stiffness.
+        """
+        if self._metric is None:
+            k = self._k
+            top = float(np.max(self._abs_du))
+            if top > 0.0:
+                # weights of s_k / max s: scale-free, so no power under- or overflows
+                t = self._abs_du / top
+                w = (t * t + METRIC_EPS**2) ** (0.5 * (k.p - 2.0))
+                w /= np.max(w)
+            else:
+                w = np.ones(k.mesh.n_cells)
+            self._metric = _stiffness_solver(k.mesh, w)
+        return self._metric(r)
 
 
 def _point(u: GridFn, spec: ProblemSpec, truncated: bool) -> EnergyPoint:

@@ -27,11 +27,20 @@ the solver's acceptance test. ground_state and m_minus share one
 ray-optimal phase, _ray_descent, in their two cones.
 
 Every minimization is a descent.py run: Barzilai-Borwein steps, a
-nonmonotone line search and the linear-stiffness preconditioner. The
-climbing string steps its own beads with the same preconditioner: a
+nonmonotone line search, and a preconditioner that is the regularized
+p-stiffness at the current iterate (EnergyPoint.precondition): the cell
+weight |u'|^(p-2) of the Hessian of int |u'|^p, factored once per
+accepted point in O(n). That is the preconditioned descent of Huang, Li &
+Liu (J. Sci. Comput. 32, 2007); the linear stiffness it replaces is
+mismatched wherever u' = 0 and p != 2. The ray phase, both polishes,
+continuation, order_interval_min and multistart_truncated_descent all
+use it through _Kernel.precond. The climbing string steps its own beads
+with the linear stiffness M (eigen._stiffness_preconditioner): a
 Barzilai-Borwein step for the climbing bead, a per-bead Armijo search for
-the others. Iterates are raw nodal arrays with pinned boundary zeros.
-The energy terms, their gradients and the sphere retraction come from
+the others. Its climbing bead reflects the tangent in the metric of M, so
+changing the preconditioner alone would break that reflection. Iterates
+are raw nodal arrays with pinned boundary zeros. The energy terms, their
+gradients, the metric and the sphere retraction come from
 functionals.P1Energy through _Kernel, which adds only the algebra of E,
 I, the ray-optimal J and the cones.
 """
@@ -135,7 +144,9 @@ class _Kernel:
     P1Energy kernel, so the guard, value and gradient callbacks descent
     calls on one array share a single evaluation: in_cone(trial) and
     J(trial) one pass, and grad_J at the accepted point only the gradient
-    assembly on top of it.
+    assembly on top of it. precond applies the metric of the point the
+    memo holds, which descent guarantees is the accepted point whose
+    gradient it gets.
     """
 
     def __init__(self, spec: ProblemSpec, truncated: bool):
@@ -143,7 +154,6 @@ class _Kernel:
         self.p = spec.p
         self.q = spec.q
         self.lam = spec.lam
-        self.precond = _stiffness_preconditioner(spec.mesh)
         self._amax = spec.a.linf()
         energy = P1Energy(spec.mesh, spec.p, spec.q, spec.a.gauss, truncated)
         self.normalize = energy.normalize
@@ -168,6 +178,10 @@ class _Kernel:
         pt = self._point(v)
         dg, dm = pt.gradients()
         return (dg - self.lam * dm) / self.p - pt.weight_gradient() / self.q
+
+    def precond(self, g: np.ndarray) -> np.ndarray:
+        """The descent direction: g in the p-stiffness metric of the last point valued."""
+        return self._point.last.precondition(g)
 
     # -- fibered objective ---------------------------------------------
     def J(self, v: np.ndarray) -> float:
@@ -295,7 +309,9 @@ def ground_state(
     eigenfunction, then positive perturbations of it. If the ray-optimal
     values sink below J_FLOOR the run is reported with status "diverged":
     the minimization level is unbounded below there and any returned
-    minimizer would be spurious.
+    minimizer would be spurious. When no start converges or diverges, the
+    SolverError names every start's stop reason and iteration count, for
+    the ray phase and for the polish.
     """
     kernel = _Kernel(spec, truncated)
     partition = sign_partition(spec.a)
@@ -318,8 +334,9 @@ def ground_state(
     best: SolveReport | None = None
     diverged: SolveReport | None = None
     total_iters = 0
+    failures: list[str] = []
 
-    for v0 in seeds:
+    for k, v0 in enumerate(seeds):
         res_a = _ray_descent(kernel, v0, +1, tol)
         total_iters += res_a.iterations
         if res_a.status == "diverged" or kernel.energy_collapsed(res_a.x):
@@ -342,7 +359,11 @@ def ground_state(
             proj = kernel.normalize(res_b.x)
             diverged = _report_from(spec, proj, kernel.residual_sup(proj), "ground", total_iters, "diverged")
             continue
-        if res_b.status not in ("converged",):
+        if res_b.status != "converged":
+            failures.append(
+                f"start {k}: ray phase {res_a.status} after {res_a.iterations} iterations, "
+                f"polish {res_b.status} after {res_b.iterations}"
+            )
             continue
         cand = _report_from(spec, res_b.x, kernel.residual_sup(res_b.x), "ground", total_iters, "converged")
         cand_level = cand.breakdown.I_trunc if truncated else cand.breakdown.I
@@ -352,7 +373,7 @@ def ground_state(
         return best
     if diverged is not None:
         return diverged
-    raise SolverError("ground state search failed on every start")
+    raise SolverError("ground state search failed on every start: " + "; ".join(failures))
 
 
 def m_minus(
@@ -642,7 +663,8 @@ def string_relax(
 
     Every sweep the highest interior bead climbs: its step reverses the
     tangential part of the preconditioned gradient, reflected in the
-    stiffness metric M (the preconditioner is P = M^-1),
+    linear stiffness metric M (the preconditioner is P = M^-1, not the
+    descents' p-stiffness: the reflection needs P and M to be one metric),
 
         d = P g - 2 (g . tau) / (tau . M tau) tau,   tau = x[i+1] - x[i-1],
 
@@ -664,6 +686,7 @@ def string_relax(
     J. Chem. Phys. 126, 164103, 2007.)
     """
     kernel = _Kernel(spec, truncated=True)
+    precond = _stiffness_preconditioner(spec.mesh)
     h = spec.mesh.h
     chain = [np.array(b.values) for b in path.beads]
     n = len(chain)
@@ -688,7 +711,7 @@ def string_relax(
             g = grads[i]
             tau = chain[i + 1] - chain[i - 1]
             if i == top:
-                d = kernel.precond(g)
+                d = precond(g)
                 dtau = np.diff(tau)
                 tau_m_tau = float(np.dot(dtau, dtau)) / h
                 if tau_m_tau > 0.0:
@@ -706,7 +729,7 @@ def string_relax(
             if norm > 0.0:
                 tau /= norm
                 g = g - float(np.dot(g, tau)) * tau
-            d = kernel.precond(g)
+            d = precond(g)
             slope = float(np.dot(g, d))
             if slope <= 0.0:
                 continue

@@ -232,3 +232,24 @@ def test_p15_ladder_iteration_gate():
     for n in (256, 512, 1024, 2048, 4096):
         pair = first_eigenpair(make_mesh(0.0, 1.0, n), 1.5)
         assert pair.iterations <= 15, (n, pair.iterations)
+
+
+def test_large_p_fine_mesh_normalizes_past_underflow():
+    # slopes ~1e-7 to the 50th power sum to 0 in double precision: normalize
+    # rescales by the largest slope instead of refusing the iterate
+    mesh = make_mesh(0.0, 1.0, 4096)
+    pair = first_eigenpair(mesh, 50.0)
+    assert pair.lambda1 == pytest.approx(closed_form_lambda1(50.0), rel=1e-5)
+    assert np.all(pair.phi.values[1:-1] > 0.0)
+    assert grad_seminorm_p(pair.phi, 50.0) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_normalize_is_unchanged_where_the_power_sum_is_finite():
+    mesh = make_mesh(0.0, 1.0, 64)
+    energy = P1Energy(mesh, 3.0)
+    v = np.sin(np.pi * mesh.nodes)
+    v[0] = v[-1] = 0.0
+    g = float((np.abs(np.diff(v)) ** 3.0).sum()) / energy.h_scale
+    assert energy.normalize(v).tobytes() == (v / g ** (1.0 / 3.0)).tobytes()
+    with pytest.raises(ValueError):
+        energy.normalize(np.zeros(mesh.n_nodes))

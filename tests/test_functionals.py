@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from plaplab.eigen import _stiffness_preconditioner
 from plaplab.errors import FiberUndefinedError, MeshMismatchError
 from plaplab.functionals import (
+    METRIC_EPS,
+    P1Energy,
     ProblemSpec,
     evaluate,
     fiber_scale,
@@ -280,3 +283,59 @@ class TestNehariIdentity:
             if checked >= 20:
                 break
         assert checked >= 5
+
+
+class TestMetric:
+    """EnergyPoint.precondition solves with the regularized p-stiffness at the point."""
+
+    @staticmethod
+    def dense_stiffness(mesh, p, vals):
+        """Interior block of sum_k w_k d_k d_k^T / h, assembled from its definition."""
+        s = np.abs(np.diff(vals)) / mesh.h
+        if s.max() == 0.0:
+            w = np.ones(mesh.n_cells)
+        else:
+            w = (s**2 + (METRIC_EPS * s.max()) ** 2) ** ((p - 2.0) / 2.0)
+            w = w / w.max()
+        k = np.zeros((mesh.n_nodes, mesh.n_nodes))
+        for c in range(mesh.n_cells):
+            k[c : c + 2, c : c + 2] += w[c] / mesh.h * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        return k[1:-1, 1:-1]
+
+    @staticmethod
+    def iterates(mesh, rng):
+        rough = _random_u(mesh, rng).values
+        # a dead core: exactly flat (zero) over the middle third
+        x = mesh.nodes
+        dead = np.where(np.abs(x - 0.5) < 1.0 / 6.0, 0.0, np.sin(3.0 * np.pi * x) ** 2)
+        dead[0] = dead[-1] = 0.0
+        return {"rough": rough, "dead_core": dead, "zero": np.zeros(mesh.n_nodes)}
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_p2_is_the_linear_stiffness_bit_for_bit(self, n):
+        mesh = make_mesh(0.0, 1.0, n)
+        linear = _stiffness_preconditioner(mesh)
+        energy = P1Energy(mesh, 2.0)
+        rng = np.random.default_rng(n)
+        for vals in self.iterates(mesh, rng).values():
+            pt = energy(vals)
+            for _ in range(5):
+                r = rng.normal(size=mesh.n_nodes) * 10.0 ** rng.uniform(-8.0, 8.0)
+                assert pt.precondition(r).tobytes() == linear(r).tobytes()
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 5.0])
+    def test_solves_the_dense_p_stiffness(self, p):
+        mesh = make_mesh(0.0, 2.0, 128)
+        rng = np.random.default_rng(int(10 * p))
+        energy = P1Energy(mesh, p)
+        for name, vals in self.iterates(mesh, rng).items():
+            k = self.dense_stiffness(mesh, p, vals)
+            pt = energy(vals)
+            for _ in range(3):
+                r = rng.normal(size=mesh.n_nodes)
+                z = pt.precondition(r)
+                assert z[0] == 0.0 and z[-1] == 0.0
+                # normwise backward error: at p = 5 the weights span 1e-6, so z
+                # is large and the residual is judged against |K| |z|
+                residual = np.max(np.abs(k @ z[1:-1] - r[1:-1]))
+                assert residual <= 1e-12 * np.max(np.abs(k)) * np.max(np.abs(z)), (name, residual)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from plaplab.critical import compute_critical_values, nonexistence_bound
+from plaplab.descent import DescentResult
 from plaplab.errors import AttainabilityError, EmptyConeError, SolverError
 from plaplab.eigen import first_eigenpair
 from plaplab.functionals import ProblemSpec, evaluate, gradient_I, nehari_residual_rel
@@ -104,6 +105,44 @@ class TestGroundState:
         b = rep.breakdown
         coeff = (spec.p - spec.q) / (spec.p * spec.q)
         assert abs(b.I + coeff * b.E) < 10 * TOL * (1.0 + abs(b.E))
+
+
+    def test_sweep_p3_first_row_iteration_gate(self, neg_pairing_problem):
+        # the sweep-p3 benchmark's row at 0.9 lambda1 (8 starts, seed 7): the
+        # p-stiffness metric takes about a hundred iterations, the linear
+        # stiffness took 3 477
+        spec0, pair = neg_pairing_problem
+        rep = solvers.ground_state(spec0.with_lambda(0.9 * pair.lambda1), tol=TOL, seed=7)
+        assert rep.ok and rep.residual_sup < TOL
+        assert rep.iterations <= 300
+
+    def test_p4_two_bump_polish_converges(self, mesh256):
+        # with the linear-stiffness preconditioner every polish of this case
+        # ran to its 50 000-iteration cap and the call raised SolverError
+        pair = first_eigenpair(mesh256, 4.0)
+        spec = ProblemSpec(4.0, 1.5, 1.05 * pair.lambda1, two_bump(mesh256), mesh256)
+        rep = solvers.ground_state(spec, tol=TOL, seed=7)
+        assert rep.ok and rep.residual_sup < TOL
+        assert rep.iterations <= 5_000
+        assert rep.breakdown.I_trunc == pytest.approx(-0.2673282326, abs=1e-8)
+        assert nehari_residual_rel(rep.u, spec, truncated=True) < 1e-6
+
+    def test_failure_names_every_start(self, neg_pairing_problem, monkeypatch):
+        # every ray phase stalls after 11 iterations, every polish is capped after 13
+        def capped(x0, fun, grad, *, normalize=None, **kwargs):
+            ray = normalize is not None
+            x = normalize(x0) if ray else np.array(x0)
+            status, iters = ("stalled", 11) if ray else ("max_iterations", 13)
+            return DescentResult(x=x, f=fun(x), grad=grad(x), iterations=iters, status=status)
+
+        monkeypatch.setattr(solvers, "bb_descent", capped)
+        spec0, pair = neg_pairing_problem
+        with pytest.raises(SolverError) as err:
+            solvers.ground_state(spec0.with_lambda(0.5 * pair.lambda1), starts=3, tol=TOL, seed=0)
+        message = str(err.value)
+        for k in range(3):
+            assert f"start {k}: ray phase stalled after 11 iterations, polish max_iterations after 13" in message
+        assert "start 3" not in message
 
 
 class TestMMinus:

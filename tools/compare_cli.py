@@ -13,10 +13,12 @@ differs and a short diff, and exits 1 on any difference.
 The list holds the commands of the four benchmark workloads, whose configs
 are read from this checkout's perfbench/configs/, and small configs taken
 from the test suite: sweeps on both sides of the threshold, the
-three-solution scan, ground, certify, critical, the eigenpair at p = 1.25
-(n = 256, q = 1.1), JSON and stdout output, zero-pairing sweeps at
-lambda1 (no mountain-pass branch) and just past it (a mountain pass over
-the local minimum), and configs that must be refused.
+three-solution scan, ground (also at p = 4, q = 1.5, 1.05 lambda1, whose
+polish once ran to its iteration cap on every start), certify, critical,
+the eigenpair at p = 1.25 (n = 256, q = 1.1), JSON and stdout output,
+zero-pairing sweeps at lambda1 (no mountain-pass branch) and just past it
+(a mountain pass over the local minimum), and configs that must be
+refused.
 """
 
 from __future__ import annotations
@@ -45,6 +47,16 @@ p = 3.0
 q = 2.0
 weight_family = two-bump
 lambda_start = 0.9
+lambda_count = 1
+tol = 1e-8
+seed = 7
+""",
+    "ground-p4": """
+n_cells = 256
+p = 4.0
+q = 1.5
+weight_family = two-bump
+lambda_start = 1.05
 lambda_count = 1
 tol = 1e-8
 seed = 7
@@ -184,6 +196,7 @@ COMMANDS = (
     Command("critical-p3", "critical", "sweep-p3.cfg"),
     Command("sweep-p3-seed3", "sweep", "sweep-p3.cfg", ("--seed", "3")),
     Command("ground-p3", "ground", "ground-p3"),
+    Command("ground-p4", "ground", "ground-p4"),
     Command("certify", "certify", "certify"),
     Command("small-sweep", "sweep", "small-sweep"),
     Command("crosses-threshold", "sweep", "crosses-threshold"),
