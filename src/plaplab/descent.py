@@ -52,13 +52,14 @@ _BACKTRACK_MAX = 60
 _STEP_MIN = 1e-16
 _STEP_MAX = 1e12
 _STALL_WINDOW = 100  # accepted iterations over which a projected run must make progress
+_WINDOW = 10  # accepted points the nonmonotone Armijo test looks back over
+_STEP0 = 1e-2  # first trial step, before there is a Barzilai-Borwein pair
 
 
 @dataclass
 class DescentResult:
     x: np.ndarray
     f: float
-    grad: np.ndarray
     iterations: int
     status: str  # converged | diverged | max_iterations | stalled
 
@@ -106,7 +107,6 @@ def _spg(
     tol: float,
     max_iter: int,
     window: int,
-    step0: float,
     *,
     normalize: Callable[[np.ndarray], np.ndarray] | None = None,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -123,7 +123,7 @@ def _spg(
     g = grad(x)
     d = precond(g) if precond is not None else g
     history = [f]  # objective at the accepted points
-    alpha = step0
+    alpha = _STEP0
     prev_x = None
     prev_d = None
     status = "max_iterations"
@@ -180,7 +180,7 @@ def _spg(
         d = precond(g) if precond is not None else g
         history.append(f)
 
-    return DescentResult(x=x, f=f, grad=g, iterations=it, status=status)
+    return DescentResult(x=x, f=f, iterations=it, status=status)
 
 
 def bb_descent(
@@ -190,17 +190,14 @@ def bb_descent(
     *,
     tol: float = 1e-8,
     max_iter: int = 50_000,
-    window: int = 10,
-    step0: float = 1e-2,
+    window: int = _WINDOW,
     guard: Callable[[np.ndarray], bool] | None = None,
     floor: float | None = None,
     normalize: Callable[[np.ndarray], np.ndarray] | None = None,
     precond: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> DescentResult:
     """Minimize fun by the descent loop from normalize(x0), which must pass guard."""
-    return _spg(
-        x0, fun, grad, tol, max_iter, window, step0, normalize=normalize, guard=guard, floor=floor, precond=precond
-    )
+    return _spg(x0, fun, grad, tol, max_iter, window, normalize=normalize, guard=guard, floor=floor, precond=precond)
 
 
 def projected_descent(
@@ -211,9 +208,7 @@ def projected_descent(
     *,
     tol: float = 1e-8,
     max_iter: int = 50_000,
-    window: int = 10,
-    step0: float = 1e-2,
     precond: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> DescentResult:
     """Minimize fun over a convex (or retractable) set by the descent loop from project(x0)."""
-    return _spg(x0, fun, grad, tol, max_iter, window, step0, project=project, precond=precond)
+    return _spg(x0, fun, grad, tol, max_iter, _WINDOW, project=project, precond=precond)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshMismatchError, NonConvergenceError, WeightError
-from .functionals import P1Energy, _stiffness_solver
+from .functionals import P1Energy
 from .grid import GridFn, Mesh, Weight, grad_seminorm_p, integral_abs_p, weighted_integral_q
 
 __all__ = ["EigenPair", "rayleigh", "first_eigenpair", "pairing", "orthogonalize_weight"]
@@ -58,17 +58,6 @@ def rayleigh(u: GridFn, p: float) -> float:
     if m == 0.0:
         raise ValueError("Rayleigh quotient undefined for the zero function")
     return grad_seminorm_p(u, p) / m
-
-
-def _stiffness_preconditioner(mesh: Mesh):
-    """Apply the inverse of the linear P1 stiffness matrix (interior nodes).
-
-    Factored once (LAPACK pttrf), one pttrs solve per call: bit-for-bit
-    solveh_banded on the same band. The descents precondition with the
-    p-stiffness at their iterate (EnergyPoint.precondition), which is this
-    matrix at p = 2; the climbing string keeps this one (solvers.string_relax).
-    """
-    return _stiffness_solver(mesh, np.ones(mesh.n_cells))
 
 
 def _solve_dg(mesh: Mesh, p: float, b: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import FiberUndefinedError, MeshMismatchError
 from .grid import (
@@ -69,20 +68,25 @@ METRIC_EPS = 1e-2
 def _stiffness_solver(mesh: Mesh, w: np.ndarray):
     """Apply the inverse of the P1 stiffness with positive cell weights w.
 
-    The matrix sum_k w_k (e_k - e_(k+1))(e_k - e_(k+1))^T / h on the
-    interior nodes is tridiagonal: it is factored once (LAPACK pttrf) and
-    every call is one pttrs solve, the two steps ptsv takes per call. The
-    returned z solves K z = r on the interior and is zero at the boundary;
-    r's boundary entries are ignored. With every w_k = 1 it is the linear
-    stiffness.
+    The matrix K = sum_k w_k (e_k - e_(k+1))(e_k - e_(k+1))^T / h couples
+    the nodes only through the cell fluxes F_k = w_k du_k / h, and row i
+    of K z = r reads F_(i-1) - F_i = r_i. So every flux is
+    F_k = F_0 - c_k with c_k = r_1 + ... + r_k, every slope is
+    du_k = (h / w_k) F_k, and z(x_hi) = sum du_k = 0 gives F_0 in closed
+    form as the mean of c weighted by the cell compliances h / w_k; z is
+    the partial sums of du. The compliances are computed once, so every
+    call is O(n) with no pivot. z is zero at both ends; r's boundary
+    entries are ignored. With every w_k = 1 it is the linear stiffness.
     """
-    d, e, info = dpttrf((w[:-1] + w[1:]) / mesh.h, -w[1:-1] / mesh.h)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"stiffness factorization failed (info={info})")
+    compliance = mesh.h / w
+    total = float(compliance.sum())
 
     def apply(r: np.ndarray) -> np.ndarray:
+        c = np.zeros(mesh.n_cells)
+        np.cumsum(r[1:-1], out=c[1:])
+        flux = float(np.dot(c, compliance)) / total - c
         z = np.zeros(mesh.n_nodes)
-        z[1:-1] = dpttrs(d, e, r[1:-1])[0]
+        np.cumsum((flux * compliance)[:-1], out=z[1:-1])
         return z
 
     return apply
@@ -184,8 +188,8 @@ class EnergyPoint:
     difference and one gauss_values pass. The nodal gradients are built only
     when asked for and then kept, so a caller holding the point pays for
     each at most once: gradients() assembles dg from the cell fluxes and
-    scatters dm, weight_gradient() scatters dw, precondition() factors the
-    p-stiffness at this point.
+    scatters dm, weight_gradient() scatters dw, precondition() builds the
+    cell compliances of the p-stiffness at this point.
     """
 
     __slots__ = (
@@ -252,14 +256,16 @@ class EnergyPoint:
         return self._dw
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        """z with K z = r, K the regularized p-stiffness at this point; factored once.
+        """z with K z = r, K the regularized p-stiffness at this point.
 
         K is the P1 stiffness with the cell weights
         (s_k^2 + (METRIC_EPS max s)^2)^((p-2)/2), s_k = |du_k|/h, divided by
         their maximum: the cell weight of the Hessian of int |u'|^p up to a
         constant, kept positive on flat cells (p > 2, where it would vanish)
         and bounded on them (p < 2, where it would blow up). At p = 2, and at
-        the zero vector, every weight is 1 and K is the linear stiffness.
+        the zero vector, every weight is 1 and K is the linear stiffness. The
+        solve is the exact flux identity of _stiffness_solver; its cell
+        compliances are computed on the first call and then kept.
         """
         if self._metric is None:
             k = self._k

@@ -69,10 +69,6 @@ class Mesh:
         x.flags.writeable = False
         return x
 
-    def interior(self) -> slice:
-        """Index slice of the interior nodes."""
-        return slice(1, self.n_cells)
-
 
 def _frozen(values: np.ndarray) -> np.ndarray:
     out = np.array(values, dtype=float)

@@ -29,20 +29,21 @@ ray-optimal phase, _ray_descent, in their two cones.
 Every minimization is a descent.py run: Barzilai-Borwein steps, a
 nonmonotone line search, and a preconditioner that is the regularized
 p-stiffness at the current iterate (EnergyPoint.precondition): the cell
-weight |u'|^(p-2) of the Hessian of int |u'|^p, factored once per
-accepted point in O(n). That is the preconditioned descent of Huang, Li &
-Liu (J. Sci. Comput. 32, 2007); the linear stiffness it replaces is
-mismatched wherever u' = 0 and p != 2. The ray phase, both polishes,
-continuation, order_interval_min and multistart_truncated_descent all
-use it through _Kernel.precond. The climbing string steps its own beads
-with the linear stiffness M (eigen._stiffness_preconditioner): a
-Barzilai-Borwein step for the climbing bead, a per-bead Armijo search for
-the others. Its climbing bead reflects the tangent in the metric of M, so
-changing the preconditioner alone would break that reflection. Iterates
-are raw nodal arrays with pinned boundary zeros. The energy terms, their
-gradients, the metric and the sphere retraction come from
-functionals.P1Energy through _Kernel, which adds only the algebra of E,
-I, the ray-optimal J and the cones.
+weight |u'|^(p-2) of the Hessian of int |u'|^p, solved in O(n) at each
+accepted point by the exact 1-D flux identity. That is the
+preconditioned descent of Huang, Li & Liu (J. Sci. Comput. 32, 2007);
+the linear stiffness it replaces is mismatched wherever u' = 0 and
+p != 2. The ray phase, both polishes, continuation, order_interval_min
+and multistart_truncated_descent all use it through _Kernel.precond. The
+climbing string steps its own beads with the linear stiffness M
+(functionals._stiffness_solver with unit weights): a Barzilai-Borwein
+step for the climbing bead, a per-bead Armijo search for the others. Its
+climbing bead reflects the tangent in the metric of M, so changing the
+preconditioner alone would break that reflection. Iterates are raw nodal
+arrays with pinned boundary zeros. The energy terms, their gradients,
+the metric and the sphere retraction come from functionals.P1Energy
+through _Kernel, which adds only the algebra of E, I, the ray-optimal J
+and the cones.
 """
 
 from __future__ import annotations
@@ -54,14 +55,14 @@ from itertools import combinations
 import numpy as np
 
 from .descent import DescentResult, PointMemo, bb_descent, projected_descent
-from .eigen import EigenPair, _stiffness_preconditioner, first_eigenpair
+from .eigen import EigenPair, first_eigenpair
 from .errors import (
     AttainabilityError,
     EmptyConeError,
     MeshMismatchError,
     SolverError,
 )
-from .functionals import EnergyBreakdown, P1Energy, ProblemSpec, _fibered_value, evaluate
+from .functionals import EnergyBreakdown, P1Energy, ProblemSpec, _fibered_value, _stiffness_solver, evaluate
 from .grid import GridFn, SignPartition, component_bump, sign_partition, smooth_noise, widest_component_bump
 
 __all__ = [
@@ -100,7 +101,6 @@ class SolveReport:
     u: GridFn
     breakdown: EnergyBreakdown
     residual_sup: float
-    kind: str  # ground | local_min | order_interval_min | mountain_pass | m_minus
     iterations: int
     lam: float
     status: str = "converged"  # converged | diverged | window_exceeded | saddle_not_found | failed
@@ -275,15 +275,12 @@ def _ray_descent(kernel: _Kernel, v0: np.ndarray, sign: int, tol: float) -> Desc
     )
 
 
-def _report_from(
-    spec: ProblemSpec, vals: np.ndarray, residual: float, kind: str, iterations: int, status: str
-) -> SolveReport:
+def _report_from(spec: ProblemSpec, vals: np.ndarray, residual: float, iterations: int, status: str) -> SolveReport:
     u = GridFn(spec.mesh, vals)
     return SolveReport(
         u=u,
         breakdown=evaluate(u, spec),
         residual_sup=residual,
-        kind=kind,
         iterations=iterations,
         lam=spec.lam,
         status=status,
@@ -341,7 +338,7 @@ def ground_state(
         total_iters += res_a.iterations
         if res_a.status == "diverged" or kernel.energy_collapsed(res_a.x):
             proj = kernel.normalize(res_a.x)
-            diverged = _report_from(spec, proj, kernel.residual_sup(proj), "ground", total_iters, "diverged")
+            diverged = _report_from(spec, proj, kernel.residual_sup(proj), total_iters, "diverged")
             continue
         x = kernel.fiber_project(res_a.x)
         res_b = bb_descent(
@@ -357,7 +354,7 @@ def ground_state(
         total_iters += res_b.iterations
         if res_b.status == "diverged":
             proj = kernel.normalize(res_b.x)
-            diverged = _report_from(spec, proj, kernel.residual_sup(proj), "ground", total_iters, "diverged")
+            diverged = _report_from(spec, proj, kernel.residual_sup(proj), total_iters, "diverged")
             continue
         if res_b.status != "converged":
             failures.append(
@@ -365,7 +362,7 @@ def ground_state(
                 f"polish {res_b.status} after {res_b.iterations}"
             )
             continue
-        cand = _report_from(spec, res_b.x, kernel.residual_sup(res_b.x), "ground", total_iters, "converged")
+        cand = _report_from(spec, res_b.x, kernel.residual_sup(res_b.x), total_iters, "converged")
         cand_level = cand.breakdown.I_trunc if truncated else cand.breakdown.I
         if best is None or cand_level < (best.breakdown.I_trunc if truncated else best.breakdown.I):
             best = cand
@@ -430,7 +427,7 @@ def m_minus(
         x = kernel.fiber_project(res_b.x)
         residual = kernel.residual_sup(x)
         status = "converged" if res_b.status in ("converged", "stalled") and residual < 10 * tol else "failed"
-        cand = _report_from(spec, x, residual, "m_minus", total_iters, status)
+        cand = _report_from(spec, x, residual, total_iters, status)
         if cand.ok and (best is None or cand.breakdown.I < best.breakdown.I):
             best = cand
     if best is None:
@@ -538,11 +535,11 @@ def local_min_continuation(
         d, _ = _sup_dist_to_members(res.x, members)
         interior = d < 0.9 * delta
         if res.status == "converged" and interior:
-            cand = _report_from(spec, res.x, kernel.residual_sup(res.x), "local_min", total_iters, "converged")
+            cand = _report_from(spec, res.x, kernel.residual_sup(res.x), total_iters, "converged")
             if best is None or cand.breakdown.I_trunc < best.breakdown.I_trunc:
                 best = cand
         else:
-            cand = _report_from(spec, res.x, kernel.residual_sup(res.x), "local_min", total_iters, "window_exceeded")
+            cand = _report_from(spec, res.x, kernel.residual_sup(res.x), total_iters, "window_exceeded")
             if pinned is None or cand.breakdown.I_trunc < pinned.breakdown.I_trunc:
                 pinned = cand
     if best is not None:
@@ -604,7 +601,7 @@ def order_interval_min(
     )
     status = "converged" if res.status == "converged" else "failed"
     fp_residual = float(np.max(np.abs(res.x - clip(res.x - kernel.grad_I(res.x)))))
-    return _report_from(spec, clip(res.x), fp_residual, "order_interval_min", res.iterations, status)
+    return _report_from(spec, clip(res.x), fp_residual, res.iterations, status)
 
 
 def initial_path(spec: ProblemSpec, u: GridFn, omega: GridFn, beads: int = 17) -> PathState:
@@ -663,7 +660,8 @@ def string_relax(
 
     Every sweep the highest interior bead climbs: its step reverses the
     tangential part of the preconditioned gradient, reflected in the
-    linear stiffness metric M (the preconditioner is P = M^-1, not the
+    linear stiffness metric M (the preconditioner is P = M^-1, the flux
+    solve of functionals._stiffness_solver with unit weights, not the
     descents' p-stiffness: the reflection needs P and M to be one metric),
 
         d = P g - 2 (g . tau) / (tau . M tau) tau,   tau = x[i+1] - x[i-1],
@@ -686,7 +684,7 @@ def string_relax(
     J. Chem. Phys. 126, 164103, 2007.)
     """
     kernel = _Kernel(spec, truncated=True)
-    precond = _stiffness_preconditioner(spec.mesh)
+    precond = _stiffness_solver(spec.mesh, np.ones(spec.mesh.n_cells))
     h = spec.mesh.h
     chain = [np.array(b.values) for b in path.beads]
     n = len(chain)
@@ -782,7 +780,7 @@ def mountain_pass(
     top = 1 + int(np.argmax(path.energies[1:-1]))
     found = path.residual < tol and path.energies[top] > path.energies[0] + 1e-14
     status = "converged" if found else "saddle_not_found"
-    return _report_from(spec, path.beads[top].values, path.residual, "mountain_pass", len(barrier_history), status)
+    return _report_from(spec, path.beads[top].values, path.residual, len(barrier_history), status)
 
 
 def runaway_state(
@@ -859,7 +857,7 @@ def multistart_truncated_descent(
             precond=kernel.precond,
         )
         status = {"converged": "converged", "diverged": "diverged"}.get(res.status, "failed")
-        reports.append(_report_from(spec, res.x, kernel.residual_sup(res.x), "local_min", res.iterations, status))
+        reports.append(_report_from(spec, res.x, kernel.residual_sup(res.x), res.iterations, status))
     return reports
 
 

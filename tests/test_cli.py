@@ -512,6 +512,13 @@ class TestCommandLine:
             [sys.executable, "-m", "plaplab.cli", *args], capture_output=True, text=True
         )
 
+    def test_import_loads_no_scipy(self):
+        """The package runs on numpy alone: a fresh import of the command line loads no scipy module."""
+        code = "import sys, plaplab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
     def test_eigen_subcommand(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n_cells = 64\np = 2.0\nq = 1.5\n")

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from scipy.linalg import solveh_banded
 
 from plaplab import eigen
 from plaplab.errors import NonConvergenceError, WeightError
-from plaplab.eigen import _solve_dg, _stiffness_preconditioner, first_eigenpair, orthogonalize_weight, pairing, rayleigh
+from plaplab.eigen import _solve_dg, first_eigenpair, orthogonalize_weight, pairing, rayleigh
 from plaplab.functionals import P1Energy
 from plaplab.grid import grad_seminorm_p, grid_fn, integral_abs_p, make_mesh, weight_fn
 
@@ -162,21 +161,6 @@ class TestOrthogonalize:
         a1 = orthogonalize_weight(raw, pair, 2.0)
         a2 = orthogonalize_weight(a1, pair, 2.0)
         assert np.max(np.abs(a1.values - a2.values)) < 1e-12 * a1.linf()
-
-
-@pytest.mark.parametrize("n", [256, 4096])
-def test_factored_preconditioner_matches_solveh_banded_bit_for_bit(n):
-    mesh = make_mesh(0.0, 1.0, n)
-    apply = _stiffness_preconditioner(mesh)
-    ab = np.zeros((2, n - 1))
-    ab[1, :] = 2.0 / mesh.h
-    ab[0, 1:] = -1.0 / mesh.h
-    rng = np.random.default_rng(n)
-    for _ in range(20):
-        r = rng.normal(size=mesh.n_nodes) * 10.0 ** rng.uniform(-8.0, 8.0)
-        z = apply(r)
-        assert z[0] == 0.0 and z[-1] == 0.0
-        assert np.array_equal(z[1:-1], solveh_banded(ab, r[1:-1]))
 
 
 def _zigzag(mesh, rng):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from plaplab.eigen import _stiffness_preconditioner
 from plaplab.errors import FiberUndefinedError, MeshMismatchError
 from plaplab.functionals import (
     METRIC_EPS,
     P1Energy,
     ProblemSpec,
+    _stiffness_solver,
     evaluate,
     fiber_scale,
     fibered_J,
@@ -314,7 +314,7 @@ class TestMetric:
     @pytest.mark.parametrize("n", [64, 1024])
     def test_p2_is_the_linear_stiffness_bit_for_bit(self, n):
         mesh = make_mesh(0.0, 1.0, n)
-        linear = _stiffness_preconditioner(mesh)
+        linear = _stiffness_solver(mesh, np.ones(mesh.n_cells))
         energy = P1Energy(mesh, 2.0)
         rng = np.random.default_rng(n)
         for vals in self.iterates(mesh, rng).values():
@@ -323,7 +323,7 @@ class TestMetric:
                 r = rng.normal(size=mesh.n_nodes) * 10.0 ** rng.uniform(-8.0, 8.0)
                 assert pt.precondition(r).tobytes() == linear(r).tobytes()
 
-    @pytest.mark.parametrize("p", [1.5, 3.0, 5.0])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
     def test_solves_the_dense_p_stiffness(self, p):
         mesh = make_mesh(0.0, 2.0, 128)
         rng = np.random.default_rng(int(10 * p))
@@ -339,3 +339,19 @@ class TestMetric:
                 # is large and the residual is judged against |K| |z|
                 residual = np.max(np.abs(k @ z[1:-1] - r[1:-1]))
                 assert residual <= 1e-12 * np.max(np.abs(k)) * np.max(np.abs(z)), (name, residual)
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_flux_solve_residual(self, n):
+        """Row i of K z = r, checked matrix-free: F_(i-1) - F_i = r_i with F_k = w_k (z_(k+1) - z_k) / h."""
+        mesh = make_mesh(0.0, 1.0, n)
+        rng = np.random.default_rng(n)
+        for w in (np.ones(n), 10.0 ** rng.uniform(-6.0, 0.0, n)):
+            apply = _stiffness_solver(mesh, w)
+            k_max = np.max(w[:-1] + w[1:]) / mesh.h  # |K|: its largest entry, on the diagonal
+            for _ in range(20):
+                r = rng.normal(size=mesh.n_nodes) * 10.0 ** rng.uniform(-8.0, 8.0)
+                z = apply(r)
+                assert z[0] == 0.0 and z[-1] == 0.0
+                flux = w * np.diff(z) / mesh.h
+                residual = np.max(np.abs(flux[:-1] - flux[1:] - r[1:-1]))
+                assert residual <= 1e-12 * k_max * np.max(np.abs(z))

@@ -133,7 +133,7 @@ class TestGroundState:
             ray = normalize is not None
             x = normalize(x0) if ray else np.array(x0)
             status, iters = ("stalled", 11) if ray else ("max_iterations", 13)
-            return DescentResult(x=x, f=fun(x), grad=grad(x), iterations=iters, status=status)
+            return DescentResult(x=x, f=fun(x), iterations=iters, status=status)
 
         monkeypatch.setattr(solvers, "bb_descent", capped)
         spec0, pair = neg_pairing_problem
@@ -404,9 +404,7 @@ class TestClassify:
         spec0, _ = neg_pairing_problem
         part = sign_partition(spec0.a)
         u = grid_fn(spec0.mesh, np.zeros(spec0.mesh.n_nodes))
-        rep = solvers.SolveReport(
-            u=u, breakdown=evaluate(u, spec0), residual_sup=0.0, kind="ground", iterations=0, lam=0.0
-        )
+        rep = solvers.SolveReport(u=u, breakdown=evaluate(u, spec0), residual_sup=0.0, iterations=0, lam=0.0)
         out = solvers.classify(rep, part, threshold=1e-10)
         assert out.dead_core_components == tuple(range(len(part.plus_components)))
         assert not any(out.positive_on_plus)
@@ -422,9 +420,7 @@ class TestClassify:
         u_vals[0] = u_vals[-1] = 0.0
         u = grid_fn(mesh256, u_vals)
         spec = ProblemSpec(3.0, 2.0, 0.0, a, mesh256)
-        rep = solvers.SolveReport(
-            u=u, breakdown=evaluate(u, spec), residual_sup=0.0, kind="ground", iterations=0, lam=0.0
-        )
+        rep = solvers.SolveReport(u=u, breakdown=evaluate(u, spec), residual_sup=0.0, iterations=0, lam=0.0)
         out = solvers.classify(rep, part, threshold=1e-10)
         assert out.positive_on_plus[0] and not out.positive_on_plus[1]
         assert out.dead_core_components == (1,)

@@ -8,7 +8,16 @@ fixed list below runs twice in a fresh process, once against each tree,
 with the same config path and the same output path, so that messages that
 name a path agree. For each command the script compares the output file,
 stdout, stderr and the exit code, prints one line per command with what
-differs and a short diff, and exits 1 on any difference.
+differs, and exits 1 on any difference.
+
+A differing branch table is reported row by row, one line per
+(branch, lambda): the relative level difference, the absolute linf_norm
+difference, and the iterations, residual and status before -> after;
+rows present on one side only are listed as such. A differing record
+(eigen, critical) gets one line per field that moved, with the relative
+difference of numeric fields. Any other difference gets a short diff. The
+run ends with the largest level, linf_norm and field differences over all
+commands.
 
 The list holds the commands of the four benchmark workloads, whose configs
 are read from this checkout's perfbench/configs/, and small configs taken
@@ -25,10 +34,12 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -272,8 +283,134 @@ def _diff(label: str, a: bytes | None, b: bytes | None, keep: int = 6) -> list[s
     return report
 
 
-def compare(base: Outcome, change: Outcome) -> list[str]:
-    """The differences between two outcomes, as report lines (none when equal)."""
+def _records(text: bytes | None) -> list[dict] | None:
+    """The rows of a CSV or JSON output as dicts; None for text that is neither."""
+    if not text:
+        return None
+    body = text.decode(errors="replace")
+    if body.lstrip().startswith(("[", "{")):
+        try:
+            data = json.loads(body)
+        except ValueError:
+            return None
+        return data if isinstance(data, list) else [data]
+    header, *lines = [line.split(",") for line in body.splitlines() if line]
+    if any(len(cells) != len(header) for cells in lines):
+        return None
+    return [dict(zip(header, cells)) for cells in lines]
+
+
+def _number(value) -> float | None:
+    """A CSV cell or JSON value as a float; None when it is empty or not a number."""
+    if value is None or isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except ValueError:
+        return None
+
+
+def _text(value) -> str:
+    if value is None or value == "":
+        return "-"
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def _relative(a: float, b: float) -> float:
+    return abs(b - a) / max(abs(a), abs(b)) if a != b else 0.0
+
+
+def _track(maxima: dict[str, float], name: str, value: float) -> None:
+    maxima[name] = max(maxima.get(name, 0.0), value)
+
+
+def _keyed_rows(records: list[dict]) -> dict[tuple, dict]:
+    """Branch rows keyed by (branch, lambda, k): the k-th row with that branch and lambda."""
+    seen: Counter = Counter()
+    keyed = {}
+    for rec in records:
+        key = (rec["branch"], _text(rec["lambda"]))
+        keyed[key + (seen[key],)] = rec
+        seen[key] += 1
+    return keyed
+
+
+def _row_label(key: tuple) -> str:
+    branch, lam, k = key
+    return f"{branch} lambda={float(lam):.10g}" + (f" #{k + 1}" if k else "")
+
+
+def _moved_rows(a: list[dict], b: list[dict], maxima: dict[str, float]) -> list[str]:
+    """One line per branch row that differs or is present on one side only."""
+    base, change = _keyed_rows(a), _keyed_rows(b)
+    report = []
+    for key in [*base, *(k for k in change if k not in base)]:
+        if key not in change or key not in base:
+            side, rec = ("base", base[key]) if key in base else ("change", change[key])
+            report.append(f"{_row_label(key)}: {side} only (level {_text(rec['energy'])}, status {rec['status']})")
+            continue
+        ra, rb = base[key], change[key]
+        if ra == rb:
+            continue
+        parts = []
+        level_a, level_b = _number(ra["energy"]), _number(rb["energy"])
+        if level_a is not None and level_b is not None:
+            moved = _relative(level_a, level_b)
+            parts.append(f"level {moved:.2e} rel")
+            _track(maxima, f"{key[0]} level (relative)", moved)
+        else:
+            parts.append(f"level {_text(ra['energy'])} -> {_text(rb['energy'])}")
+        linf_a, linf_b = _number(ra["linf_norm"]), _number(rb["linf_norm"])
+        if linf_a is not None and linf_b is not None:
+            moved = abs(linf_b - linf_a)
+            parts.append(f"linf {moved:.2e}")
+            _track(maxima, f"{key[0]} linf_norm (absolute)", moved)
+        parts.append(f"iters {_text(ra['iterations'])} -> {_text(rb['iterations'])}")
+        res_a, res_b = _number(ra["residual"]), _number(rb["residual"])
+        if res_a is not None and res_b is not None:
+            parts.append(f"residual {res_a:.2e} -> {res_b:.2e}")
+        for column in ("status", "positive_on_plus", "dead_cores"):
+            if ra[column] != rb[column]:
+                parts.append(f"{column} {_text(ra[column])} -> {_text(rb[column])}")
+        report.append(f"{_row_label(key)}: " + ", ".join(parts))
+    return report
+
+
+def _moved_fields(a: dict, b: dict, maxima: dict[str, float]) -> list[str]:
+    """One line per field of a record that differs."""
+    report = []
+    for name in [*a, *(k for k in b if k not in a)]:
+        va, vb = a.get(name), b.get(name)
+        if va == vb:
+            continue
+        na, nb = _number(va), _number(vb)
+        if na is not None and nb is not None:
+            moved = _relative(na, nb)
+            _track(maxima, f"{name} (relative)", moved)
+            report.append(f"{name}: {moved:.2e} rel ({na!r} -> {nb!r})")
+        else:
+            report.append(f"{name}: {_text(va)} -> {_text(vb)}")
+    return report
+
+
+def _moved(a: bytes | None, b: bytes | None, maxima: dict[str, float]) -> list[str] | None:
+    """Row-level report of two branch tables or two records; None when they are neither."""
+    ra, rb = _records(a), _records(b)
+    if ra is None or rb is None:
+        return None
+    columns = {"lambda", "branch", "energy", "linf_norm", "residual", "iterations", "status"}
+    if all(columns <= rec.keys() for rec in ra + rb):
+        return _moved_rows(ra, rb, maxima)
+    if len(ra) == len(rb) == 1:
+        return _moved_fields(ra[0], rb[0], maxima)
+    return None
+
+
+def compare(base: Outcome, change: Outcome, maxima: dict[str, float]) -> list[str]:
+    """The differences between two outcomes, as report lines (none when equal).
+
+    maxima collects the largest moves of levels, linf_norm and record fields.
+    """
     report = []
     if base.code != change.code:
         report.append(f"exit code {base.code} -> {change.code}")
@@ -282,7 +419,12 @@ def compare(base: Outcome, change: Outcome) -> list[str]:
         if a != b:
             if (a is None) != (b is None):
                 report.append(f"{label}: written by {'change' if a is None else 'base'} only")
-            report.extend(_diff(label, a, b))
+            moved = None if label == "stderr" else _moved(a, b, maxima)
+            if moved is None:
+                report.extend(_diff(label, a, b))
+            else:
+                report.append(f"{label}:")
+                report.extend(f"  {line}" for line in moved)
     return report
 
 
@@ -293,6 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     differing = 0
+    maxima: dict[str, float] = {}
     with tempfile.TemporaryDirectory(prefix="compare_cli_") as tmp:
         config_dir = Path(tmp)
         for name, text in INLINE.items():
@@ -303,13 +446,17 @@ def main(argv: list[str] | None = None) -> int:
             out = config_dir / f"{cmd.name}.{cmd.format}"
             base = run(args.base.resolve(), cmd, config_dir, out)
             change = run(args.change.resolve(), cmd, config_dir, out)
-            report = compare(base, change)
+            report = compare(base, change, maxima)
             differing += bool(report)
             status = "DIFFERS" if report else "same   "
             print(f"{status} {cmd.name} (exit {base.code} -> {change.code})", flush=True)
             for line in report:
                 print(f"    {line}", flush=True)
     print(f"{len(COMMANDS) - differing} of {len(COMMANDS)} commands identical")
+    if maxima:
+        print("largest moves over all commands:")
+        for name, value in sorted(maxima.items()):
+            print(f"    {name}: {value:.2e}")
     return 1 if differing else 0
 
 
