@@ -24,7 +24,7 @@ gradient and constraint violation both below tolerance. An exact
 feasibility restoration follows, so the reported value is the quotient of
 a feasible function, an upper bound. The quotient, the constraint integral
 and their gradients come from functionals.P1Energy, one EnergyPoint per
-point through a PointMemo; the descent is preconditioned with the
+point through its one-entry memo; the descent is preconditioned with the
 p-stiffness of the point that memo holds (EnergyPoint.precondition).
 """
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descent import PointMemo, bb_descent
+from .descent import bb_descent
 from .eigen import EigenPair, first_eigenpair, pairing
 from .errors import NonConvergenceError, SolverError, WeightError
 from .functionals import P1Energy, ProblemSpec
@@ -141,15 +141,14 @@ def _constrained_rayleigh_min(
     feas_dir = widest_component_bump(mesh, comps)
 
     energy = P1Energy(mesh, p, q, spec.a.gauss)
-    point = PointMemo(energy)
     sign = 1.0 if want_nonneg else -1.0
 
     def rayleigh(v: np.ndarray) -> float:
-        pt = point(v)
+        pt = energy(v)
         return pt.grad_term / pt.mass
 
     def constraint(v: np.ndarray) -> float:
-        return sign * point(v).weight
+        return sign * energy(v).weight
 
     def restore_feasible(v: np.ndarray) -> np.ndarray:
         if constraint(v) >= 0.0:
@@ -169,14 +168,14 @@ def _constrained_rayleigh_min(
         for _round in range(rounds):
 
             def fun(v: np.ndarray) -> float:
-                pt = point(v)
+                pt = energy(v)
                 shifted = max(0.0, mu - rho * sign * pt.weight)
                 return pt.grad_term / pt.mass + (shifted**2 - mu**2) / (2.0 * rho)
 
             def grad_fun(v: np.ndarray) -> np.ndarray:
                 # descent calls this only at accepted points, right after
                 # fun on the same array: the point is a memo hit
-                pt = point(v)
+                pt = energy(v)
                 dg, dm = pt.gradients()
                 out = (dg - (pt.grad_term / pt.mass) * dm) / pt.mass
                 shifted = max(0.0, mu - rho * sign * pt.weight)
@@ -196,7 +195,7 @@ def _constrained_rayleigh_min(
                 max_iter=inner_iter,
                 normalize=energy.normalize,
                 # descent calls this right after grad_fun: the memo holds the point
-                precond=lambda g: point.last.precondition(g),
+                precond=lambda g: energy.last.precondition(g),
             )
             x = res.x
             c = constraint(x)

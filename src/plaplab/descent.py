@@ -32,9 +32,9 @@ below tol.
 Callback contract: fun (and guard) sees every trial that is valued; grad
 sees only accepted points, each right after fun on the same array, and
 precond is called right after grad, on the gradient of that same point.
-A caller may share work between them (PointMemo keeps the last point's
-values, so precond can apply the metric of the point it holds), and fun
-should compute values only: trials far outnumber accepted points.
+A caller may share work between them (functionals.P1Energy keeps the
+last point it valued, so precond can apply the metric of that point),
+and fun should compute values only: trials far outnumber accepted points.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["DescentResult", "PointMemo", "bb_descent", "projected_descent"]
+__all__ = ["DescentResult", "bb_descent", "projected_descent"]
 
 _ARMIJO_C = 1e-4
 _FLOAT_SLACK = 1e-14  # absolute noise floor: objective differences below this are roundoff
@@ -62,34 +62,6 @@ class DescentResult:
     f: float
     iterations: int
     status: str  # converged | diverged | max_iterations | stalled
-
-
-class PointMemo:
-    """One-entry cache of fn(v), keyed on the dtype, shape and bytes of v.
-
-    The key is a copy of the content, so an array changed in place after a
-    call is a miss, never a stale hit. Equal bytes give bit-identical
-    results, so a hit returns exactly what a fresh call would.
-    """
-
-    __slots__ = ("_fn", "_key", "_value")
-
-    def __init__(self, fn: Callable[[np.ndarray], object]):
-        self._fn = fn
-        self._key: tuple | None = None
-        self._value: object = None
-
-    def __call__(self, v: np.ndarray):
-        key = (v.dtype.str, v.shape, v.tobytes())
-        if key != self._key:
-            self._value = self._fn(v)
-            self._key = key
-        return self._value
-
-    @property
-    def last(self) -> object:
-        """fn of the array of the last call (None before the first)."""
-        return self._value
 
 
 def _bb_step(s: np.ndarray, y: np.ndarray, fallback: float) -> float:

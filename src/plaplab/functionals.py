@@ -24,8 +24,11 @@ their nodal gradients. P1Energy is that kernel: called on a nodal vector
 it returns an EnergyPoint holding the three values and, on request, the
 gradients and the inverse of the p-stiffness at that point (the descent
 metric), and its normalize scales a vector onto the gradient sphere
-{int |u'|^p = 1}. The eigen solver, the critical-value search and the
-fibered solvers use it and keep only their own algebra on top.
+{int |u'|^p = 1}. The eigen solver and the critical-value search use it
+and keep only their own algebra on top. Energy is its one lam-aware view:
+E, I, the ray-optimal J, their gradients and the cones, for the fibered
+solvers and the GridFn functions below alike, so one rule decides where
+the fiber is defined.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ __all__ = [
     "EnergyBreakdown",
     "P1Energy",
     "EnergyPoint",
+    "Energy",
     "evaluate",
     "gradient_I",
     "fiber_scale",
@@ -140,8 +144,8 @@ class P1Energy:
 
     a_gauss holds the weight's values at the Gauss points (Weight.gauss);
     without it there is no weight term. Calling the kernel on a nodal
-    vector returns its EnergyPoint; normalize scales a vector onto the
-    gradient sphere {int |u'|^p = 1}.
+    vector returns its EnergyPoint, and the kernel keeps the last one;
+    normalize scales a vector onto the gradient sphere {int |u'|^p = 1}.
     """
 
     def __init__(
@@ -156,9 +160,20 @@ class P1Energy:
         # a cell contributes h |du/h|^p = |du|^p / h^(p-1) to grad_term
         self.h_scale = mesh.h ** (p - 1.0)
         self.qa = None if a_gauss is None else (q * a_gauss[0], q * a_gauss[1])
+        self._key: tuple | None = None
+        self.last: EnergyPoint | None = None
 
     def __call__(self, v: np.ndarray) -> "EnergyPoint":
-        return EnergyPoint(self, v)
+        """The EnergyPoint of v, kept as last until a call on other content.
+
+        The key is the dtype, shape and a copy of the bytes of v, so an
+        array changed in place after a call is a miss, never a stale hit.
+        """
+        key = (v.dtype.str, v.shape, v.tobytes())
+        if key != self._key:
+            self.last = EnergyPoint(self, v)
+            self._key = key
+        return self.last
 
     def normalize(self, v: np.ndarray) -> np.ndarray:
         """Scale nodal values onto the gradient sphere {int |v'|^p = 1}.
@@ -281,33 +296,113 @@ class EnergyPoint:
         return self._metric(r)
 
 
-def _point(u: GridFn, spec: ProblemSpec, truncated: bool) -> EnergyPoint:
+class Energy:
+    """The lam-aware view of P1Energy for one problem instance and truncation.
+
+    E = grad_term - lam * mass, G = weight, and on them I, the ray-optimal
+    J, their gradients, the cones and the Nehari scaling. The kernel keeps
+    its last point, so the guard, value, gradient and precond callbacks
+    descent calls on one accepted point share a single evaluation.
+    """
+
+    def __init__(self, spec: ProblemSpec, truncated: bool):
+        self.p, self.q, self.lam = spec.p, spec.q, spec.lam
+        self.kernel = P1Energy(spec.mesh, spec.p, spec.q, spec.a.gauss, truncated)
+        self.normalize = self.kernel.normalize
+        # Hoelder: int |u|^q <= (int |u|^p)^(q/p) * measure^(1-q/p)
+        measure = spec.mesh.x_hi - spec.mesh.x_lo
+        self._zero_G = FIBER_ZERO_RTOL * spec.a.linf() * measure ** (1.0 - spec.q / spec.p)
+
+    def terms(self, v: np.ndarray) -> tuple[float, float, float]:
+        """(grad term, mass term, weight term) with the kernel's truncation."""
+        pt = self.kernel(v)
+        return pt.grad_term, pt.mass, pt.weight
+
+    def EG(self, v: np.ndarray) -> tuple[float, float]:
+        grad_term, mass, weight = self.terms(v)
+        return grad_term - self.lam * mass, weight
+
+    def I(self, v: np.ndarray) -> float:
+        grad_term, mass, weight = self.terms(v)
+        return (grad_term - self.lam * mass) / self.p - weight / self.q
+
+    def grad_I(self, v: np.ndarray) -> np.ndarray:
+        pt = self.kernel(v)
+        dg, dm = pt.gradients()
+        return (dg - self.lam * dm) / self.p - pt.weight_gradient() / self.q
+
+    def precond(self, g: np.ndarray) -> np.ndarray:
+        """The descent direction: g in the p-stiffness metric of the last point valued."""
+        return self.kernel.last.precondition(g)
+
+    def J(self, v: np.ndarray) -> float:
+        """J(v) = I(t(v) v) in closed form; v must lie in one of the cones."""
+        E, G = self.EG(v)
+        p, q = self.p, self.q
+        coeff = (p - q) / (p * q)
+        return -np.sign(E) * coeff * abs(G) ** (p / (p - q)) / abs(E) ** (q / (p - q))
+
+    def grad_J(self, v: np.ndarray) -> np.ndarray:
+        E, G = self.EG(v)
+        pt = self.kernel(v)
+        dg, dm = pt.gradients()
+        dE, dG = dg - self.lam * dm, pt.weight_gradient()
+        p, q = self.p, self.q
+        alpha = p / (p - q)
+        beta = q / (p - q)
+        coeff = (p - q) / (p * q)
+        pref = -np.sign(E) * coeff * abs(G) ** (alpha - 1.0) * abs(E) ** (-beta - 1.0)
+        return pref * (alpha * E * dG - beta * G * dE)
+
+    def in_cone(self, v: np.ndarray, sign: int) -> bool:
+        """sign=+1: {E > 0, G > 0}; sign=-1: {E < 0, G < 0}; the fiber is defined on both.
+
+        E and G count as zero up to FIBER_ZERO_RTOL times a bound of their
+        own degree in v, so the verdict is the same all along a ray.
+        """
+        grad_term, mass, weight = self.terms(v)
+        E = grad_term - self.lam * mass
+        zero_E = FIBER_ZERO_RTOL * (grad_term + abs(self.lam) * mass)
+        zero_G = self._zero_G * mass ** (self.q / self.p)
+        if sign > 0:
+            return E > zero_E and weight > zero_G
+        return E < -zero_E and weight < -zero_G
+
+    def fiber_project(self, v: np.ndarray) -> np.ndarray:
+        """t(v) v, on the Nehari set {E = G}; v must lie in one of the cones."""
+        E, G = self.EG(v)
+        return v * (G / E) ** (1.0 / (self.p - self.q))
+
+    def residual_sup(self, v: np.ndarray) -> float:
+        return float(np.max(np.abs(self.grad_I(v))))
+
+
+def _energy(u: GridFn, spec: ProblemSpec, truncated: bool) -> Energy:
     if u.mesh != spec.mesh:
         raise MeshMismatchError("function and spec live on different meshes")
-    return P1Energy(spec.mesh, spec.p, spec.q, spec.a.gauss, truncated)(u.values)
+    return Energy(spec, truncated)
 
 
 def evaluate(u: GridFn, spec: ProblemSpec) -> EnergyBreakdown:
     """Evaluate every energy term of u for this instance."""
-    full = _point(u, spec, truncated=False)
-    plus = _point(u, spec, truncated=True)
-    grad_term, lam = full.grad_term, spec.lam
-    E = grad_term - lam * full.mass
-    E_t = grad_term - lam * plus.mass
-    I = E / spec.p - full.weight / spec.q
-    I_t = E_t / spec.p - plus.weight / spec.q
+    grad_term, mass, weight = _energy(u, spec, truncated=False).terms(u.values)
+    _, mass_plus, weight_plus = Energy(spec, truncated=True).terms(u.values)
+    E = grad_term - spec.lam * mass
+    E_t = grad_term - spec.lam * mass_plus
+    I = E / spec.p - weight / spec.q
+    I_t = E_t / spec.p - weight_plus / spec.q
     return EnergyBreakdown(
         grad_term=grad_term,
-        mass_term=full.mass,
-        mass_term_plus=plus.mass,
-        weight_term=full.weight,
-        weight_term_plus=plus.weight,
+        mass_term=mass,
+        mass_term_plus=mass_plus,
+        weight_term=weight,
+        weight_term_plus=weight_plus,
         E=E,
         I=I,
         E_trunc=E_t,
         I_trunc=I_t,
-        nehari_residual=E - full.weight,
-        nehari_residual_trunc=E_t - plus.weight,
+        nehari_residual=E - weight,
+        nehari_residual_trunc=E_t - weight_plus,
     )
 
 
@@ -319,54 +414,31 @@ def gradient_I(u: GridFn, spec: ProblemSpec, truncated: bool = False) -> GridFn:
     slots. Defined for all p, q > 1; for q < 2 it is continuous but not
     Lipschitz near u = 0, which is left untouched on purpose.
     """
-    pt = _point(u, spec, truncated)
-    dg, dm = pt.gradients()
-    return GridFn(spec.mesh, (dg - spec.lam * dm) / spec.p - pt.weight_gradient() / spec.q)
+    return GridFn(spec.mesh, _energy(u, spec, truncated).grad_I(u.values))
 
 
-def _fiber_parts(u: GridFn, spec: ProblemSpec, truncated: bool) -> tuple[float, float, EnergyBreakdown]:
-    b = evaluate(u, spec)
-    if truncated:
-        return b.E_trunc, b.weight_term_plus, b
-    return b.E, b.weight_term, b
-
-
-def _defined_fiber(u: GridFn, spec: ProblemSpec, truncated: bool) -> tuple[float, float]:
-    """E and the weight integral of u; FiberUndefinedError unless they share a strict sign.
-
-    Each is judged zero against a magnitude that scales with u itself, so
-    tiny Nehari points stay valid.
-    """
-    E, G, b = _fiber_parts(u, spec, truncated)
-    scale_E = b.grad_term + abs(spec.lam) * b.mass_term
-    measure = spec.mesh.x_hi - spec.mesh.x_lo
-    # Hoelder: int |u|^q <= (int |u|^p)^(q/p) * measure^(1-q/p)
-    scale_G = spec.a.linf() * b.mass_term ** (spec.q / spec.p) * measure ** (1.0 - spec.q / spec.p)
-    if abs(E) <= FIBER_ZERO_RTOL * scale_E or abs(G) <= FIBER_ZERO_RTOL * scale_G or E * G < 0.0:
+def _fiber(u: GridFn, spec: ProblemSpec, truncated: bool) -> Energy:
+    """The Energy of u; FiberUndefinedError unless u lies in one of its cones."""
+    energy = _energy(u, spec, truncated)
+    if not (energy.in_cone(u.values, +1) or energy.in_cone(u.values, -1)):
+        E, G = energy.EG(u.values)
         raise FiberUndefinedError(f"fiber undefined: E={E:.3e}, weight integral={G:.3e}")
-    return E, G
-
-
-def _fibered_value(E: float, G: float, p: float, q: float) -> float:
-    """J in closed form from E and the weight integral G, sharing a strict sign."""
-    coeff = (p - q) / (p * q)
-    return -np.sign(E) * coeff * abs(G) ** (p / (p - q)) / abs(E) ** (q / (p - q))
+    return energy
 
 
 def fiber_scale(u: GridFn, spec: ProblemSpec, truncated: bool = False) -> float:
     """Unique stationary scale t(u) > 0 of t -> I(t*u).
 
-    Requires E(u) and the weight integral to share a strict sign; raises
-    FiberUndefinedError otherwise (including the near-zero tolerance case).
+    Requires E(u) and the weight integral to share a strict sign (Energy.in_cone);
+    raises FiberUndefinedError otherwise.
     """
-    E, G = _defined_fiber(u, spec, truncated)
+    E, G = _fiber(u, spec, truncated).EG(u.values)
     return (G / E) ** (1.0 / (spec.p - spec.q))
 
 
 def fibered_J(u: GridFn, spec: ProblemSpec, truncated: bool = False) -> float:
     """Ray-optimal energy J(u) = I(t(u) u), 0-homogeneous in u."""
-    E, G = _defined_fiber(u, spec, truncated)
-    return _fibered_value(E, G, spec.p, spec.q)
+    return _fiber(u, spec, truncated).J(u.values)
 
 
 def nehari_project(u: GridFn, spec: ProblemSpec, truncated: bool = False) -> GridFn:
@@ -375,11 +447,10 @@ def nehari_project(u: GridFn, spec: ProblemSpec, truncated: bool = False) -> Gri
     The residual E - int a|u|^q of the result vanishes up to roundoff; the
     identity is algebraic because both sides use the same discrete integrals.
     """
-    t = fiber_scale(u, spec, truncated)
-    return GridFn(u.mesh, t * u.values)
+    return GridFn(u.mesh, _fiber(u, spec, truncated).fiber_project(u.values))
 
 
 def nehari_residual_rel(u: GridFn, spec: ProblemSpec, truncated: bool = False) -> float:
     """Nehari residual normalized by the magnitude of its two terms."""
-    E, G, _ = _fiber_parts(u, spec, truncated)
+    E, G = _energy(u, spec, truncated).EG(u.values)
     return abs(E - G) / max(1.0, abs(E), abs(G))

@@ -34,16 +34,15 @@ accepted point by the exact 1-D flux identity. That is the
 preconditioned descent of Huang, Li & Liu (J. Sci. Comput. 32, 2007);
 the linear stiffness it replaces is mismatched wherever u' = 0 and
 p != 2. The ray phase, both polishes, continuation, order_interval_min
-and multistart_truncated_descent all use it through _Kernel.precond. The
+and multistart_truncated_descent all use it through Energy.precond. The
 climbing string steps its own beads with the linear stiffness M
 (functionals._stiffness_solver with unit weights): a Barzilai-Borwein
 step for the climbing bead, a per-bead Armijo search for the others. Its
 climbing bead reflects the tangent in the metric of M, so changing the
 preconditioner alone would break that reflection. Iterates are raw nodal
-arrays with pinned boundary zeros. The energy terms, their gradients,
-the metric and the sphere retraction come from functionals.P1Energy
-through _Kernel, which adds only the algebra of E, I, the ray-optimal J
-and the cones.
+arrays with pinned boundary zeros. E, I, the ray-optimal J, their
+gradients, the cones, the metric and the sphere retraction all come from
+functionals.Energy; what is left here is each solver's policy.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .descent import DescentResult, PointMemo, bb_descent, projected_descent
+from .descent import DescentResult, bb_descent, projected_descent
 from .eigen import EigenPair, first_eigenpair
 from .errors import (
     AttainabilityError,
@@ -62,7 +61,7 @@ from .errors import (
     MeshMismatchError,
     SolverError,
 )
-from .functionals import EnergyBreakdown, P1Energy, ProblemSpec, _fibered_value, _stiffness_solver, evaluate
+from .functionals import Energy, EnergyBreakdown, ProblemSpec, _stiffness_solver, evaluate
 from .grid import GridFn, SignPartition, component_bump, sign_partition, smooth_noise, widest_component_bump
 
 __all__ = [
@@ -85,13 +84,15 @@ __all__ = [
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50_000
 J_FLOOR = -1e7
-_CONE_EPS = 1e-12
 # On the gradient-normalized sphere, E this small with a positive weight
 # integral means the iterate has pushed its Rayleigh quotient onto lam
 # while staying admissible: the minimization level is unbounded below.
 _E_COLLAPSE_RTOL = 1e-8
 SADDLE_TOL = 1e-6  # saddle residuals bottom out near the C^1 kink noise floor
 MIN_BEADS = 9  # fewest beads of a mountain-pass string
+# Two solutions count as distinct only beyond this many tol apart in sup
+# norm: at tol = 1e-8 a converged solution is good to only about 1e-6.
+DISTINCT_TOL_FACTOR = 100.0
 
 
 @dataclass(frozen=True)
@@ -137,95 +138,13 @@ class PathState:
     residual: float | None = None
 
 
-class _Kernel:
-    """Array-level closures for one problem instance (one truncation flag).
-
-    Every method reaches its point through a one-entry PointMemo of the
-    P1Energy kernel, so the guard, value and gradient callbacks descent
-    calls on one array share a single evaluation: in_cone(trial) and
-    J(trial) one pass, and grad_J at the accepted point only the gradient
-    assembly on top of it. precond applies the metric of the point the
-    memo holds, which descent guarantees is the accepted point whose
-    gradient it gets.
-    """
-
-    def __init__(self, spec: ProblemSpec, truncated: bool):
-        self.mesh = spec.mesh
-        self.p = spec.p
-        self.q = spec.q
-        self.lam = spec.lam
-        self._amax = spec.a.linf()
-        energy = P1Energy(spec.mesh, spec.p, spec.q, spec.a.gauss, truncated)
-        self.normalize = energy.normalize
-        self._point = PointMemo(energy)
-
-    # -- scalar terms -------------------------------------------------
-    def terms(self, v: np.ndarray) -> tuple[float, float, float]:
-        """(grad term, mass term, weight term) with the kernel's truncation."""
-        pt = self._point(v)
-        return pt.grad_term, pt.mass, pt.weight
-
-    def EG(self, v: np.ndarray) -> tuple[float, float]:
-        grad_term, mass, weight = self.terms(v)
-        return grad_term - self.lam * mass, weight
-
-    def I(self, v: np.ndarray) -> float:
-        grad_term, mass, weight = self.terms(v)
-        return (grad_term - self.lam * mass) / self.p - weight / self.q
-
-    # -- gradients ----------------------------------------------------
-    def grad_I(self, v: np.ndarray) -> np.ndarray:
-        pt = self._point(v)
-        dg, dm = pt.gradients()
-        return (dg - self.lam * dm) / self.p - pt.weight_gradient() / self.q
-
-    def precond(self, g: np.ndarray) -> np.ndarray:
-        """The descent direction: g in the p-stiffness metric of the last point valued."""
-        return self._point.last.precondition(g)
-
-    # -- fibered objective ---------------------------------------------
-    def J(self, v: np.ndarray) -> float:
-        E, G = self.EG(v)
-        return _fibered_value(E, G, self.p, self.q)
-
-    def grad_J(self, v: np.ndarray) -> np.ndarray:
-        E, G = self.EG(v)
-        pt = self._point(v)
-        dg, dm = pt.gradients()
-        dE, dG = dg - self.lam * dm, pt.weight_gradient()
-        p, q = self.p, self.q
-        alpha = p / (p - q)
-        beta = q / (p - q)
-        coeff = (p - q) / (p * q)
-        pref = -np.sign(E) * coeff * abs(G) ** (alpha - 1.0) * abs(E) ** (-beta - 1.0)
-        return pref * (alpha * E * dG - beta * G * dE)
-
-    # -- cones ----------------------------------------------------------
-    def in_cone(self, v: np.ndarray, sign: int) -> bool:
-        """sign=+1: {E > 0, G > 0}; sign=-1: {E < 0, G < 0} (strict, scaled)."""
-        grad_term, mass, weight = self.terms(v)
-        E = grad_term - self.lam * mass
-        eps_E = _CONE_EPS * max(1.0, grad_term + abs(self.lam) * mass)
-        eps_G = _CONE_EPS * max(1.0, self._amax * max(mass, 1.0))
-        if sign > 0:
-            return E > eps_E and weight > eps_G
-        return E < -eps_E and weight < -eps_G
-
-    def energy_collapsed(self, v: np.ndarray) -> bool:
-        """True when the normalized iterate has compressed E to roundoff scale
-        while keeping a positive weight integral (divergence signature)."""
-        vn = self.normalize(v)
-        grad_term, mass, weight = self.terms(vn)
-        E = grad_term - self.lam * mass
-        scale = max(1.0, grad_term + abs(self.lam) * mass)
-        return E < _E_COLLAPSE_RTOL * scale and weight > 0.0
-
-    def fiber_project(self, v: np.ndarray) -> np.ndarray:
-        E, G = self.EG(v)
-        return v * (G / E) ** (1.0 / (self.p - self.q))
-
-    def residual_sup(self, v: np.ndarray) -> float:
-        return float(np.max(np.abs(self.grad_I(v))))
+def _energy_collapsed(energy: Energy, v: np.ndarray) -> bool:
+    """True when the normalized iterate has compressed E to roundoff scale
+    while keeping a positive weight integral (divergence signature)."""
+    grad_term, mass, weight = energy.terms(energy.normalize(v))
+    E = grad_term - energy.lam * mass
+    scale = max(1.0, grad_term + abs(energy.lam) * mass)
+    return E < _E_COLLAPSE_RTOL * scale and weight > 0.0
 
 
 def _starts(
@@ -257,21 +176,21 @@ def _starts(
     return starts
 
 
-def _ray_descent(kernel: _Kernel, v0: np.ndarray, sign: int, tol: float) -> DescentResult:
+def _ray_descent(energy: Energy, v0: np.ndarray, sign: int, tol: float) -> DescentResult:
     """The ray-optimal phase: minimize the 0-homogeneous J over normalized
     functions in the cone of this sign, at a tolerance looser than the
     polish that follows. Only the plus cone can sink below J_FLOOR: J > 0
     in the minus cone."""
     return bb_descent(
         v0,
-        kernel.J,
-        kernel.grad_J,
+        energy.J,
+        energy.grad_J,
         tol=max(100.0 * tol, 1e-6),
         max_iter=4_000,
-        guard=lambda v: kernel.in_cone(v, sign),
+        guard=lambda v: energy.in_cone(v, sign),
         floor=J_FLOOR,
-        normalize=kernel.normalize,
-        precond=kernel.precond,
+        normalize=energy.normalize,
+        precond=energy.precond,
     )
 
 
@@ -310,7 +229,7 @@ def ground_state(
     SolverError names every start's stop reason and iteration count, for
     the ray phase and for the polish.
     """
-    kernel = _Kernel(spec, truncated)
+    energy = Energy(spec, truncated)
     partition = sign_partition(spec.a)
     phi = first_eigenpair(spec.mesh, spec.p).phi.values
     scale = float(np.max(phi))
@@ -323,7 +242,7 @@ def ground_state(
         lambda rng: phi + 0.35 * scale * np.abs(smooth_noise(spec.mesh, rng)),
         1_000_003,
         seed,
-        lambda v: kernel.in_cone(v, +1),
+        lambda v: energy.in_cone(v, +1),
     )
     if not seeds:
         raise SolverError("no admissible start in the positive cone; weight misconfigured?")
@@ -334,27 +253,27 @@ def ground_state(
     failures: list[str] = []
 
     for k, v0 in enumerate(seeds):
-        res_a = _ray_descent(kernel, v0, +1, tol)
+        res_a = _ray_descent(energy, v0, +1, tol)
         total_iters += res_a.iterations
-        if res_a.status == "diverged" or kernel.energy_collapsed(res_a.x):
-            proj = kernel.normalize(res_a.x)
-            diverged = _report_from(spec, proj, kernel.residual_sup(proj), total_iters, "diverged")
+        if res_a.status == "diverged" or _energy_collapsed(energy, res_a.x):
+            proj = energy.normalize(res_a.x)
+            diverged = _report_from(spec, proj, energy.residual_sup(proj), total_iters, "diverged")
             continue
-        x = kernel.fiber_project(res_a.x)
+        x = energy.fiber_project(res_a.x)
         res_b = bb_descent(
             x,
-            kernel.I,
-            kernel.grad_I,
+            energy.I,
+            energy.grad_I,
             tol=tol,
             max_iter=DEFAULT_MAX_ITER,
             window=5,
             floor=J_FLOOR,
-            precond=kernel.precond,
+            precond=energy.precond,
         )
         total_iters += res_b.iterations
         if res_b.status == "diverged":
-            proj = kernel.normalize(res_b.x)
-            diverged = _report_from(spec, proj, kernel.residual_sup(proj), total_iters, "diverged")
+            proj = energy.normalize(res_b.x)
+            diverged = _report_from(spec, proj, energy.residual_sup(proj), total_iters, "diverged")
             continue
         if res_b.status != "converged":
             failures.append(
@@ -362,7 +281,7 @@ def ground_state(
                 f"polish {res_b.status} after {res_b.iterations}"
             )
             continue
-        cand = _report_from(spec, res_b.x, kernel.residual_sup(res_b.x), total_iters, "converged")
+        cand = _report_from(spec, res_b.x, energy.residual_sup(res_b.x), total_iters, "converged")
         cand_level = cand.breakdown.I_trunc if truncated else cand.breakdown.I
         if best is None or cand_level < (best.breakdown.I_trunc if truncated else best.breakdown.I):
             best = cand
@@ -389,7 +308,7 @@ def m_minus(
     EmptyConeError when lam is at or below the first eigenvalue (the cone
     is empty there).
     """
-    kernel = _Kernel(spec, truncated=False)
+    energy = Energy(spec, truncated=False)
     partition = sign_partition(spec.a)
     pair = first_eigenpair(spec.mesh, spec.p)
     if spec.lam <= pair.lambda1 * (1.0 + 1e-12):
@@ -401,7 +320,7 @@ def m_minus(
     fixed = [np.array(phi)] + [
         phi + t * component_bump(spec.mesh, comp) * scale for comp in partition.minus_components for t in (0.2, 0.5)
     ]
-    guard = lambda v: kernel.in_cone(v, -1)
+    guard = lambda v: energy.in_cone(v, -1)
     seeds = _starts(
         starts, fixed, lambda rng: phi + 0.1 * scale * smooth_noise(spec.mesh, rng), 2_000_003, seed, guard
     )
@@ -411,21 +330,21 @@ def m_minus(
     best: SolveReport | None = None
     total_iters = 0
     for v0 in seeds:
-        res_a = _ray_descent(kernel, v0, -1, tol)
+        res_a = _ray_descent(energy, v0, -1, tol)
         total_iters += res_a.iterations
-        x = kernel.fiber_project(res_a.x)
+        x = energy.fiber_project(res_a.x)
         res_b = bb_descent(
             x,
-            kernel.J,
-            kernel.grad_J,
+            energy.J,
+            energy.grad_J,
             tol=tol,
             max_iter=DEFAULT_MAX_ITER,
             guard=guard,
-            precond=kernel.precond,
+            precond=energy.precond,
         )
         total_iters += res_b.iterations
-        x = kernel.fiber_project(res_b.x)
-        residual = kernel.residual_sup(x)
+        x = energy.fiber_project(res_b.x)
+        residual = energy.residual_sup(x)
         status = "converged" if res_b.status in ("converged", "stalled") and residual < 10 * tol else "failed"
         cand = _report_from(spec, x, residual, total_iters, status)
         if cand.ok and (best is None or cand.breakdown.I < best.breakdown.I):
@@ -480,7 +399,7 @@ def minimizer_set_at_star(
             clusters.append(r.u)
             continue
         d, _ = _sup_dist_to_members(r.u.values, tuple(clusters))
-        if d > 10.0 * tol:
+        if d > DISTINCT_TOL_FACTOR * tol:
             clusters.append(r.u)
     members = tuple(clusters)
     max_amp = max(m.linf() for m in members)
@@ -507,7 +426,7 @@ def local_min_continuation(
     minimizer is returned with status "window_exceeded": the local-minimum
     window in lam has been left.
     """
-    kernel = _Kernel(spec, truncated=True)
+    energy = Energy(spec, truncated=True)
     members = kset.members
     delta = kset.delta
 
@@ -524,22 +443,22 @@ def local_min_continuation(
     for m in members:
         res = projected_descent(
             np.array(m.values),
-            kernel.I,
-            kernel.grad_I,
+            energy.I,
+            energy.grad_I,
             project,
             tol=tol,
             max_iter=max_iter,
-            precond=kernel.precond,
+            precond=energy.precond,
         )
         total_iters += res.iterations
         d, _ = _sup_dist_to_members(res.x, members)
         interior = d < 0.9 * delta
         if res.status == "converged" and interior:
-            cand = _report_from(spec, res.x, kernel.residual_sup(res.x), total_iters, "converged")
+            cand = _report_from(spec, res.x, energy.residual_sup(res.x), total_iters, "converged")
             if best is None or cand.breakdown.I_trunc < best.breakdown.I_trunc:
                 best = cand
         else:
-            cand = _report_from(spec, res.x, kernel.residual_sup(res.x), total_iters, "window_exceeded")
+            cand = _report_from(spec, res.x, energy.residual_sup(res.x), total_iters, "window_exceeded")
             if pinned is None or cand.breakdown.I_trunc < pinned.breakdown.I_trunc:
                 pinned = cand
     if best is not None:
@@ -569,7 +488,7 @@ def order_interval_min(
         raise ValueError("upper bound must be nonnegative")
     if not np.any(ub > 0.0):
         raise SolverError("degenerate order interval: upper bound is identically zero")
-    kernel = _Kernel(spec, truncated=False)
+    energy = Energy(spec, truncated=False)
     partition = sign_partition(spec.a)
 
     def clip(v: np.ndarray) -> np.ndarray:
@@ -581,7 +500,7 @@ def order_interval_min(
         t = 1.0
         for _ in range(50):
             cand = clip(t * bump)
-            if np.any(cand > 0.0) and kernel.I(cand) < 0.0:
+            if np.any(cand > 0.0) and energy.I(cand) < 0.0:
                 seed_vals = cand
                 break
             t *= 0.5
@@ -592,15 +511,15 @@ def order_interval_min(
 
     res = projected_descent(
         seed_vals,
-        kernel.I,
-        kernel.grad_I,
+        energy.I,
+        energy.grad_I,
         clip,
         tol=tol,
         max_iter=DEFAULT_MAX_ITER,
-        precond=kernel.precond,
+        precond=energy.precond,
     )
     status = "converged" if res.status == "converged" else "failed"
-    fp_residual = float(np.max(np.abs(res.x - clip(res.x - kernel.grad_I(res.x)))))
+    fp_residual = float(np.max(np.abs(res.x - clip(res.x - energy.grad_I(res.x)))))
     return _report_from(spec, clip(res.x), fp_residual, res.iterations, status)
 
 
@@ -616,7 +535,7 @@ def initial_path(spec: ProblemSpec, u: GridFn, omega: GridFn, beads: int = 17) -
         raise MeshMismatchError("path endpoints live on a different mesh")
     if np.min(u.values) < 0.0 or np.min(omega.values) < 0.0:
         raise ValueError("path endpoints must be nonnegative")
-    kernel = _Kernel(spec, truncated=True)
+    energy = Energy(spec, truncated=True)
     uq = u.values**spec.q
     wq = omega.values**spec.q
     chain = []
@@ -625,7 +544,7 @@ def initial_path(spec: ProblemSpec, u: GridFn, omega: GridFn, beads: int = 17) -
         vals = ((1.0 - s) * uq + s * wq) ** (1.0 / spec.q)
         vals[0] = vals[-1] = 0.0
         chain.append(GridFn(spec.mesh, vals))
-        energies.append(kernel.I(vals))
+        energies.append(energy.I(vals))
     return PathState(beads=tuple(chain), energies=tuple(energies))
 
 
@@ -683,18 +602,18 @@ def string_relax(
     2013, on the simplified string method of E, Ren & Vanden-Eijnden,
     J. Chem. Phys. 126, 164103, 2007.)
     """
-    kernel = _Kernel(spec, truncated=True)
+    energy = Energy(spec, truncated=True)
     precond = _stiffness_solver(spec.mesh, np.ones(spec.mesh.n_cells))
     h = spec.mesh.h
     chain = [np.array(b.values) for b in path.beads]
     n = len(chain)
-    energies = [kernel.I(chain[0])] + [0.0] * (n - 2) + [kernel.I(chain[-1])]
+    energies = [energy.I(chain[0])] + [0.0] * (n - 2) + [energy.I(chain[-1])]
     grads: list[np.ndarray] = [np.zeros(0)] * n
 
     def revalue() -> tuple[int, float]:
         """Value each interior bead once; the climbing bead and its residual."""
         for i in range(1, n - 1):
-            energies[i], grads[i] = kernel.I(chain[i]), kernel.grad_I(chain[i])
+            energies[i], grads[i] = energy.I(chain[i]), energy.grad_I(chain[i])
         top = 1 + int(np.argmax(energies[1:-1]))
         return top, float(np.max(np.abs(grads[top])))
 
@@ -734,7 +653,7 @@ def string_relax(
             step = steps[i]
             for _ in range(40):
                 trial = chain[i] - step * d
-                e_new = kernel.I(trial)
+                e_new = energy.I(trial)
                 if np.isfinite(e_new) and e_new <= energies[i] - 1e-4 * step * slope:
                     chain[i] = trial
                     # modest growth cap: racing a bead down the far valley
@@ -795,7 +714,7 @@ def runaway_state(
     the weight integral stays positive along q-mean paths). Exists for any
     lam above the first eigenvalue; raises SolverError otherwise.
     """
-    kernel = _Kernel(spec, truncated=True)
+    energy = Energy(spec, truncated=True)
     if pair is None:
         pair = first_eigenpair(spec.mesh, spec.p)
     partition = sign_partition(spec.a)
@@ -806,12 +725,12 @@ def runaway_state(
         dirv = pair.phi.values.copy()
         if bump is not None and eps > 0.0:
             dirv = dirv + eps * bump * pair.phi.linf()
-        if kernel.EG(dirv)[0] >= 0.0:
+        if energy.EG(dirv)[0] >= 0.0:
             continue
         t = 1.0
-        while kernel.I(t * dirv) > below and t < 1e10:
+        while energy.I(t * dirv) > below and t < 1e10:
             t *= 1.3
-        if kernel.I(t * dirv) <= below:
+        if energy.I(t * dirv) <= below:
             return GridFn(spec.mesh, t * dirv)
     raise SolverError(
         "no unbounded descent direction found: lam does not exceed the first eigenvalue"
@@ -833,7 +752,7 @@ def multistart_truncated_descent(
     some nonnegative critical point (possibly with dead cores) or dives
     below J_FLOOR and is reported as diverged.
     """
-    kernel = _Kernel(spec, truncated=True)
+    energy = Energy(spec, truncated=True)
     partition = sign_partition(spec.a)
     phi = first_eigenpair(spec.mesh, spec.p).phi.values
     phi_amp = float(np.max(phi))
@@ -849,15 +768,15 @@ def multistart_truncated_descent(
     for v0 in _starts(count, fixed, jitter, 3_000_017, seed, lambda v: True):
         res = bb_descent(
             v0,
-            kernel.I,
-            kernel.grad_I,
+            energy.I,
+            energy.grad_I,
             tol=tol,
             max_iter=DEFAULT_MAX_ITER,
             floor=J_FLOOR,
-            precond=kernel.precond,
+            precond=energy.precond,
         )
         status = {"converged": "converged", "diverged": "diverged"}.get(res.status, "failed")
-        reports.append(_report_from(spec, res.x, kernel.residual_sup(res.x), res.iterations, status))
+        reports.append(_report_from(spec, res.x, energy.residual_sup(res.x), res.iterations, status))
     return reports
 
 

@@ -180,8 +180,6 @@ def build_problem(config: RunConfig) -> Problem:
 
 def _lambda_grid(config: RunConfig, lambda1: float) -> np.ndarray:
     scale = lambda1 if config.lambda_scale == "lambda1" else 1.0
-    if config.lambda_count == 1:
-        return np.array([config.lambda_start * scale])
     return np.linspace(config.lambda_start * scale, config.lambda_stop * scale, config.lambda_count)
 
 
@@ -307,7 +305,7 @@ def run_three_solutions(config: RunConfig) -> BranchTable:
         seed=config.seed,
     )
 
-    sep_floor = 100.0 * config.tol
+    sep_floor = solvers.DISTINCT_TOL_FACTOR * config.tol
     rows: list[BranchRow] = []
     for j in range(THREE_SCAN_STEPS):
         lam = (1.0 - THREE_SCAN_BASE_OFFSET * 0.5**j) * pair.lambda1

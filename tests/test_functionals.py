@@ -4,6 +4,7 @@ import pytest
 from plaplab.errors import FiberUndefinedError, MeshMismatchError
 from plaplab.functionals import (
     METRIC_EPS,
+    Energy,
     P1Energy,
     ProblemSpec,
     _stiffness_solver,
@@ -14,7 +15,8 @@ from plaplab.functionals import (
     nehari_project,
     nehari_residual_rel,
 )
-from plaplab.grid import grid_fn, make_mesh, weight_fn
+from plaplab.grid import component_bump, grid_fn, make_mesh, weight_fn
+from plaplab.sweeps import build_problem, parse_config
 
 from oracles import central_diff_directional
 
@@ -183,6 +185,27 @@ class TestFiber:
                 assert fiber_scale(w, spec) == pytest.approx(1.0, rel=1e-10)
                 return
         pytest.skip("no admissible draw")
+
+
+class TestConeAlongTheRay:
+    """The cone verdict is a property of the ray, and fiber_scale shares it."""
+
+    SWEEP_P3 = "p = 3.0\nq = 2.0\nweight_family = two-bump\n"
+    THREE_P5 = "p = 5.0\nq = 2.0\nweight_family = perturbed\nmu = 0.05\n"
+
+    @pytest.mark.parametrize(
+        "text,factor,truncated", [(SWEEP_P3, 0.9, True), (THREE_P5, 0.995, False)], ids=["sweep-p3", "three-p5"]
+    )
+    def test_scale_free_and_agrees_with_fiber_scale(self, text, factor, truncated):
+        problem = build_problem(parse_config(text))
+        spec = problem.spec0.with_lambda(factor * problem.pair.lambda1)
+        b = component_bump(problem.mesh, problem.partition.plus_components[0])
+        energy = Energy(spec, truncated)
+        scaled = []
+        for c in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            assert energy.in_cone(c * b, +1)
+            scaled.append(c * fiber_scale(grid_fn(problem.mesh, c * b), spec, truncated))
+        assert max(scaled) - min(scaled) <= 1e-12 * scaled[2]
 
 
 class TestFiberedJ:

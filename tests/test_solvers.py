@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,13 @@ class TestMinimizerSet:
             assert b.E_trunc == pytest.approx(b.weight_term_plus, rel=1e-6)
             assert b.E_trunc == pytest.approx(target, rel=1e-5)
 
+    def test_members_are_distinct_solutions(self, kset_p5):
+        # distinct as run_three_solutions counts solutions distinct: farther
+        # apart than a converged solution is accurate
+        floor = solvers.DISTINCT_TOL_FACTOR * TOL
+        for a, b in itertools.combinations(kset_p5.members, 2):
+            assert float(np.max(np.abs(a.values - b.values))) > floor
+
     def test_positive_pairing_not_attainable(self, mesh256):
         p, q = 3.0, 2.0
         pair = first_eigenpair(mesh256, p)
@@ -375,7 +384,7 @@ class TestStarts:
     def test_every_start_lies_in_the_cone(self, monkeypatch, neg_pairing_problem, name):
         _, factor, sign = self.SOLVERS[name]
         spec0, pair = neg_pairing_problem
-        kernel = solvers._Kernel(spec0.with_lambda(factor * pair.lambda1), truncated=sign > 0)
+        kernel = functionals.Energy(spec0.with_lambda(factor * pair.lambda1), truncated=sign > 0)
         starts = self.starts_of(monkeypatch, neg_pairing_problem, name, 6, seed=0)
         assert starts and all(kernel.in_cone(v, sign) for v in starts)
 
@@ -431,11 +440,11 @@ class TestKernelCache:
     def test_in_place_change_never_returns_a_stale_value(self, neg_pairing_problem, truncated):
         spec0, pair = neg_pairing_problem
         spec = spec0.with_lambda(0.5 * pair.lambda1)
-        kernel = solvers._Kernel(spec, truncated)
+        kernel = functionals.Energy(spec, truncated)
         v = np.array(pair.phi.values)
         before = (kernel.terms(v), kernel.J(v), kernel.grad_J(v), kernel.grad_I(v))
         v[1:-1] *= 1.0 + 0.3 * np.sin(7.0 * spec.mesh.nodes[1:-1])  # same array, new content
-        fresh = solvers._Kernel(spec, truncated)
+        fresh = functionals.Energy(spec, truncated)
         assert kernel.terms(v) == fresh.terms(v) != before[0]
         assert kernel.J(v) == fresh.J(v) != before[1]
         assert np.array_equal(kernel.grad_J(v), fresh.grad_J(v))
@@ -444,7 +453,7 @@ class TestKernelCache:
 
     def test_guard_value_and_gradient_share_one_evaluation(self, neg_pairing_problem, monkeypatch):
         spec0, pair = neg_pairing_problem
-        kernel = solvers._Kernel(spec0.with_lambda(0.5 * pair.lambda1), truncated=False)
+        kernel = functionals.Energy(spec0.with_lambda(0.5 * pair.lambda1), truncated=False)
         passes = []
         real = functionals.gauss_values
         monkeypatch.setattr(functionals, "gauss_values", lambda vals: passes.append(1) or real(vals))
@@ -453,7 +462,7 @@ class TestKernelCache:
         j = kernel.J(v)
         g = kernel.grad_J(v)
         assert len(passes) == 1
-        fresh = solvers._Kernel(spec0.with_lambda(0.5 * pair.lambda1), truncated=False)
+        fresh = functionals.Energy(spec0.with_lambda(0.5 * pair.lambda1), truncated=False)
         assert fresh.J(np.array(v)) == j
         assert np.array_equal(fresh.grad_J(np.array(v)), g)
 
@@ -469,7 +478,7 @@ class TestKernelParity:
         rng = np.random.default_rng(17)
         a = weight_fn(mesh, rng.normal(size=mesh.n_nodes))
         spec = ProblemSpec(p, q, lam, a, mesh)
-        kernel = solvers._Kernel(spec, truncated)
+        kernel = functionals.Energy(spec, truncated)
         for _ in range(3):
             vals = np.zeros(mesh.n_nodes)
             vals[1:-1] = rng.normal(size=mesh.n_nodes - 2)
@@ -495,11 +504,11 @@ class TestFiberedGradient:
         if cone > 0:
             # plus cone with truncation: a sign-changing function, so the
             # positive part is a proper piece of it
-            kernel = solvers._Kernel(ProblemSpec(3.0, q, 0.5 * pair.lambda1, spec0.a, mesh), truncated=True)
+            kernel = functionals.Energy(ProblemSpec(3.0, q, 0.5 * pair.lambda1, spec0.a, mesh), truncated=True)
             v = pair.phi.values * (np.cos(3.0 * np.pi * x) + 0.3)
         else:
             # minus cone above lambda1, as m_minus searches it
-            kernel = solvers._Kernel(ProblemSpec(3.0, q, 1.1 * pair.lambda1, spec0.a, mesh), truncated=False)
+            kernel = functionals.Energy(ProblemSpec(3.0, q, 1.1 * pair.lambda1, spec0.a, mesh), truncated=False)
             minus = sign_partition(spec0.a).minus_components[0]
             v = pair.phi.values + 0.05 * component_bump(mesh, minus) * pair.phi.linf()
         assert kernel.in_cone(v, cone)
