@@ -26,6 +26,11 @@ a feasible function, an upper bound. The quotient, the constraint integral
 and their gradients come from functionals.P1Energy, one EnergyPoint per
 point through its one-entry memo; the descent is preconditioned with the
 p-stiffness of the point that memo holds (EnergyPoint.precondition).
+
+The Picone condition, min over s >= 0 of the polynomial f(s) of
+picone_condition being nonnegative, is decided from the shape of f: its
+minimum is f(0) or f at the one root of f' where f' increases, bisected
+to adjacent floats, so no grid is scanned.
 """
 
 from __future__ import annotations
@@ -261,53 +266,45 @@ def compute_critical_values(spec: ProblemSpec, pair: EigenPair) -> CriticalValue
     )
 
 
-def _picone_poly(p: float, q: float, s: np.ndarray) -> np.ndarray:
+def _picone_poly(p: float, q: float, s: float) -> float:
     return (q - 1.0) * s**p + q * s ** (p - 1.0) - (p - q) * s + (q - p + 1.0)
 
 
-def _picone_poly_deriv(p: float, q: float, s: np.ndarray) -> np.ndarray:
+def _picone_poly_deriv(p: float, q: float, s: float) -> float:
     return p * (q - 1.0) * s ** (p - 1.0) + q * (p - 1.0) * s ** (p - 2.0) - (p - q)
 
 
 def picone_condition(p: float, q: float) -> PiconeReport:
-    """Decide whether (q-1)s^p + q s^(p-1) - (p-q)s + (q-p+1) >= 0 on s >= 0.
+    """Decide whether f(s) = (q-1)s^p + q s^(p-1) - (p-q)s + (q-p+1) >= 0 on s >= 0.
 
-    The value at s=0 is q-p+1 and at s=1 it is 2(2q-p); either being
-    negative settles the answer. The global minimum is located by
-    bracketing the derivative's sign changes on a log-spaced grid and
-    bisecting each bracket, which is enough because the leading
-    coefficient q-1 > 0 forces the minimum onto a compact interval.
+    f''(s) = (p-1) s^(p-3) (p(q-1)s + q(p-2)) changes sign at most once, at
+    s_i = max(0, q(2-p)/(p(q-1))), so f' decreases up to s_i and increases
+    after it, and f' > 0 from s0 = ((p-q)/(q-1))^(1/(p-1)) on. The minimum
+    is therefore f(0), or f at the one root of f' in (s_i, s0), which
+    exists exactly when f' < 0 just right of s_i: p > 2 when s_i = 0, and
+    f'(s_i) < 0 when p < 2. That root is bisected until the midpoint
+    equals an endpoint.
     """
     if not (1.0 < q < p):
         raise ValueError(f"need 1 < q < p, got q={q}, p={p}")
-    s_max = max(2.0, ((p - q) / (q - 1.0)) ** (1.0 / (p - 1.0)) + 1.0)
-    grid = np.concatenate(([0.0], np.geomspace(1e-8, s_max, 10_000)))
-    dvals = _picone_poly_deriv(p, q, np.maximum(grid, 1e-300))
-    d, d_next = dvals[1:-1], dvals[2:]
-    hits = np.flatnonzero((d == 0.0) | (d * d_next < 0.0)) + 1
-    stationary: list[float] = []
-    for i in hits:
-        if dvals[i] == 0.0:
-            stationary.append(float(grid[i]))
-            continue
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        # lo only moves to points where f' keeps its sign, so f'(lo) is
-        # evaluated once and reused
-        d_lo = _picone_poly_deriv(p, q, np.array(lo))
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if _picone_poly_deriv(p, q, np.array(mid)) * d_lo <= 0.0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < 1e-12:
-                break
-        stationary.append(0.5 * (lo + hi))
-    candidates = [0.0, 1.0, float(s_max)] + stationary
-    values = [float(_picone_poly(p, q, np.array(s))) for s in candidates]
-    k = int(np.argmin(values))
-    min_value, argmin_s = values[k], candidates[k]
-    return PiconeReport(p=float(p), q=float(q), holds=min_value >= -PICONE_TOL, min_value=min_value, argmin_s=argmin_s)
+    p, q = float(p), float(q)
+    lo = max(0.0, q * (2.0 - p) / (p * (q - 1.0)))
+    try:
+        hi = ((p - q) / (q - 1.0)) ** (1.0 / (p - 1.0))
+        s = 0.0
+        if p > 2.0 or (p < 2.0 and _picone_poly_deriv(p, q, lo) < 0.0):
+            s = 0.5 * (lo + hi)
+            while lo < s < hi:
+                if _picone_poly_deriv(p, q, s) < 0.0:
+                    lo = s
+                else:
+                    hi = s
+                s = 0.5 * (lo + hi)
+        # on a tie the smaller s, 0, wins
+        min_value, argmin_s = min((_picone_poly(p, q, 0.0), 0.0), (_picone_poly(p, q, s), s))
+    except OverflowError:  # only near p = q = 1: the root of f' lies past 1e300, where f ~ -(p-q)s
+        min_value, argmin_s = -np.inf, np.inf
+    return PiconeReport(p=p, q=q, holds=min_value >= -PICONE_TOL, min_value=min_value, argmin_s=argmin_s)
 
 
 def region_classify(p: float, q: float) -> str:

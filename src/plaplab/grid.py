@@ -39,6 +39,7 @@ __all__ = [
 # P1 shape-function values at the two Gauss points of the reference cell.
 _T_LO = 0.5 - 0.5 / np.sqrt(3.0)
 _T_HI = 0.5 + 0.5 / np.sqrt(3.0)
+_NOISE_MODES = 6  # sine modes in smooth_noise
 
 
 @dataclass(frozen=True)
@@ -267,11 +268,11 @@ def widest_component_bump(mesh: Mesh, comps: tuple[tuple[int, int], ...]) -> np.
     return component_bump(mesh, max(comps, key=lambda c: c[1] - c[0]))
 
 
-def smooth_noise(mesh: Mesh, rng: np.random.Generator, modes: int = 6) -> np.ndarray:
-    """Random sum of the first sine modes, amplitude of mode k drawn from N(0, 1/k)."""
+def smooth_noise(mesh: Mesh, rng: np.random.Generator) -> np.ndarray:
+    """Random sum of the first _NOISE_MODES sine modes, amplitude of mode k drawn from N(0, 1/k)."""
     x = (mesh.nodes - mesh.x_lo) / (mesh.x_hi - mesh.x_lo)
     out = np.zeros(mesh.n_nodes)
-    for k in range(1, modes + 1):
+    for k in range(1, _NOISE_MODES + 1):
         out += rng.normal(0.0, 1.0 / k) * np.sin(k * np.pi * x)
     out[0] = out[-1] = 0.0  # sin(k*pi) float dust would break the Dirichlet pin
     return out

@@ -74,6 +74,8 @@ _ORTHO_DEFAULTS = TwoBumpParams(
     center_minus=0.75,
     width_minus=0.2,
 )
+_ORTHO_EIGEN_TOL = 1e-9
+_ORTHO_MARGIN = 0.05  # relative excess of the raw positive pairing before the shift
 
 
 def orthogonal_two_bump(
@@ -81,17 +83,15 @@ def orthogonal_two_bump(
     p: float,
     q: float,
     params: TwoBumpParams = _ORTHO_DEFAULTS,
-    eigen_tol: float = 1e-9,
-    margin: float = 0.05,
 ) -> Weight:
     """Two-bump weight with pairing exactly zero at the discrete level.
 
     The positive amplitude is first rebalanced so the raw pairing is
-    positive by the given relative margin; the constant shift of the
+    positive by the relative margin _ORTHO_MARGIN; the constant shift of the
     orthogonalization is then positive and small, which keeps a single
     positive component inside the positive bump's support.
     """
-    pair = first_eigenpair(mesh, p, eigen_tol)
+    pair = first_eigenpair(mesh, p, _ORTHO_EIGEN_TOL)
     plus = Weight(mesh, params.amp_plus * cos_bump(mesh, params.center_plus, params.width_plus))
     minus_vals = params.amp_minus * cos_bump(mesh, params.center_minus, params.width_minus)
     minus = Weight(mesh, minus_vals)
@@ -99,7 +99,7 @@ def orthogonal_two_bump(
     p_minus = pairing(minus, pair, q)
     if p_plus <= 0.0 or p_minus <= 0.0:
         raise ConfigError("bump geometry gives a degenerate pairing; widen the bumps")
-    amp_plus = params.amp_plus * (1.0 + margin) * p_minus / p_plus
+    amp_plus = params.amp_plus * (1.0 + _ORTHO_MARGIN) * p_minus / p_plus
     raw = Weight(mesh, amp_plus / params.amp_plus * plus.values - minus_vals)
     return orthogonalize_weight(raw, pair, q)
 

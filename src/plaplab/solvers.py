@@ -377,12 +377,10 @@ def minimizer_set_at_star(
     regime, e.g. positive pairing).
     """
     reports: list[SolveReport] = []
-    failures = 0
     for k in range(sample_count):
         try:
             rep = ground_state(spec_at_star, starts=2, tol=tol, seed=seed + 17 * k + 1)
         except SolverError:
-            failures += 1
             continue
         if rep.ok:
             reports.append(rep)
@@ -577,19 +575,20 @@ def string_relax(
 ) -> tuple[PathState, list[float]]:
     """Relax a path by the climbing string method until its top bead is a saddle.
 
-    Every sweep the highest interior bead climbs: its step reverses the
-    tangential part of the preconditioned gradient, reflected in the
-    linear stiffness metric M (the preconditioner is P = M^-1, the flux
-    solve of functionals._stiffness_solver with unit weights, not the
-    descents' p-stiffness: the reflection needs P and M to be one metric),
+    Every sweep each interior bead steps along the preconditioned gradient
+    with its tangential part, in the linear stiffness metric M, removed
+    (c = 1) or, for the highest bead, reversed so that it climbs (c = 2):
 
-        d = P g - 2 (g . tau) / (tau . M tau) tau,   tau = x[i+1] - x[i-1],
+        d = P g - c (g . tau) / (tau . M tau) tau,   tau = x[i+1] - x[i-1].
 
-    with a Barzilai-Borwein step, taken in the metric M and capped at 1
-    and at twice its last value. Every other interior bead descends along
-    the preconditioned gradient with its (Euclidean) tangential part
-    removed, under a per-bead Armijo test on that projected slope whose
-    step grows 1.5x per accepted sweep up to 10. Then the beads on each
+    The preconditioner is P = M^-1, the flux solve of
+    functionals._stiffness_solver with unit weights, not the descents'
+    p-stiffness: the projection needs P and M to be one metric. With c = 1
+    the slope g . d = g . P g - (g . tau)^2 / (tau . M tau) is nonnegative
+    by Cauchy-Schwarz in M, so a relaxing bead descends, under a per-bead
+    Armijo test on that slope whose step grows 1.5x per accepted sweep up
+    to 10. The climbing bead takes a Barzilai-Borwein step, in the metric
+    M and capped at 1 and at twice its last value. Then the beads on each
     side of the climbing bead are redistributed evenly by sup-norm
     arclength, the climbing bead the fixed end of both segments, and every
     interior bead is valued once: its energy and gradient come from that
@@ -627,12 +626,12 @@ def string_relax(
         for i in range(1, n - 1):
             g = grads[i]
             tau = chain[i + 1] - chain[i - 1]
+            d = precond(g)
+            dtau = np.diff(tau)
+            tau_m_tau = float(np.dot(dtau, dtau)) / h
+            if tau_m_tau > 0.0:
+                d -= ((2.0 if i == top else 1.0) * float(np.dot(g, tau)) / tau_m_tau) * tau
             if i == top:
-                d = precond(g)
-                dtau = np.diff(tau)
-                tau_m_tau = float(np.dot(dtau, dtau)) / h
-                if tau_m_tau > 0.0:
-                    d -= (2.0 * float(np.dot(g, tau)) / tau_m_tau) * tau
                 if climber == i:
                     # Barzilai-Borwein step in the stiffness metric d lives in
                     ds, dy = np.diff(chain[i] - prev_x), np.diff(d - prev_d)
@@ -642,11 +641,6 @@ def string_relax(
                 climber, prev_x, prev_d = i, chain[i], d
                 chain[i] = chain[i] - climb_step * d
                 continue
-            norm = float(np.linalg.norm(tau))
-            if norm > 0.0:
-                tau /= norm
-                g = g - float(np.dot(g, tau)) * tau
-            d = precond(g)
             slope = float(np.dot(g, d))
             if slope <= 0.0:
                 continue

@@ -166,45 +166,6 @@ def picone_poly_min(p: float, q: float, n_grid: int = 200_001, s_max: float | No
     return min(candidates, key=lambda t: t[0])
 
 
-def picone_condition_loop(p: float, q: float) -> tuple[bool, float, float]:
-    """Scalar-loop form of the library's Picone search: (holds, min value, argmin).
-
-    Walks the same log-spaced derivative grid point by point and bisects
-    each bracket with f'(lo) evaluated on every step. The library selects
-    the brackets with one array mask instead; the arithmetic is the same,
-    so the two must agree bit for bit.
-    """
-
-    def f(s):
-        return (q - 1.0) * s**p + q * s ** (p - 1.0) - (p - q) * s + (q - p + 1.0)
-
-    def df(s):
-        return p * (q - 1.0) * s ** (p - 1.0) + q * (p - 1.0) * s ** (p - 2.0) - (p - q)
-
-    s_max = max(2.0, ((p - q) / (q - 1.0)) ** (1.0 / (p - 1.0)) + 1.0)
-    grid = np.concatenate(([0.0], np.geomspace(1e-8, s_max, 10_000)))
-    dvals = df(np.maximum(grid, 1e-300))
-    stationary = []
-    for i in range(1, len(grid) - 1):
-        if dvals[i] == 0.0:
-            stationary.append(float(grid[i]))
-        elif dvals[i] * dvals[i + 1] < 0.0:
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if df(np.array(mid)) * df(np.array(lo)) <= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-                if hi - lo < 1e-12:
-                    break
-            stationary.append(0.5 * (lo + hi))
-    candidates = [0.0, 1.0, float(s_max)] + stationary
-    values = [float(f(np.array(s))) for s in candidates]
-    k = int(np.argmin(values))
-    return values[k] >= -1e-12, values[k], candidates[k]
-
-
 def central_diff_directional(fun, vals: np.ndarray, direction: np.ndarray, eps: float) -> float:
     """Central finite difference of fun along direction at vals."""
     return (fun(vals + eps * direction) - fun(vals - eps * direction)) / (2.0 * eps)

@@ -291,6 +291,7 @@ def test_criterion_10_picone_region_map():
     p_grid = np.linspace(1.1, 6.0, 50)
     q_grid = np.linspace(1.05, 4.0, 50)
     cells = disagreements = violations = overlaps = 0
+    worst = 0.0
     for p in p_grid:
         for q in q_grid:
             if not 1.0 < q < p:
@@ -298,6 +299,7 @@ def test_criterion_10_picone_region_map():
             cells += 1
             rep = picone_condition(float(p), float(q))
             oracle_min, _ = picone_poly_min(float(p), float(q), n_grid=50_001)
+            worst = max(worst, abs(rep.min_value - oracle_min))
             if rep.holds != (oracle_min >= -1e-12):
                 disagreements += 1
             if rep.holds and not (p <= q + 1.0 + 1e-9 and p <= 2.0 * q + 1e-9):
@@ -305,12 +307,13 @@ def test_criterion_10_picone_region_map():
             cls = _region_of(rep)  # region_classify's verdict from the same report; raises on overlap
             if cls == "existence_regime" and rep.holds:
                 overlaps += 1
-    ok = disagreements == 0 and violations == 0 and overlaps == 0
+    ok = disagreements == 0 and violations == 0 and overlaps == 0 and worst <= 1e-14
     _report(
         10,
         ok,
         f"{cells} admissible cells: {disagreements} oracle disagreements, "
-        f"{violations} necessary-condition violations, {overlaps} regime overlaps",
+        f"{violations} necessary-condition violations, {overlaps} regime overlaps, "
+        f"minimum within {worst:.1e} of the oracle",
     )
 
 

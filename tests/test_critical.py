@@ -15,7 +15,7 @@ from plaplab.functionals import ProblemSpec
 from plaplab.grid import grid_fn, make_mesh, sign_partition
 from plaplab.presets import TwoBumpParams, orthogonal_two_bump, two_bump
 
-from oracles import picone_condition_loop, picone_poly_min, shooting_lambda_star
+from oracles import picone_poly_min, shooting_lambda_star
 
 
 def sine_fn(mesh, power=1.0):
@@ -51,13 +51,31 @@ class TestPiconeCondition:
 
     def test_against_bruteforce_grid(self):
         rng = np.random.default_rng(0)
+        pairs = []
         for _ in range(25):
             q = float(rng.uniform(1.05, 3.0))
-            p = float(rng.uniform(q + 0.05, q + 3.0))
+            pairs.append((float(rng.uniform(q + 0.05, q + 3.0)), q))
+        # with two stationary points (q = 1.05, p in 1.2..1.6) and a wider spread
+        rng = np.random.default_rng(1)
+        pairs += [(float(p), 1.05) for p in np.linspace(1.1, 6.0, 50)[1:6]]
+        for _ in range(40):
+            q = float(rng.uniform(1.01, 4.0))
+            pairs.append((float(rng.uniform(q + 1e-3, q + 5.0)), q))
+        for p, q in pairs:
             rep = picone_condition(p, q)
             mn, _ = picone_poly_min(p, q)
             assert rep.holds == (mn >= -1e-12)
-            assert rep.min_value == pytest.approx(mn, abs=1e-8)
+            assert rep.min_value == pytest.approx(mn, abs=1e-14)
+        # three p = 2.1 cells of the default region grid, where the root of f'
+        # lies at 1.7e-9, 9.5e-11 and 2.2e-12: below where a log grid from
+        # s = 1e-8 starts, and f there is below f(0) = q - p + 1
+        p = float(np.linspace(1.1, 6.0, 50)[10])
+        for q in np.linspace(1.05, 4.0, 50)[13:16]:
+            rep = picone_condition(p, float(q))
+            mn, _ = picone_poly_min(p, float(q))
+            assert 0.0 < rep.argmin_s < 2e-9
+            assert rep.min_value < q - p + 1.0
+            assert rep.min_value == pytest.approx(mn, abs=1e-14)
 
     def test_two_stationary_points_match_oracle(self):
         # at q = 1.05 and p in 1.2..1.6 on the default region grid, f' changes
@@ -69,18 +87,14 @@ class TestPiconeCondition:
             assert np.count_nonzero(np.diff(np.sign(df)) != 0) == 2
             rep = picone_condition(float(p), q)
             mn, _ = picone_poly_min(float(p), q)
-            assert rep.min_value == pytest.approx(mn, abs=1e-8)
+            assert rep.min_value == pytest.approx(mn, abs=1e-14)
             assert rep.holds == (mn >= -1e-12)
 
-    def test_matches_scalar_loop_bit_for_bit(self):
-        rng = np.random.default_rng(1)
-        pairs = [(float(p), 1.05) for p in np.linspace(1.1, 6.0, 50)[1:6]]
-        for _ in range(40):
-            q = float(rng.uniform(1.01, 4.0))
-            pairs.append((float(rng.uniform(q + 1e-3, q + 5.0)), q))
-        for p, q in pairs:
-            rep = picone_condition(p, q)
-            assert (rep.holds, rep.min_value, rep.argmin_s) == picone_condition_loop(p, q)
+    def test_minimum_beyond_double_range(self):
+        # s0 = ((p-q)/(q-1))^(1/(p-1)) = 1e500 overflows; f there is far below zero
+        rep = picone_condition(1.01, 1.0000001)
+        assert (rep.holds, rep.min_value) == (False, -np.inf)
+        assert region_classify(1.01, 1.0000001) == "undetermined"
 
     def test_necessary_conditions(self):
         # holds forces p <= q+1 (s=0) and p <= 2q (s=1)

@@ -13,11 +13,15 @@ differs, and exits 1 on any difference.
 A differing branch table is reported row by row, one line per
 (branch, lambda): the relative level difference, the absolute linf_norm
 difference, and the iterations, residual and status before -> after;
-rows present on one side only are listed as such. A differing record
+rows present on one side only are listed as such. A differing region
+table is reported cell by cell, one line per (p, q): the absolute
+picone_min difference and any other column that changed, such as a
+classification or picone_holds flip. A differing record
 (eigen, critical) gets one line per field that moved, with the relative
 difference of numeric fields. Any other difference gets a short diff. The
-run ends with the largest level, linf_norm and field differences over all
-commands.
+run ends with the largest level, linf_norm, field and picone_min
+differences over all commands, and the most region cells flipped in one
+command.
 
 The list holds the commands of the four benchmark workloads, whose configs
 are read from this checkout's perfbench/configs/, and small configs taken
@@ -376,6 +380,34 @@ def _moved_rows(a: list[dict], b: list[dict], maxima: dict[str, float]) -> list[
     return report
 
 
+def _moved_cells(a: list[dict], b: list[dict], maxima: dict[str, float]) -> list[str]:
+    """One line per region cell (p, q) that differs or is present on one side only."""
+    base = {(_text(r["p"]), _text(r["q"])): r for r in a}
+    change = {(_text(r["p"]), _text(r["q"])): r for r in b}
+    report = []
+    flips = 0
+    for key in [*base, *(k for k in change if k not in base)]:
+        label = f"p={key[0]} q={key[1]}"
+        if key not in change or key not in base:
+            report.append(f"{label}: {'base' if key in base else 'change'} only")
+            continue
+        ra, rb = base[key], change[key]
+        if ra == rb:
+            continue
+        parts = []
+        min_a, min_b = _number(ra["picone_min"]), _number(rb["picone_min"])
+        if min_a is not None and min_b is not None and min_a != min_b:
+            moved = abs(min_b - min_a)
+            parts.append(f"picone_min {moved:.2e} ({min_a!r} -> {min_b!r})")
+            _track(maxima, "picone_min (absolute)", moved)
+        flipped = [c for c in ra if c not in ("p", "q", "picone_min") and ra[c] != rb.get(c)]
+        parts += [f"{c} {_text(ra[c])} -> {_text(rb.get(c))}" for c in flipped]
+        flips += bool(flipped)
+        report.append(f"{label}: " + ", ".join(parts))
+    _track(maxima, "region cells flipped in one command", flips)
+    return report
+
+
 def _moved_fields(a: dict, b: dict, maxima: dict[str, float]) -> list[str]:
     """One line per field of a record that differs."""
     report = []
@@ -401,6 +433,8 @@ def _moved(a: bytes | None, b: bytes | None, maxima: dict[str, float]) -> list[s
     columns = {"lambda", "branch", "energy", "linf_norm", "residual", "iterations", "status"}
     if all(columns <= rec.keys() for rec in ra + rb):
         return _moved_rows(ra, rb, maxima)
+    if all({"p", "q", "picone_min"} <= rec.keys() for rec in ra + rb):
+        return _moved_cells(ra, rb, maxima)
     if len(ra) == len(rb) == 1:
         return _moved_fields(ra[0], rb[0], maxima)
     return None
