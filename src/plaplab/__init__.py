@@ -39,13 +39,10 @@ from .grid import (
     Mesh,
     SignPartition,
     Weight,
-    grad_seminorm_p,
     grid_fn,
-    integral_abs_p,
     make_mesh,
     sign_partition,
     weight_fn,
-    weighted_integral_q,
 )
 from .solvers import (
     MinimizerSet,
@@ -57,7 +54,6 @@ from .solvers import (
     m_minus,
     minimizer_set_at_star,
     mountain_pass,
-    order_interval_min,
 )
 
 __version__ = "0.1.0"

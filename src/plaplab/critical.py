@@ -50,7 +50,6 @@ from .grid import (
     Weight,
     gauss_integral,
     gauss_values,
-    integral_abs_p,
     sign_partition,
     widest_component_bump,
 )
@@ -102,7 +101,7 @@ class PiconeReport:
 
 
 def _pairing_sign(value: float, a: Weight, pair: EigenPair, q: float) -> str:
-    scale = max(1.0, a.linf() * integral_abs_p(pair.phi, q))
+    scale = max(1.0, a.linf() * P1Energy(pair.phi.mesh, q)(pair.phi.values).mass)
     if abs(value) <= PAIRING_ZERO_RTOL * scale:
         return "zero"
     return "positive" if value > 0.0 else "negative"

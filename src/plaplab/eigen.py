@@ -22,6 +22,9 @@ F_(i-1) - F_i = b_i, so every flux is F_k = F_0 - (b_1 + ... + b_k) and
 every slope du_k follows from its flux. The one unknown F_0 is the root
 of the increasing function F_0 -> sum du_k = w(1), which lies between the
 smallest and the largest partial sum and is found by bisection.
+
+The Rayleigh quotient, the weight pairing int a phi^q and the constant
+shift that makes it vanish read their integrals from the same kernel.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshMismatchError, NonConvergenceError, WeightError
-from .functionals import P1Energy
-from .grid import GridFn, Mesh, Weight, grad_seminorm_p, integral_abs_p, weighted_integral_q
+from .functionals import EnergyPoint, P1Energy
+from .grid import GridFn, Mesh, Weight
 
 __all__ = ["EigenPair", "rayleigh", "first_eigenpair", "pairing", "orthogonalize_weight"]
 
@@ -53,11 +56,13 @@ class EigenPair:
 
 
 def rayleigh(u: GridFn, p: float) -> float:
-    """Rayleigh quotient of u; rejects the zero function."""
-    m = integral_abs_p(u, p)
-    if m == 0.0:
+    """Rayleigh quotient of u; rejects p <= 1 and the zero function."""
+    if p <= 1.0:
+        raise ValueError(f"exponent must exceed 1, got p={p}")
+    pt = P1Energy(u.mesh, p)(u.values)
+    if pt.mass == 0.0:
         raise ValueError("Rayleigh quotient undefined for the zero function")
-    return grad_seminorm_p(u, p) / m
+    return pt.grad_term / pt.mass
 
 
 def _solve_dg(mesh: Mesh, p: float, b: np.ndarray) -> np.ndarray:
@@ -158,11 +163,16 @@ def first_eigenpair(
     return pair
 
 
-def pairing(a: Weight, pair: EigenPair, q: float) -> float:
-    """Weight pairing int a * phi^q that classifies the parameter regimes."""
+def _phi_q(a: Weight, pair: EigenPair, q: float) -> EnergyPoint:
+    """phi's EnergyPoint in the kernel of exponent q: mass = int phi^q, weight = int a phi^q."""
     if a.mesh != pair.phi.mesh:
         raise MeshMismatchError("weight and eigenfunction live on different meshes")
-    return weighted_integral_q(pair.phi, a, q)
+    return P1Energy(a.mesh, q, q, a.gauss)(pair.phi.values)
+
+
+def pairing(a: Weight, pair: EigenPair, q: float) -> float:
+    """Weight pairing int a * phi^q that classifies the parameter regimes."""
+    return _phi_q(a, pair, q).weight
 
 
 def orthogonalize_weight(a_raw: Weight, pair: EigenPair, q: float) -> Weight:
@@ -171,8 +181,8 @@ def orthogonalize_weight(a_raw: Weight, pair: EigenPair, q: float) -> Weight:
     Raises WeightError if the shifted weight degenerates: identically zero
     up to roundoff (constant raw weight) or no longer sign-changing.
     """
-    denom = integral_abs_p(pair.phi, q)
-    c = pairing(a_raw, pair, q) / denom
+    pt = _phi_q(a_raw, pair, q)
+    c = pt.weight / pt.mass
     shifted_vals = a_raw.values - c
     if np.max(np.abs(shifted_vals)) <= 1e-12 * a_raw.linf():
         raise WeightError("orthogonalized weight vanished (constant raw weight?)")

@@ -132,7 +132,6 @@ class EnergyBreakdown:
     E_trunc: float
     I_trunc: float
     nehari_residual: float
-    nehari_residual_trunc: float
 
 
 class P1Energy:
@@ -402,7 +401,6 @@ def evaluate(u: GridFn, spec: ProblemSpec) -> EnergyBreakdown:
         E_trunc=E_t,
         I_trunc=I_t,
         nehari_residual=E - weight,
-        nehari_residual_trunc=E_t - weight_plus,
     )
 
 

@@ -1,11 +1,14 @@
 """1D uniform mesh, discrete Dirichlet functions, and quadrature.
 
 Discretization: conforming P1 (piecewise-linear) elements on a uniform
-mesh. Gradient integrals are exact (the derivative of the interpolant is
-cellwise constant); zero-order nonlinear integrals use composite 2-point
-Gauss quadrature per cell applied to the interpolant. Weights are nodal
-samples interpolated with the same P1 model, so products like a*|u|^q are
-evaluated pointwise at the Gauss nodes.
+mesh. Zero-order nonlinear integrals use composite 2-point Gauss
+quadrature per cell applied to the interpolant; gauss_values,
+gauss_integral and scatter_gauss_gradient are its primitives. Weights are
+nodal samples interpolated with the same P1 model, so products like
+a*|u|^q are evaluated pointwise at the Gauss nodes. The integrals
+themselves, int |u'|^p (exact: the derivative of the interpolant is
+cellwise constant), int |u|^p and int a|u|^q, are computed in one place,
+functionals.P1Energy.
 
 All types are immutable after construction; all operations are pure.
 """
@@ -27,9 +30,6 @@ __all__ = [
     "make_mesh",
     "grid_fn",
     "weight_fn",
-    "grad_seminorm_p",
-    "integral_abs_p",
-    "weighted_integral_q",
     "component_bump",
     "widest_component_bump",
     "smooth_noise",
@@ -204,40 +204,6 @@ def scatter_gauss_gradient(mesh: Mesh, d1: np.ndarray, d2: np.ndarray) -> np.nda
     grad[0] = 0.0
     grad[-1] = 0.0
     return grad
-
-
-def grad_seminorm_p(u: GridFn, p: float) -> float:
-    """Exact integral of |u'|^p for the P1 interpolant.
-
-    The derivative is cellwise constant, so each cell contributes
-    h * |du/h|^p = |du|^p / h^(p-1).
-    """
-    if p <= 1.0:
-        raise ValueError(f"exponent must exceed 1, got p={p}")
-    du = np.diff(u.values)
-    return float(np.sum(np.abs(du) ** p)) / u.mesh.h ** (p - 1.0)
-
-
-def integral_abs_p(u: GridFn, p: float) -> float:
-    """Quadrature value of the integral of |u|^p."""
-    if p <= 1.0:
-        raise ValueError(f"exponent must exceed 1, got p={p}")
-    g1, g2 = gauss_values(u.values)
-    return gauss_integral(u.mesh, np.abs(g1) ** p, np.abs(g2) ** p)
-
-
-def weighted_integral_q(u: GridFn, a: Weight, q: float, positive_part: bool = False) -> float:
-    """Quadrature value of the integral of a*|u|^q (or a*max(u,0)^q)."""
-    if q <= 1.0:
-        raise ValueError(f"exponent must exceed 1, got q={q}")
-    _check_same_mesh(u.mesh, a.mesh)
-    g1, g2 = gauss_values(u.values)
-    a1, a2 = a.gauss
-    if positive_part:
-        g1 = np.maximum(g1, 0.0)
-        g2 = np.maximum(g2, 0.0)
-        return gauss_integral(u.mesh, a1 * g1**q, a2 * g2**q)
-    return gauss_integral(u.mesh, a1 * np.abs(g1) ** q, a2 * np.abs(g2) ** q)
 
 
 def cos_bump(mesh: Mesh, center: float, width: float) -> np.ndarray:

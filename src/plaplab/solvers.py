@@ -14,8 +14,6 @@ Branches covered:
   * local_min_continuation
                        tube-constrained descent that carries those local
                        minimizers past the threshold;
-  * order_interval_min box-constrained minimization between a zero
-                       subsolution and a supersolution from a larger lam;
   * mountain_pass      saddle between two nonnegative states by one
                        climbing-string run (string_relax) on the q-mean
                        path ((1-s) u^q + s w^q)^(1/q).
@@ -33,8 +31,8 @@ weight |u'|^(p-2) of the Hessian of int |u'|^p, solved in O(n) at each
 accepted point by the exact 1-D flux identity. That is the
 preconditioned descent of Huang, Li & Liu (J. Sci. Comput. 32, 2007);
 the linear stiffness it replaces is mismatched wherever u' = 0 and
-p != 2. The ray phase, both polishes, continuation, order_interval_min
-and multistart_truncated_descent all use it through Energy.precond. The
+p != 2. The ray phase, both polishes, continuation and
+multistart_truncated_descent all use it through Energy.precond. The
 climbing string steps its own beads with the linear stiffness M
 (functionals._stiffness_solver with unit weights): a Barzilai-Borwein
 step for the climbing bead, a per-bead Armijo search for the others. Its
@@ -72,7 +70,6 @@ __all__ = [
     "m_minus",
     "minimizer_set_at_star",
     "local_min_continuation",
-    "order_interval_min",
     "mountain_pass",
     "initial_path",
     "string_relax",
@@ -107,7 +104,6 @@ class SolveReport:
     status: str = "converged"  # converged | diverged | window_exceeded | saddle_not_found | failed
     positive_on_plus: tuple[bool, ...] | None = None
     dead_core_components: tuple[int, ...] | None = None
-    ambiguous_components: tuple[int, ...] | None = None
 
     @property
     def ok(self) -> bool:
@@ -125,7 +121,6 @@ class MinimizerSet:
     members: tuple[GridFn, ...]
     delta: float
     level: float
-    lambda_star: float
 
 
 @dataclass(frozen=True)
@@ -406,7 +401,7 @@ def minimizer_set_at_star(
     # minimum drifts by a few percent of the amplitude per percent of
     # lam, and a tighter tube falsely reports window exhaustion.
     delta = max(0.5 * min(gaps), 0.25 * max_amp) if gaps else 0.25 * max_amp
-    return MinimizerSet(members=members, delta=float(delta), level=float(level), lambda_star=spec_at_star.lam)
+    return MinimizerSet(members=members, delta=float(delta), level=float(level))
 
 
 def local_min_continuation(
@@ -463,62 +458,6 @@ def local_min_continuation(
         return best
     assert pinned is not None
     return pinned
-
-
-def order_interval_min(
-    spec: ProblemSpec,
-    upper: GridFn,
-    *,
-    tol: float = DEFAULT_TOL,
-) -> SolveReport:
-    """Minimize the energy over the order interval {0 <= u <= upper}.
-
-    upper should be a solution at a larger lam (a supersolution here). The
-    iterate is seeded with a small bump inside a positive-weight component,
-    scaled until the energy is negative, and clipped into the box after
-    every step. The reported residual is the projected-gradient fixed-point
-    residual, which reduces to the plain gradient at interior points.
-    """
-    if upper.mesh != spec.mesh:
-        raise MeshMismatchError("upper bound lives on a different mesh")
-    ub = upper.values
-    if np.min(ub) < 0.0:
-        raise ValueError("upper bound must be nonnegative")
-    if not np.any(ub > 0.0):
-        raise SolverError("degenerate order interval: upper bound is identically zero")
-    energy = Energy(spec, truncated=False)
-    partition = sign_partition(spec.a)
-
-    def clip(v: np.ndarray) -> np.ndarray:
-        return np.minimum(np.maximum(v, 0.0), ub)
-
-    seed_vals: np.ndarray | None = None
-    for comp in partition.plus_components:
-        bump = component_bump(spec.mesh, comp)
-        t = 1.0
-        for _ in range(50):
-            cand = clip(t * bump)
-            if np.any(cand > 0.0) and energy.I(cand) < 0.0:
-                seed_vals = cand
-                break
-            t *= 0.5
-        if seed_vals is not None:
-            break
-    if seed_vals is None:
-        raise SolverError("could not seed a negative-energy start inside the order interval")
-
-    res = projected_descent(
-        seed_vals,
-        energy.I,
-        energy.grad_I,
-        clip,
-        tol=tol,
-        max_iter=DEFAULT_MAX_ITER,
-        precond=energy.precond,
-    )
-    status = "converged" if res.status == "converged" else "failed"
-    fp_residual = float(np.max(np.abs(res.x - clip(res.x - energy.grad_I(res.x)))))
-    return _report_from(spec, clip(res.x), fp_residual, res.iterations, status)
 
 
 def initial_path(spec: ProblemSpec, u: GridFn, omega: GridFn, beads: int = 17) -> PathState:
@@ -779,27 +718,16 @@ def classify(report: SolveReport, partition: SignPartition, threshold: float) ->
 
     A positive-weight component counts as positive when every nodal value
     exceeds threshold, as a dead core when every nodal value stays below
-    it, and as ambiguous otherwise.
+    it, and as neither (not positive, no dead core) otherwise.
     """
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
     vals = report.u.values
     pos: list[bool] = []
     dead: list[int] = []
-    ambiguous: list[int] = []
     for idx, (i0, i1) in enumerate(partition.plus_components):
         seg = vals[i0 : i1 + 1]
-        if np.all(seg > threshold):
-            pos.append(True)
-        elif np.all(seg < threshold):
-            pos.append(False)
+        pos.append(bool(np.all(seg > threshold)))
+        if np.all(seg < threshold):
             dead.append(idx)
-        else:
-            pos.append(False)
-            ambiguous.append(idx)
-    return replace(
-        report,
-        positive_on_plus=tuple(pos),
-        dead_core_components=tuple(dead),
-        ambiguous_components=tuple(ambiguous),
-    )
+    return replace(report, positive_on_plus=tuple(pos), dead_core_components=tuple(dead))

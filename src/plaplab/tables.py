@@ -7,13 +7,15 @@ eigen and critical results, as a one-row CSV or one JSON object. Floats
 are serialized with 17 significant digits, which round-trips IEEE doubles
 exactly, and booleans as lowercase true/false. A missing value is an empty
 CSV cell or JSON null: failed rows keep their marker in the status column
-and leave the value fields empty. `parse_table` reads a branch table back
-from either format, field-exact.
+and leave the value fields empty. JSON has no inf or nan, so a non-finite
+float is null there too, while CSV keeps its text (inf, -inf, nan).
+`parse_table` reads a branch table back from either format, field-exact.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -51,8 +53,8 @@ def _cell(value) -> str:
 
 
 def _json_value(value) -> str:
-    """A value as JSON text; numbers and booleans as in CSV."""
-    if value is None:
+    """A value as JSON text; numbers and booleans as in CSV, a non-finite float as null."""
+    if value is None or (isinstance(value, float) and not math.isfinite(value)):
         return "null"
     if isinstance(value, str):
         return json.dumps(value)

@@ -505,6 +505,21 @@ class TestSerializer:
             assert list(rec) == list(cells)
             assert {k: _cell_value(cells[k], v) for k, v in rec.items()} == rec
 
+    def test_non_finite_float_is_json_null(self, tmp_path, capsys):
+        # at p = 1.01, q = 1 + 1e-7 the Picone minimum is -inf: JSON null, CSV -inf
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "region_p_min = 1.01\nregion_p_max = 1.02\nregion_p_count = 2\n"
+            "region_q_min = 1.0000001\nregion_q_max = 1.005\nregion_q_count = 2\n"
+        )
+        texts = {}
+        for fmt in ("csv", "json"):
+            assert main(["region", "--config", str(cfg), "--format", fmt]) == 0
+            texts[fmt] = capsys.readouterr().out
+        records = json.loads(texts["json"])
+        assert records[0]["q"] == 1.0000001 and records[0]["picone_min"] is None
+        assert _csv_records(texts["csv"])[0]["picone_min"] == "-inf"
+
 
 class TestCommandLine:
     def _run(self, args):

@@ -5,7 +5,7 @@ from plaplab import eigen
 from plaplab.errors import NonConvergenceError, WeightError
 from plaplab.eigen import _solve_dg, first_eigenpair, orthogonalize_weight, pairing, rayleigh
 from plaplab.functionals import P1Energy
-from plaplab.grid import grad_seminorm_p, grid_fn, integral_abs_p, make_mesh, weight_fn
+from plaplab.grid import grid_fn, make_mesh, weight_fn
 
 from oracles import closed_form_lambda1, shooting_lambda1
 
@@ -40,8 +40,13 @@ def test_rayleigh_hat_exceeds_lambda1():
 
 def test_rayleigh_rejects_zero():
     mesh = make_mesh(0.0, 1.0, 16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero function"):
         rayleigh(grid_fn(mesh, np.zeros(17)), 2.0)
+
+
+def test_rayleigh_rejects_p_at_most_one():
+    with pytest.raises(ValueError, match="exponent must exceed 1"):
+        rayleigh(sine_fn(make_mesh(0.0, 1.0, 16)), 1.0)
 
 
 class TestFirstEigenpair:
@@ -79,7 +84,7 @@ class TestFirstEigenpair:
         mesh = make_mesh(0.0, 1.0, 512)
         for p in (1.5, 2.0, 3.0):
             pair = first_eigenpair(mesh, p)
-            assert abs(grad_seminorm_p(pair.phi, p) - 1.0) < 1e-10
+            assert abs(P1Energy(mesh, p)(pair.phi.values).grad_term - 1.0) < 1e-10
 
     def test_positivity(self):
         pair = first_eigenpair(make_mesh(0.0, 1.0, 256), 3.0)
@@ -144,7 +149,7 @@ class TestOrthogonalize:
         rng = np.random.default_rng(2)
         raw = weight_fn(mesh256, 1.0 + 0.5 * rng.normal(size=mesh256.n_nodes))
         a = orthogonalize_weight(raw, pair, 2.0)
-        scale = a.linf() * integral_abs_p(pair.phi, 2.0)
+        scale = a.linf() * P1Energy(mesh256, 2.0)(pair.phi.values).mass
         assert abs(pairing(a, pair, 2.0)) < 1e-12 * max(scale, 1.0)
         assert a.is_sign_changing()
 
@@ -225,7 +230,7 @@ def test_large_p_fine_mesh_normalizes_past_underflow():
     pair = first_eigenpair(mesh, 50.0)
     assert pair.lambda1 == pytest.approx(closed_form_lambda1(50.0), rel=1e-5)
     assert np.all(pair.phi.values[1:-1] > 0.0)
-    assert grad_seminorm_p(pair.phi, 50.0) == pytest.approx(1.0, rel=1e-12)
+    assert P1Energy(mesh, 50.0)(pair.phi.values).grad_term == pytest.approx(1.0, rel=1e-12)
 
 
 def test_normalize_is_unchanged_where_the_power_sum_is_finite():

@@ -3,18 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plaplab.grid import (
-    GridFn,
-    Weight,
-    gauss_values,
-    grad_seminorm_p,
-    grid_fn,
-    integral_abs_p,
-    make_mesh,
-    sign_partition,
-    weight_fn,
-    weighted_integral_q,
-)
+from plaplab.functionals import P1Energy
+from plaplab.grid import GridFn, Weight, gauss_values, grid_fn, make_mesh, sign_partition, weight_fn
+
+
+def grad_term(u, p):
+    """int |u'|^p, from the kernel."""
+    return P1Energy(u.mesh, p)(u.values).grad_term
+
+
+def mass(u, p):
+    """int |u|^p on the grid's Gauss quadrature, from the kernel."""
+    return P1Energy(u.mesh, p)(u.values).mass
+
+
+def weight_term(u, a, q, truncated=False):
+    """int a|u|^q (int a u_+^q when truncated) on the grid's Gauss quadrature, from the kernel."""
+    return P1Energy(u.mesh, q, q, a.gauss, truncated)(u.values).weight
 
 
 def hat(mesh):
@@ -74,16 +79,19 @@ class TestGridFn:
             a1[0] = 0.0
 
 
+# The three P1 integrals of functionals.P1Energy against closed forms.
+
+
 class TestGradSeminorm:
     def test_hat_p2(self):
-        assert grad_seminorm_p(hat(make_mesh(0.0, 1.0, 8)), 2.0) == pytest.approx(4.0)
+        assert grad_term(hat(make_mesh(0.0, 1.0, 8)), 2.0) == pytest.approx(4.0)
 
     def test_hat_p3(self):
-        assert grad_seminorm_p(hat(make_mesh(0.0, 1.0, 8)), 3.0) == pytest.approx(8.0)
+        assert grad_term(hat(make_mesh(0.0, 1.0, 8)), 3.0) == pytest.approx(8.0)
 
     def test_zero_function(self):
         mesh = make_mesh(0.0, 1.0, 8)
-        assert grad_seminorm_p(grid_fn(mesh, np.zeros(9)), 2.5) == 0.0
+        assert grad_term(grid_fn(mesh, np.zeros(9)), 2.5) == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -96,8 +104,8 @@ class TestGradSeminorm:
         vals = np.zeros(17)
         vals[1:-1] = rng.normal(size=15)
         u = grid_fn(mesh, vals)
-        lhs = grad_seminorm_p(c * u, p)
-        rhs = abs(c) ** p * grad_seminorm_p(u, p)
+        lhs = grad_term(c * u, p)
+        rhs = abs(c) ** p * grad_term(u, p)
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
@@ -105,17 +113,17 @@ class TestIntegralAbsP:
     def test_hat_analytic(self):
         # int_0^1 hat^p = 1/(p+1); quadrature exact for integer p <= 3
         u = hat(make_mesh(0.0, 1.0, 512))
-        assert integral_abs_p(u, 2.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
-        assert integral_abs_p(u, 3.0) == pytest.approx(1.0 / 4.0, rel=1e-12)
+        assert mass(u, 2.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert mass(u, 3.0) == pytest.approx(1.0 / 4.0, rel=1e-12)
 
     def test_zero(self):
         mesh = make_mesh(0.0, 1.0, 8)
-        assert integral_abs_p(grid_fn(mesh, np.zeros(9)), 2.0) == 0.0
+        assert mass(grid_fn(mesh, np.zeros(9)), 2.0) == 0.0
 
     def test_scaling_p_homogeneous(self):
         u = hat(make_mesh(0.0, 1.0, 32))
         for p in (1.5, 2.0, 3.7):
-            assert integral_abs_p(2.0 * u, p) == pytest.approx(2.0**p * integral_abs_p(u, p), rel=1e-13)
+            assert mass(2.0 * u, p) == pytest.approx(2.0**p * mass(u, p), rel=1e-13)
 
     @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
     def test_quadrature_convergence_rate(self, p):
@@ -123,7 +131,7 @@ class TestIntegralAbsP:
         exact = 1.0 / (p + 1.0)
         errs = []
         for n in (16, 32, 64, 128):
-            err = abs(integral_abs_p(hat(make_mesh(0.0, 1.0, n)), p) - exact)
+            err = abs(mass(hat(make_mesh(0.0, 1.0, n)), p) - exact)
             errs.append(max(err, 1e-17))
         for k in range(len(errs) - 1):
             assert errs[k + 1] <= errs[k] / 3.5 + 1e-15
@@ -135,19 +143,20 @@ class TestWeightedIntegral:
         u = hat(mesh)
         a = weight_fn(mesh, np.ones(mesh.n_nodes))
         for q in (1.5, 2.0, 2.5):
-            assert weighted_integral_q(u, a, q) == pytest.approx(integral_abs_p(u, q), rel=1e-14)
+            assert weight_term(u, a, q) == pytest.approx(mass(u, q), rel=1e-14)
 
     def test_positive_part_of_nonpositive_is_zero(self):
+        # the truncated weight term of -hat
         mesh = make_mesh(0.0, 1.0, 16)
         u = -1.0 * hat(mesh)
         a = weight_fn(mesh, np.ones(mesh.n_nodes))
-        assert weighted_integral_q(u, a, 2.0, positive_part=True) == 0.0
+        assert weight_term(u, a, 2.0, truncated=True) == 0.0
 
     def test_odd_weight_even_function(self):
         mesh = make_mesh(0.0, 1.0, 256)
         u = hat(mesh)  # even about 1/2
         a = weight_fn(mesh, np.sin(2.0 * np.pi * mesh.nodes))  # odd about 1/2
-        assert abs(weighted_integral_q(u, a, 2.0)) < 1e-12
+        assert abs(weight_term(u, a, 2.0)) < 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(c=st.floats(0.01, 10.0), q=st.floats(1.1, 4.0))
@@ -158,8 +167,8 @@ class TestWeightedIntegral:
         vals[1:-1] = rng.normal(size=15)
         u = grid_fn(mesh, vals)
         a = weight_fn(mesh, rng.normal(size=17))
-        assert weighted_integral_q(c * u, a, q) == pytest.approx(
-            c**q * weighted_integral_q(u, a, q), rel=1e-12, abs=1e-15
+        assert weight_term(c * u, a, q) == pytest.approx(
+            c**q * weight_term(u, a, q), rel=1e-12, abs=1e-15
         )
 
 

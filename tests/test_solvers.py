@@ -250,40 +250,6 @@ class TestContinuation:
         assert rep.iterations < 5_000  # a pinned run stops early, not at its 50 000 cap
 
 
-class TestOrderInterval:
-    def test_solution_below_lambda_bar(self, zero_pairing_p5_problem, kset_p5, cont_p5):
-        spec0, pair = zero_pairing_p5_problem
-        spec = spec0.with_lambda(1.02 * pair.lambda1)
-        rep = solvers.order_interval_min(spec, cont_p5.u, tol=TOL)
-        assert rep.ok
-        assert rep.breakdown.I < 0
-        assert np.all(rep.u.values >= 0.0)
-        assert np.all(rep.u.values <= cont_p5.u.values + 1e-14)
-        part = sign_partition(spec0.a)
-        classified = solvers.classify(rep, part, 1e-8 * rep.u.linf())
-        assert all(classified.positive_on_plus)
-
-    def test_zero_upper_degenerate(self, zero_pairing_p5_problem):
-        spec0, pair = zero_pairing_p5_problem
-        zero = grid_fn(spec0.mesh, np.zeros(spec0.mesh.n_nodes))
-        with pytest.raises(SolverError):
-            solvers.order_interval_min(spec0.with_lambda(pair.lambda1), zero, tol=TOL)
-
-    def test_negative_upper_rejected(self, zero_pairing_p5_problem):
-        spec0, pair = zero_pairing_p5_problem
-        vals = np.zeros(spec0.mesh.n_nodes)
-        vals[5] = -1.0
-        with pytest.raises(ValueError):
-            solvers.order_interval_min(spec0.with_lambda(pair.lambda1), grid_fn(spec0.mesh, vals), tol=TOL)
-
-    def test_minimizer_clipping_idempotent(self, zero_pairing_p5_problem, cont_p5):
-        spec0, pair = zero_pairing_p5_problem
-        spec = spec0.with_lambda(1.02 * pair.lambda1)
-        rep = solvers.order_interval_min(spec, cont_p5.u, tol=TOL)
-        clipped = np.minimum(np.maximum(rep.u.values, 0.0), cont_p5.u.values)
-        assert np.array_equal(clipped, rep.u.values)
-
-
 class TestMountainPass:
     def test_initial_path_endpoints_exact(self, zero_pairing_p5_problem, cont_p5):
         spec0, pair = zero_pairing_p5_problem

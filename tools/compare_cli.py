@@ -21,14 +21,18 @@ classification or picone_holds flip. A differing record
 difference of numeric fields. Any other difference gets a short diff. The
 run ends with the largest level, linf_norm, field and picone_min
 differences over all commands, and the most region cells flipped in one
-command.
+command. Every --format json output of either tree is also parsed with
+json.loads, and one that it rejects is reported under its command and
+counted at the end; exit status 1 still means only that some command
+differed.
 
 The list holds the commands of the four benchmark workloads, whose configs
 are read from this checkout's perfbench/configs/, and small configs taken
 from the test suite: sweeps on both sides of the threshold, the
 three-solution scan, ground (also at p = 4, q = 1.5, 1.05 lambda1, whose
 polish once ran to its iteration cap on every start), certify, critical,
-the eigenpair at p = 1.25 (n = 256, q = 1.1), JSON and stdout output,
+the eigenpair at p = 1.25 (n = 256, q = 1.1), JSON and stdout output
+(also of a region cell whose Picone minimum is -inf),
 zero-pairing sweeps at lambda1 (no mountain-pass branch) and just past it
 (a mountain pass over the local minimum), and configs that must be
 refused.
@@ -169,6 +173,11 @@ sample_count = 2
 """,
     "three-two-bump": "n_cells = 64\np = 5.0\nq = 2.0\nweight_family = two-bump\nstarts = 2\n",
     "region-small": "region_p_count = 4\nregion_q_count = 3\n",
+    # at p = 1.01, q = 1 + 1e-7 the Picone minimum is -inf
+    "region-inf": (
+        "region_p_min = 1.01\nregion_p_max = 1.02\nregion_p_count = 2\n"
+        "region_q_min = 1.0000001\nregion_q_max = 1.005\nregion_q_count = 2\n"
+    ),
     "eigen-small": "n_cells = 64\np = 2.0\nq = 1.5\n",
     "eigen-p1.25": "n_cells = 256\np = 1.25\nq = 1.1\n",
     "bad-n-cells-fraction": "n_cells = 7.5\n",
@@ -228,6 +237,7 @@ COMMANDS = (
     Command("eigen-small-stdout-json", "eigen", "eigen-small", format="json", to_file=False),
     Command("ground-small-stdout", "ground", "ground-small", to_file=False),
     Command("region-small-stdout-json", "region", "region-small", format="json", to_file=False),
+    Command("region-inf-json", "region", "region-inf", format="json"),
     # the perturbed weight outside the three-solution scan
     Command("critical-p5-perturbed", "critical", "three-p5.cfg"),
     # the zero-pairing threshold lambda* = lambda1: a local minimum and no
@@ -462,13 +472,25 @@ def compare(base: Outcome, change: Outcome, maxima: dict[str, float]) -> list[st
     return report
 
 
+def _not_json(cmd: Command, outcome: Outcome) -> str | None:
+    """Why json.loads rejects the JSON output of a --format json command; None if it parses."""
+    text = outcome.output if cmd.to_file else outcome.stdout
+    if cmd.format != "json" or not text:
+        return None
+    try:
+        json.loads(text)
+    except ValueError as err:
+        return f"{type(err).__name__}: {err}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout with the change")
     args = parser.parse_args(argv)
 
-    differing = 0
+    differing = rejected = 0
     maxima: dict[str, float] = {}
     with tempfile.TemporaryDirectory(prefix="compare_cli_") as tmp:
         config_dir = Path(tmp)
@@ -481,12 +503,19 @@ def main(argv: list[str] | None = None) -> int:
             base = run(args.base.resolve(), cmd, config_dir, out)
             change = run(args.change.resolve(), cmd, config_dir, out)
             report = compare(base, change, maxima)
-            differing += bool(report)
             status = "DIFFERS" if report else "same   "
+            differing += bool(report)
+            for side, outcome in (("base", base), ("change", change)):
+                why = _not_json(cmd, outcome)
+                if why is not None:
+                    rejected += 1
+                    report.append(f"{side}: json.loads rejects the output ({why})")
             print(f"{status} {cmd.name} (exit {base.code} -> {change.code})", flush=True)
             for line in report:
                 print(f"    {line}", flush=True)
     print(f"{len(COMMANDS) - differing} of {len(COMMANDS)} commands identical")
+    if rejected:
+        print(f"{rejected} JSON outputs that json.loads rejects")
     if maxima:
         print("largest moves over all commands:")
         for name, value in sorted(maxima.items()):
