@@ -53,6 +53,7 @@ from .solvers import (
     local_min_continuation,
     m_minus,
     minimizer_set_at_star,
+    morse_index,
     mountain_pass,
 )
 

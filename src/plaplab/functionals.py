@@ -22,13 +22,16 @@ Every energy in the package is built from the three P1 integrals
 int |u'|^p, int |u|^p and int a|u|^q (or their positive-part variants) and
 their nodal gradients. P1Energy is that kernel: called on a nodal vector
 it returns an EnergyPoint holding the three values and, on request, the
-gradients and the inverse of the p-stiffness at that point (the descent
-metric), and its normalize scales a vector onto the gradient sphere
-{int |u'|^p = 1}. The eigen solver and the critical-value search use it
-and keep only their own algebra on top. Energy is its one lam-aware view:
-E, I, the ray-optimal J, their gradients and the cones, for the fibered
-solvers and the GridFn functions below alike, so one rule decides where
-the fiber is defined.
+gradients, the inverse of the p-stiffness at that point (the descent
+metric) and the tridiagonal Hessians, and its normalize scales a vector
+onto the gradient sphere {int |u'|^p = 1}. The eigen solver and the
+critical-value search use it and keep only their own algebra on top.
+Energy is its one lam-aware view: E, I, the ray-optimal J, their
+gradients, the Hessian of I and the cones, for the fibered solvers and
+the GridFn functions below alike, so one rule decides where the fiber is
+defined. In 1-D the P1 Hessian is tridiagonal, and _ldlt factors it in
+O(n): one factorization gives a Newton solve and, by its count of
+negative pivots, the Morse index.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .grid import (
     gauss_integral,
     gauss_values,
     scatter_gauss_gradient,
+    scatter_gauss_hessian,
 )
 
 __all__ = [
@@ -94,6 +98,44 @@ def _stiffness_solver(mesh: Mesh, w: np.ndarray):
         return z
 
     return apply
+
+
+def _ldlt(diag: np.ndarray, off: np.ndarray):
+    """Factor the symmetric tridiagonal (diag, off) as L D L^T, O(n) with no pivoting.
+
+    The pivots follow d_1 = diag_1, d_(i+1) = diag_(i+1) - off_i^2 / d_i.
+    Returns (solve, negatives): solve(r) is x with T x = r by one forward
+    and one backward sweep of the unit bidiagonal L, and negatives is the
+    count of negative pivots, which by Sylvester's law of inertia is the
+    count of negative eigenvalues (the Morse index). Returns None when an
+    entry or a pivot is not finite or a pivot is zero: no Hessian, or a
+    singular one, at that point.
+    """
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        return None
+    a, b = diag.tolist(), off.tolist()
+    d = [a[0]]
+    l = []
+    for i, bi in enumerate(b):
+        if d[-1] == 0.0:
+            return None
+        li = bi / d[-1]
+        l.append(li)
+        d.append(a[i + 1] - li * bi)
+    pivots = np.array(d)
+    if not np.all(np.isfinite(pivots)) or np.any(pivots == 0.0):
+        return None
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        y = r.tolist()
+        for i, li in enumerate(l):
+            y[i + 1] -= li * y[i]
+        x = (np.array(y) / pivots).tolist()
+        for i in range(len(l) - 1, -1, -1):
+            x[i] -= l[i] * x[i + 1]
+        return np.array(x)
+
+    return solve, int(np.count_nonzero(pivots < 0.0))
 
 
 @dataclass(frozen=True)
@@ -203,11 +245,13 @@ class EnergyPoint:
     when asked for and then kept, so a caller holding the point pays for
     each at most once: gradients() assembles dg from the cell fluxes and
     scatters dm, weight_gradient() scatters dw, precondition() builds the
-    cell compliances of the p-stiffness at this point.
+    cell compliances of the p-stiffness at this point, hessian() the
+    tridiagonal second derivatives of the three terms.
     """
 
     __slots__ = (
-        "grad_term", "mass", "weight", "_k", "_du", "_abs_du", "_g", "_b", "_signs", "_grads", "_dw", "_metric"
+        "grad_term", "mass", "weight", "_k", "_du", "_abs_du", "_g", "_b", "_signs", "_grads", "_dw", "_metric",
+        "_hess",
     )
 
     def __init__(self, kernel: P1Energy, v: np.ndarray):
@@ -227,7 +271,7 @@ class EnergyPoint:
             a1, a2 = kernel.a_gauss
             self.weight = gauss_integral(mesh, a1 * b1**q, a2 * b2**q)
         self._du, self._abs_du, self._g, self._b = du, abs_du, (g1, g2), (b1, b2)
-        self._signs = self._grads = self._dw = self._metric = None
+        self._signs = self._grads = self._dw = self._metric = self._hess = None
 
     def _gauss_power(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         # d/dg of b^(r+1)/(r+1) at both Gauss points: b^r, times sign(g)
@@ -239,6 +283,18 @@ class EnergyPoint:
             self._signs = np.sign(self._g[0]), np.sign(self._g[1])
         s1, s2 = self._signs
         return s1 * b1**r, s2 * b2**r
+
+    def _gauss_curvature(self, r: float) -> tuple[np.ndarray, np.ndarray]:
+        # d2/dg2 of b^(r+2)/((r+2)(r+1)) at both Gauss points: b^r, which is
+        # inf at b = 0 when r < 0 (no second derivative there); truncated, a
+        # Gauss point with g < 0 contributes nothing, as b vanishes near it
+        b1, b2 = self._b
+        with np.errstate(divide="ignore"):
+            c1, c2 = b1**r, b2**r
+        if self._k.truncated:
+            g1, g2 = self._g
+            c1, c2 = np.where(g1 < 0.0, 0.0, c1), np.where(g2 < 0.0, 0.0, c2)
+        return c1, c2
 
     def gradients(self) -> tuple[np.ndarray, np.ndarray]:
         """(dg, dm): nodal gradients of grad_term and mass.
@@ -268,6 +324,39 @@ class EnergyPoint:
             self._dw = scatter_gauss_gradient(k.mesh, k.qa[0] * w1, k.qa[1] * w2)
             self._dw.flags.writeable = False
         return self._dw
+
+    def hessian(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], tuple | None]:
+        """The interior tridiagonal blocks (diag, off) of grad_term, mass and weight.
+
+        grad_term has the cell weights p (p-1) |du_k|^(p-2) / h^(p-1), mass
+        and weight the Gauss-point second derivatives p (p-1) b^(p-2) and
+        q (q-1) a b^(q-2), spread by scatter_gauss_hessian. The weight
+        block is None without a weight. Truncated, a Gauss point with g < 0
+        adds nothing. An entry is inf where the term has no second
+        derivative: p < 2 at a flat cell or at a Gauss point with g = 0,
+        q < 2 at a Gauss point with g = 0 where a != 0. Built on the first
+        call, then kept.
+        """
+        if self._hess is None:
+            k = self._k
+            p, mesh = k.p, k.mesh
+            with np.errstate(divide="ignore"):
+                w = (p * (p - 1.0) / k.h_scale) * self._abs_du ** (p - 2.0)
+            grad = (w[:-1] + w[1:], -w[1:-1])
+            m1, m2 = self._gauss_curvature(p - 2.0)
+            mass = scatter_gauss_hessian(mesh, p * (p - 1.0) * m1, p * (p - 1.0) * m2)
+            weight = None
+            if k.a_gauss is not None:
+                c = k.q * (k.q - 1.0)
+                w1, w2 = self._gauss_curvature(k.q - 2.0)
+                a1, a2 = k.a_gauss
+                with np.errstate(invalid="ignore"):
+                    # a = 0 cancels b^(q-2) = inf: that term is zero
+                    weight = scatter_gauss_hessian(
+                        mesh, np.where(a1 != 0.0, c * a1 * w1, 0.0), np.where(a2 != 0.0, c * a2 * w2, 0.0)
+                    )
+            self._hess = grad, mass, weight
+        return self._hess
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """z with K z = r, K the regularized p-stiffness at this point.
@@ -329,6 +418,16 @@ class Energy:
         pt = self.kernel(v)
         dg, dm = pt.gradients()
         return (dg - self.lam * dm) / self.p - pt.weight_gradient() / self.q
+
+    def hess_I(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The interior tridiagonal Hessian (diag, off) of I, combined as grad_I combines the gradients."""
+        (gd, go), (md, mo), weight = self.kernel(v).hessian()
+        diag = (gd - self.lam * md) / self.p
+        off = (go - self.lam * mo) / self.p
+        if weight is not None:
+            diag = diag - weight[0] / self.q
+            off = off - weight[1] / self.q
+        return diag, off
 
     def precond(self, g: np.ndarray) -> np.ndarray:
         """The descent direction: g in the p-stiffness metric of the last point valued."""

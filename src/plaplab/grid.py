@@ -3,12 +3,12 @@
 Discretization: conforming P1 (piecewise-linear) elements on a uniform
 mesh. Zero-order nonlinear integrals use composite 2-point Gauss
 quadrature per cell applied to the interpolant; gauss_values,
-gauss_integral and scatter_gauss_gradient are its primitives. Weights are
-nodal samples interpolated with the same P1 model, so products like
-a*|u|^q are evaluated pointwise at the Gauss nodes. The integrals
-themselves, int |u'|^p (exact: the derivative of the interpolant is
-cellwise constant), int |u|^p and int a|u|^q, are computed in one place,
-functionals.P1Energy.
+gauss_integral, scatter_gauss_gradient and scatter_gauss_hessian are its
+primitives. Weights are nodal samples interpolated with the same P1
+model, so products like a*|u|^q are evaluated pointwise at the Gauss
+nodes. The integrals themselves, int |u'|^p (exact: the derivative of
+the interpolant is cellwise constant), int |u|^p and int a|u|^q, are
+computed in one place, functionals.P1Energy.
 
 All types are immutable after construction; all operations are pure.
 """
@@ -204,6 +204,25 @@ def scatter_gauss_gradient(mesh: Mesh, d1: np.ndarray, d2: np.ndarray) -> np.nda
     grad[0] = 0.0
     grad[-1] = 0.0
     return grad
+
+
+def scatter_gauss_hessian(mesh: Mesh, c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble the interior tridiagonal block from per-Gauss-point second derivatives.
+
+    c1, c2 are d2F/d(value at Gauss point)^2 for the two Gauss points of
+    each cell; the P1 shape-function values at the Gauss point spread each
+    into the 2x2 block of its cell's nodes, as scatter_gauss_gradient
+    spreads first derivatives. Returns (diag, off) over the interior nodes
+    1 .. n_cells - 1: diag has n_cells - 1 entries, off the n_cells - 2
+    couplings of neighboring interior nodes.
+    """
+    w = 0.5 * mesh.h
+    # each cell adds to the diagonal entry of its left node (as that node's
+    # right cell) and of its right node (as that node's left cell)
+    left = w * (_T_HI**2 * c1 + _T_LO**2 * c2)
+    right = w * (_T_LO**2 * c1 + _T_HI**2 * c2)
+    off = (w * _T_HI * _T_LO) * (c1 + c2)
+    return right[:-1] + left[1:], off[1:-1]
 
 
 def cos_bump(mesh: Mesh, center: float, width: float) -> np.ndarray:

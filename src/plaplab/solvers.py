@@ -14,9 +14,11 @@ Branches covered:
   * local_min_continuation
                        tube-constrained descent that carries those local
                        minimizers past the threshold;
-  * mountain_pass      saddle between two nonnegative states by one
-                       climbing-string run (string_relax) on the q-mean
-                       path ((1-s) u^q + s w^q)^(1/q).
+  * mountain_pass      saddle between two nonnegative states: a climbing
+                       string (string_relax) on the q-mean path
+                       ((1-s) u^q + s w^q)^(1/q) to a loose residual, then
+                       guarded Newton steps, verdict Morse index 1
+                       (morse_index).
 
 Every multistart solve takes its starts from one generator, _starts: the
 solver's fixed candidates in order, then jittered copies of the
@@ -37,10 +39,15 @@ climbing string steps its own beads with the linear stiffness M
 (functionals._stiffness_solver with unit weights): a Barzilai-Borwein
 step for the climbing bead, a per-bead Armijo search for the others. Its
 climbing bead reflects the tangent in the metric of M, so changing the
-preconditioner alone would break that reflection. Iterates are raw nodal
+preconditioner alone would break that reflection. The saddle is the one
+solve that applies the full Hessian: in 1-D the P1 Hessian of the
+truncated energy is tridiagonal (Energy.hess_I), and one O(n) LDL^T
+(functionals._ldlt) gives both the Newton step that finishes the string
+and the Morse index that certifies the saddle. Iterates are raw nodal
 arrays with pinned boundary zeros. E, I, the ray-optimal J, their
-gradients, the cones, the metric and the sphere retraction all come from
-functionals.Energy; what is left here is each solver's policy.
+gradients, the Hessian, the cones, the metric and the sphere retraction
+all come from functionals.Energy; what is left here is each solver's
+policy.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from .errors import (
     MeshMismatchError,
     SolverError,
 )
-from .functionals import Energy, EnergyBreakdown, ProblemSpec, _stiffness_solver, evaluate
+from .functionals import Energy, EnergyBreakdown, ProblemSpec, _energy, _ldlt, _stiffness_solver, evaluate
 from .grid import GridFn, SignPartition, component_bump, sign_partition, smooth_noise, widest_component_bump
 
 __all__ = [
@@ -71,6 +78,7 @@ __all__ = [
     "minimizer_set_at_star",
     "local_min_continuation",
     "mountain_pass",
+    "morse_index",
     "initial_path",
     "string_relax",
     "runaway_state",
@@ -85,7 +93,14 @@ J_FLOOR = -1e7
 # integral means the iterate has pushed its Rayleigh quotient onto lam
 # while staying admissible: the minimization level is unbounded below.
 _E_COLLAPSE_RTOL = 1e-8
-SADDLE_TOL = 1e-6  # saddle residuals bottom out near the C^1 kink noise floor
+# string_relax's own default stop: the floor of the string alone, whose
+# first-order sweeps slow down near the saddle; mountain_pass finishes
+# with Newton and stops at the minimizers' tol instead
+SADDLE_TOL = 1e-6
+# mountain_pass hands the climbing bead to Newton once its sup residual is
+# below this, and tightens it 10x whenever Newton is refused
+NEWTON_ENTRY = 1e-2
+_MAX_SWEEPS = 5000  # string sweeps of one mountain_pass call, over all its entries
 MIN_BEADS = 9  # fewest beads of a mountain-pass string
 # Two solutions count as distinct only beyond this many tol apart in sup
 # norm: at tol = 1e-8 a converged solution is good to only about 1e-6.
@@ -604,35 +619,98 @@ def string_relax(
     return PathState(beads=beads, energies=tuple(energies), residual=residual), barrier_history
 
 
+def _newton_finish(energy: Energy, x: np.ndarray, tol: float) -> tuple[np.ndarray, float, int, int | None]:
+    """Guarded Newton on grad I from x: (point, sup residual, steps, Morse index).
+
+    Each step solves H s = g on the interior nodes with the LDL^T of the
+    tridiagonal Hessian, and counts only if it at least halves the sup
+    residual, so the run ends after at most log2(residual / tol) steps: at
+    residual < tol, at the first refused step, or where the Hessian is
+    not finite. The index is the count of negative pivots at the returned
+    point, None where it has no Hessian.
+    """
+    g = energy.grad_I(x)
+    residual = float(np.max(np.abs(g)))
+    steps = 0
+    while True:
+        factored = _ldlt(*energy.hess_I(x))
+        if factored is None:
+            return x, residual, steps, None
+        solve, index = factored
+        if residual < tol:
+            return x, residual, steps, index
+        trial = np.array(x)
+        trial[1:-1] -= solve(g[1:-1])
+        g_trial = energy.grad_I(trial)
+        r_trial = float(np.max(np.abs(g_trial)))
+        if not r_trial <= 0.5 * residual:
+            return x, residual, steps, index
+        x, g, residual = trial, g_trial, r_trial
+        steps += 1
+
+
 def mountain_pass(
     spec: ProblemSpec,
     u: GridFn,
     omega: GridFn,
     beads: int = 17,
     *,
-    tol: float = SADDLE_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> SolveReport:
     """Saddle between a local minimum u and a lower state omega.
 
-    One climbing-string run (string_relax) on the q-mean path from u to
-    omega: the highest interior bead climbs to the saddle while the other
-    beads relax onto the minimum energy path. The report is that bead, with
-    the residual the string's stop test read. Fails with status
-    "saddle_not_found" when the run ends at 5000 sweeps, or when the bead
-    does not rise above both endpoints (the path collapsed into one basin).
+    A climbing string (string_relax) on the q-mean path from max(u, 0) to
+    max(omega, 0) brings its highest interior bead into Newton's basin:
+    it stops at the loose entry residual NEWTON_ENTRY. Guarded Newton
+    steps on the tridiagonal Hessian of the truncated energy then finish
+    from that bead (_newton_finish). The saddle is accepted at residual
+    < tol with Morse index 1, exactly one negative pivot, and a level above
+    both endpoints. When a Newton step is refused, the Hessian is not
+    finite, or the point Newton reaches does not pass, the string resumes
+    from where it stopped at a 10x tighter entry residual, down to tol
+    itself. Critical points of the truncated energy are nonnegative, so
+    the path starts from the positive parts: a local minimum may carry
+    negative dust within its stop residual.
 
-    The default tolerance is looser than for the minimization solvers: the
-    truncated energy is C^1 but not C^2 across dead-core boundaries, which
-    caps how far saddle residuals can be driven down.
+    Fails with status "saddle_not_found" when the string has used its
+    5000 sweeps, or reached tol itself, without an accepted saddle. The
+    report's iterations are the string's sweeps plus the Newton steps.
+    Where the Hessian does not exist (morse_index is None) no saddle is
+    accepted: its index cannot be read.
     """
-    path0 = initial_path(spec, u, omega, beads)
-    if not path0.energies[-1] < path0.energies[0]:
+    energy = Energy(spec, truncated=True)
+    path = initial_path(
+        spec, GridFn(spec.mesh, np.maximum(u.values, 0.0)), GridFn(spec.mesh, np.maximum(omega.values, 0.0)), beads
+    )
+    if not path.energies[-1] < path.energies[0]:
         raise ValueError("omega must have strictly lower energy than u")
-    path, barrier_history = string_relax(spec, path0, tol=tol, max_sweeps=5000)
-    top = 1 + int(np.argmax(path.energies[1:-1]))
-    found = path.residual < tol and path.energies[top] > path.energies[0] + 1e-14
+    entry = NEWTON_ENTRY
+    sweeps = steps = 0
+    while True:
+        stop = max(entry, tol)
+        path, barrier_history = string_relax(spec, path, tol=stop, max_sweeps=_MAX_SWEEPS - sweeps)
+        sweeps += len(barrier_history)
+        top = 1 + int(np.argmax(path.energies[1:-1]))
+        x, residual, taken, index = _newton_finish(energy, path.beads[top].values, tol)
+        steps += taken
+        found = residual < tol and index == 1 and energy.I(x) > path.energies[0] + 1e-14
+        if found or sweeps >= _MAX_SWEEPS or stop == tol:
+            break
+        entry *= 0.1
     status = "converged" if found else "saddle_not_found"
-    return _report_from(spec, path.beads[top].values, path.residual, len(barrier_history), status)
+    return _report_from(spec, x, residual, sweeps + steps, status)
+
+
+def morse_index(spec: ProblemSpec, u: GridFn) -> int | None:
+    """Count of negative eigenvalues of the truncated energy's Hessian at u.
+
+    0 at a strict local minimum, 1 at a mountain-pass saddle. None where
+    the Hessian is not finite, the limits of unbounded curvature: for
+    p < 2 where u' = 0 on a cell or u = 0 at a Gauss point, for q < 2 where
+    u = 0 at a Gauss point with a != 0. None also where it is singular.
+    """
+    factored = _ldlt(*_energy(u, spec, truncated=True).hess_I(u.values))
+    return None if factored is None else factored[1]
 
 
 def runaway_state(

@@ -236,7 +236,7 @@ def _sweep_one(problem: Problem, crit: CriticalValues, kset: MinimizerSet | None
             try:
                 level = cont.breakdown.I_trunc
                 omega = solvers.runaway_state(spec, level - 10.0 * abs(level) - 1.0, problem.pair)
-                mp = solvers.mountain_pass(spec, cont.u, omega, beads=config.beads)
+                mp = solvers.mountain_pass(spec, cont.u, omega, beads=config.beads, tol=config.tol)
                 rows.append(_row_from_report(mp, "mountain_pass", problem.partition))
             except PlapLabError as exc:
                 rows.append(_failure_row(lam, "mountain_pass", f"error:{type(exc).__name__}"))
@@ -328,7 +328,7 @@ def run_three_solutions(config: RunConfig) -> BranchTable:
             rows.append(_failure_row(lam, "ground", "no_distinct_pair"))
             continue
         try:
-            v = solvers.mountain_pass(spec, u.u, w.u, beads=config.beads)
+            v = solvers.mountain_pass(spec, u.u, w.u, beads=config.beads, tol=config.tol)
         except PlapLabError as exc:
             rows.append(_failure_row(lam, "mountain_pass", f"error:{type(exc).__name__}"))
             continue

@@ -9,7 +9,6 @@ import pytest
 from plaplab import solvers
 from plaplab.cli import main
 from plaplab.errors import ConfigError, SolverError
-from plaplab.solvers import SADDLE_TOL
 from plaplab.sweeps import (
     RunConfig,
     build_problem,
@@ -228,7 +227,37 @@ seed = 7
         at_top = {r.branch: r for r in rows if r.lam == lam}
         saddle, local_min = at_top["mountain_pass"], at_top["local_min"]
         assert saddle.status == "ok" and local_min.status == "ok"
-        assert saddle.residual < SADDLE_TOL
+        assert saddle.residual < 1e-8  # the config's tol
+        assert local_min.energy < saddle.energy < 0.0
+
+
+class TestSaddleFromNegativeDust:
+    # past lambda1 on the zero-pairing weight at q = 1.5, the continued local
+    # minimum carries -2.45e-4 on 23 nodes: dust the degenerate p = 5 flux
+    # leaves inside the stop residual. The mountain pass starts from its
+    # positive part.
+    CONFIG = """
+n_cells = 128
+p = 5.0
+q = 1.5
+weight_family = orthogonal-two-bump
+lambda_start = 1.02
+lambda_count = 1
+tol = 1e-8
+seed = 7
+starts = 3
+sample_count = 2
+"""
+
+    def test_mountain_pass_row_ok(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(self.CONFIG)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--format", "csv"]) == 0
+        rows = {r.branch: r for r in parse_table(out).rows}
+        local_min, saddle = rows["local_min"], rows["mountain_pass"]
+        assert local_min.status == "ok" and saddle.status == "ok"
+        assert saddle.residual < 1e-8
         assert local_min.energy < saddle.energy < 0.0
 
 

@@ -7,6 +7,7 @@ from plaplab.functionals import (
     Energy,
     P1Energy,
     ProblemSpec,
+    _ldlt,
     _stiffness_solver,
     evaluate,
     fiber_scale,
@@ -78,6 +79,60 @@ class TestEvaluate:
         other = make_mesh(0.0, 1.0, 64)
         with pytest.raises(MeshMismatchError):
             evaluate(grid_fn(other, np.zeros(65)), spec)
+
+
+class TestHessian:
+    @pytest.mark.parametrize(
+        "p,q",
+        [(2.0, 1.5), (2.5, 1.5), (2.5, 2.0), (3.0, 1.5), (3.0, 2.0), (5.0, 1.5), (5.0, 2.0)],
+    )
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_hessian_vector_product(self, p, q, truncated):
+        # hess_I v against central differences of grad_I along v. Nodal values
+        # of random sign and size in [0.5, 1.5] keep every Gauss value at
+        # least 0.078 from the kinks of |g| and max(g, 0), so the difference
+        # error falls as eps^2 (100x per decade) down to roundoff.
+        mesh = make_mesh(0.0, 1.0, 128)
+        energy = Energy(_spec(mesh, p=p, q=q, lam=7.0, seed=10), truncated)
+        rng = np.random.default_rng(20)
+        worst = np.zeros(2)
+        for _ in range(10):
+            u = np.zeros(mesh.n_nodes)
+            u[1:-1] = rng.choice([-1.0, 1.0], mesh.n_nodes - 2) * (0.5 + rng.random(mesh.n_nodes - 2))
+            v = _random_u(mesh, rng).values
+            diag, off = energy.hess_I(u)
+            hv = diag * v[1:-1]
+            hv[:-1] += off * v[2:-1]
+            hv[1:] += off * v[1:-2]
+            for k, eps in enumerate((1e-3, 1e-4)):
+                fd = (energy.grad_I(u + eps * v) - energy.grad_I(u - eps * v))[1:-1] / (2.0 * eps)
+                worst[k] = max(worst[k], float(np.max(np.abs(fd - hv)) / np.max(np.abs(hv))))
+        coarse, fine = worst
+        assert fine < 1e-5
+        assert fine <= coarse / 50.0 + 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    @pytest.mark.parametrize("definite", [True, False])
+    def test_ldlt_against_dense(self, n, definite):
+        rng = np.random.default_rng(100 * n + definite)
+        for _ in range(5):
+            if definite:  # diagonally dominant
+                diag, off = 2.5 + rng.random(n), rng.uniform(-1.0, 1.0, n - 1)
+            else:
+                diag, off = rng.normal(size=n), rng.normal(size=n - 1)
+            dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+            solve, negatives = _ldlt(diag, off)
+            r = rng.normal(size=n)
+            x = solve(r)
+            assert np.max(np.abs(x - np.linalg.solve(dense, r))) <= 1e-9 * (1.0 + np.max(np.abs(x)))
+            assert negatives == int(np.sum(np.linalg.eigvalsh(dense) < 0.0))
+            if definite:
+                assert negatives == 0
+
+    def test_ldlt_refuses_non_finite_and_singular(self):
+        assert _ldlt(np.array([1.0, np.inf]), np.array([0.5])) is None
+        assert _ldlt(np.array([1.0, 2.0]), np.array([np.nan])) is None
+        assert _ldlt(np.array([1.0, 1.0]), np.array([1.0])) is None  # second pivot 0
 
 
 class TestGradient:

@@ -10,6 +10,7 @@ from plaplab.eigen import first_eigenpair
 from plaplab.functionals import ProblemSpec, evaluate, gradient_I, nehari_residual_rel
 from plaplab.grid import GridFn, component_bump, grid_fn, make_mesh, sign_partition, smooth_noise, weight_fn
 from plaplab.presets import TwoBumpParams, two_bump
+from plaplab.sweeps import build_problem, parse_config
 from plaplab import functionals, solvers
 
 from oracles import central_diff_directional
@@ -282,17 +283,23 @@ class TestMountainPass:
         level = cont_p5.breakdown.I_trunc
         rep = saddle_p5
         assert rep.ok
-        assert rep.residual_sup < solvers.SADDLE_TOL
+        assert rep.residual_sup < TOL
         assert level < rep.breakdown.I_trunc < 0.0
         assert rep.breakdown.I_trunc - level > 1e-7
 
     def test_tight_tolerance_reaches_the_same_critical_point(self, runaway_p5, cont_p5, saddle_p5):
+        # the default tol is the minimizers' 1e-8; Newton carries on to 1e-12
         spec, omega = runaway_p5
-        rep = solvers.mountain_pass(spec, cont_p5.u, omega, beads=17, tol=1e-8)
+        rep = solvers.mountain_pass(spec, cont_p5.u, omega, beads=17, tol=1e-12)
         assert rep.ok
-        assert rep.residual_sup < 1e-8
-        assert np.max(np.abs(rep.u.values - saddle_p5.u.values)) < 1e-3
-        assert abs(rep.breakdown.I_trunc - saddle_p5.breakdown.I_trunc) < 1e-8
+        assert rep.residual_sup < 1e-12
+        assert np.max(np.abs(rep.u.values - saddle_p5.u.values)) < 1e-6
+        assert abs(rep.breakdown.I_trunc - saddle_p5.breakdown.I_trunc) < 1e-12
+
+    def test_saddle_has_index_one(self, runaway_p5, cont_p5, saddle_p5):
+        spec, _ = runaway_p5
+        assert solvers.morse_index(spec, cont_p5.u) == 0
+        assert solvers.morse_index(spec, saddle_p5.u) == 1
 
     def test_rejects_higher_omega(self, zero_pairing_p5_problem, cont_p5):
         spec0, pair = zero_pairing_p5_problem
@@ -304,6 +311,61 @@ class TestMountainPass:
         spec0, pair = zero_pairing_p5_problem
         with pytest.raises(SolverError):
             solvers.runaway_state(spec0.with_lambda(0.5 * pair.lambda1), -100.0, pair)
+
+
+class TestMorseIndex:
+    # the three-p5 benchmark config; its scan finds the triple at its first
+    # probe, 0.995 lambda1
+    THREE_P5 = """
+n_cells = 256
+p = 5.0
+q = 2.0
+weight_family = perturbed
+mu = 0.05
+starts = 5
+sample_count = 3
+tol = 1e-8
+seed = 7
+"""
+
+    def test_three_solution_triple(self):
+        cfg = parse_config(self.THREE_P5)
+        problem = build_problem(cfg)
+        lambda1 = problem.pair.lambda1
+        kset = solvers.minimizer_set_at_star(
+            ProblemSpec(cfg.p, cfg.q, lambda1, problem.base, problem.mesh),
+            sample_count=cfg.sample_count,
+            tol=cfg.tol,
+            seed=cfg.seed,
+        )
+        spec = problem.spec0.with_lambda(0.995 * lambda1)
+        w = solvers.ground_state(spec, starts=cfg.starts, tol=cfg.tol, seed=cfg.seed)
+        u = solvers.local_min_continuation(spec, kset, tol=cfg.tol)
+        v = solvers.mountain_pass(spec, u.u, w.u, beads=cfg.beads, tol=cfg.tol)
+        assert w.ok and u.ok and v.ok
+        assert w.breakdown.I_trunc < u.breakdown.I_trunc < v.breakdown.I_trunc < 0.0
+        indices = [solvers.morse_index(spec, r.u) for r in (w, u, v)]
+        assert indices == [0, 0, 1]
+
+    def test_undefined_where_the_hessian_is_not_finite(self, mesh256):
+        a = weight_fn(mesh256, np.cos(3.0 * np.pi * mesh256.nodes))
+        u = np.sin(np.pi * mesh256.nodes)
+        u[0] = u[-1] = 0.0
+        # p < 2: a flat cell
+        spec = ProblemSpec(1.5, 1.2, 10.0, a, mesh256)
+        assert solvers.morse_index(spec, grid_fn(mesh256, u)) is not None
+        flat = u.copy()
+        flat[100] = flat[101]
+        assert solvers.morse_index(spec, grid_fn(mesh256, flat)) is None
+        # q < 2: u = 0 at Gauss points where a != 0 (a dead core); p > 2
+        spec = ProblemSpec(3.0, 1.5, 10.0, a, mesh256)
+        assert solvers.morse_index(spec, grid_fn(mesh256, u)) is not None
+        core = u.copy()
+        core[100:120] = 0.0
+        assert solvers.morse_index(spec, grid_fn(mesh256, core)) is None
+        # at q = 2 the weight term has its second derivative everywhere
+        spec = ProblemSpec(3.0, 2.0, 10.0, a, mesh256)
+        assert solvers.morse_index(spec, grid_fn(mesh256, core)) is not None
 
 
 class _StartsTaken(Exception):

@@ -34,8 +34,8 @@ polish once ran to its iteration cap on every start), certify, critical,
 the eigenpair at p = 1.25 (n = 256, q = 1.1), JSON and stdout output
 (also of a region cell whose Picone minimum is -inf),
 zero-pairing sweeps at lambda1 (no mountain-pass branch) and just past it
-(a mountain pass over the local minimum), and configs that must be
-refused.
+(a mountain pass over the local minimum, also at q = 1.5, where that
+minimum carries negative dust), and configs that must be refused.
 """
 
 from __future__ import annotations
@@ -171,6 +171,20 @@ seed = 7
 starts = 3
 sample_count = 2
 """,
+    # the continued local minimum carries -2.45e-4 on 23 nodes: negative
+    # dust the degenerate p = 5 flux leaves inside the stop residual
+    "local-min-negative-dust": """
+n_cells = 128
+p = 5.0
+q = 1.5
+weight_family = orthogonal-two-bump
+lambda_start = 1.02
+lambda_count = 1
+tol = 1e-8
+seed = 7
+starts = 3
+sample_count = 2
+""",
     "three-two-bump": "n_cells = 64\np = 5.0\nq = 2.0\nweight_family = two-bump\nstarts = 2\n",
     "region-small": "region_p_count = 4\nregion_q_count = 3\n",
     # at p = 1.01, q = 1 + 1e-7 the Picone minimum is -inf
@@ -244,6 +258,8 @@ COMMANDS = (
     # runaway state at lambda1, a mountain pass over it just past lambda1
     Command("zero-pairing-at-lambda1", "sweep", "zero-pairing-at-lambda1"),
     Command("zero-pairing-past-lambda1", "sweep", "zero-pairing-past-lambda1"),
+    # a mountain pass from a local minimum with negative dust
+    Command("local-min-negative-dust", "sweep", "local-min-negative-dust"),
     # configs that must be refused
     Command("three-two-bump", "three", "three-two-bump"),
     Command("bad-n-cells-fraction", "eigen", "bad-n-cells-fraction"),
