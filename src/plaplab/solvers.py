@@ -9,16 +9,17 @@ Branches covered:
   * m_minus            least positive-energy solutions over the opposite
                        cone {E < 0, int a|u|^q < 0};
   * minimizer_set_at_star
-                       finite sample of the minimizer set at the critical
-                       threshold, with a data-driven neighborhood radius;
+                       the minimizer set at the critical threshold: one
+                       ground-state multistart (_ground_runs), clustered,
+                       with a data-driven neighborhood radius;
   * local_min_continuation
                        tube-constrained descent that carries those local
                        minimizers past the threshold;
   * mountain_pass      saddle between two nonnegative states: a climbing
                        string (string_relax) on the q-mean path
                        ((1-s) u^q + s w^q)^(1/q) to a loose residual, then
-                       guarded Newton steps, verdict Morse index 1
-                       (morse_index).
+                       Newton steps while they lower the residual, verdict
+                       Morse index 1 (morse_index).
 
 Every multistart solve takes its starts from one generator, _starts: the
 solver's fixed candidates in order, then jittered copies of the
@@ -98,7 +99,7 @@ _E_COLLAPSE_RTOL = 1e-8
 # with Newton and stops at the minimizers' tol instead
 SADDLE_TOL = 1e-6
 # mountain_pass hands the climbing bead to Newton once its sup residual is
-# below this, and tightens it 10x whenever Newton is refused
+# below this, and tightens it 10x whenever Newton stalls short of a saddle
 NEWTON_ENTRY = 1e-2
 _MAX_SWEEPS = 5000  # string sweeps of one mountain_pass call, over all its entries
 MIN_BEADS = 9  # fewest beads of a mountain-pass string
@@ -216,6 +217,62 @@ def _report_from(spec: ProblemSpec, vals: np.ndarray, residual: float, iteration
     )
 
 
+def _ground_runs(
+    spec: ProblemSpec, starts: int, tol: float, seed: int, truncated: bool
+) -> tuple[list[SolveReport], SolveReport | None, list[str]]:
+    """ground_state's multistart: (converged candidates in start order, the
+    last diverged report, one failure line per start that did neither).
+
+    Each report's iterations are the running total over the starts so far.
+    """
+    energy = Energy(spec, truncated)
+    partition = sign_partition(spec.a)
+    phi = first_eigenpair(spec.mesh, spec.p).phi.values
+    scale = float(np.max(phi))
+    # The bare eigenfunction direction reaches minimizers that hybridize
+    # with it (they sit behind a narrow low-E throat that noisy starts miss).
+    fixed = [component_bump(spec.mesh, comp) for comp in partition.plus_components] + [np.array(phi)]
+    jitter = lambda rng: phi + 0.35 * scale * np.abs(smooth_noise(spec.mesh, rng))
+    seeds = _starts(starts, fixed, jitter, 1_000_003, seed, lambda v: energy.in_cone(v, +1))
+    if not seeds:
+        raise SolverError("no admissible start in the positive cone; weight misconfigured?")
+
+    candidates: list[SolveReport] = []
+    diverged: SolveReport | None = None
+    total_iters = 0
+    failures: list[str] = []
+    for k, v0 in enumerate(seeds):
+        res_a = _ray_descent(energy, v0, +1, tol)
+        total_iters += res_a.iterations
+        if res_a.status == "diverged" or _energy_collapsed(energy, res_a.x):
+            proj = energy.normalize(res_a.x)
+            diverged = _report_from(spec, proj, energy.residual_sup(proj), total_iters, "diverged")
+            continue
+        x = energy.fiber_project(res_a.x)
+        res_b = bb_descent(
+            x,
+            energy.I,
+            energy.grad_I,
+            tol=tol,
+            max_iter=DEFAULT_MAX_ITER,
+            window=5,
+            floor=J_FLOOR,
+            precond=energy.precond,
+        )
+        total_iters += res_b.iterations
+        if res_b.status == "diverged":
+            proj = energy.normalize(res_b.x)
+            diverged = _report_from(spec, proj, energy.residual_sup(proj), total_iters, "diverged")
+        elif res_b.status != "converged":
+            failures.append(
+                f"start {k}: ray phase {res_a.status} after {res_a.iterations} iterations, "
+                f"polish {res_b.status} after {res_b.iterations}"
+            )
+        else:
+            candidates.append(_report_from(spec, res_b.x, energy.residual_sup(res_b.x), total_iters, "converged"))
+    return candidates, diverged, failures
+
+
 def ground_state(
     spec: ProblemSpec,
     starts: int = 8,
@@ -239,64 +296,10 @@ def ground_state(
     SolverError names every start's stop reason and iteration count, for
     the ray phase and for the polish.
     """
-    energy = Energy(spec, truncated)
-    partition = sign_partition(spec.a)
-    phi = first_eigenpair(spec.mesh, spec.p).phi.values
-    scale = float(np.max(phi))
-    # The bare eigenfunction direction reaches minimizers that hybridize
-    # with it (they sit behind a narrow low-E throat that noisy starts miss).
-    fixed = [component_bump(spec.mesh, comp) for comp in partition.plus_components] + [np.array(phi)]
-    seeds = _starts(
-        starts,
-        fixed,
-        lambda rng: phi + 0.35 * scale * np.abs(smooth_noise(spec.mesh, rng)),
-        1_000_003,
-        seed,
-        lambda v: energy.in_cone(v, +1),
-    )
-    if not seeds:
-        raise SolverError("no admissible start in the positive cone; weight misconfigured?")
-
-    best: SolveReport | None = None
-    diverged: SolveReport | None = None
-    total_iters = 0
-    failures: list[str] = []
-
-    for k, v0 in enumerate(seeds):
-        res_a = _ray_descent(energy, v0, +1, tol)
-        total_iters += res_a.iterations
-        if res_a.status == "diverged" or _energy_collapsed(energy, res_a.x):
-            proj = energy.normalize(res_a.x)
-            diverged = _report_from(spec, proj, energy.residual_sup(proj), total_iters, "diverged")
-            continue
-        x = energy.fiber_project(res_a.x)
-        res_b = bb_descent(
-            x,
-            energy.I,
-            energy.grad_I,
-            tol=tol,
-            max_iter=DEFAULT_MAX_ITER,
-            window=5,
-            floor=J_FLOOR,
-            precond=energy.precond,
-        )
-        total_iters += res_b.iterations
-        if res_b.status == "diverged":
-            proj = energy.normalize(res_b.x)
-            diverged = _report_from(spec, proj, energy.residual_sup(proj), total_iters, "diverged")
-            continue
-        if res_b.status != "converged":
-            failures.append(
-                f"start {k}: ray phase {res_a.status} after {res_a.iterations} iterations, "
-                f"polish {res_b.status} after {res_b.iterations}"
-            )
-            continue
-        cand = _report_from(spec, res_b.x, energy.residual_sup(res_b.x), total_iters, "converged")
-        cand_level = cand.breakdown.I_trunc if truncated else cand.breakdown.I
-        if best is None or cand_level < (best.breakdown.I_trunc if truncated else best.breakdown.I):
-            best = cand
-    if best is not None:
-        return best
+    candidates, diverged, failures = _ground_runs(spec, starts, tol, seed, truncated)
+    if candidates:
+        # min keeps the first of equal levels
+        return min(candidates, key=lambda r: r.breakdown.I_trunc if truncated else r.breakdown.I)
     if diverged is not None:
         return diverged
     raise SolverError("ground state search failed on every start: " + "; ".join(failures))
@@ -379,26 +382,21 @@ def minimizer_set_at_star(
 ) -> MinimizerSet:
     """Sample the set of minimizers at the threshold parameter.
 
-    Runs sample_count independent two-start ground-state solves, keeps
-    the converged ones at the common minimal level, and clusters them by
-    sup-norm distance. The neighborhood radius is half the minimal
+    Runs the ground-state multistart once with sample_count starts, keeps
+    the converged solves at the common minimal level, and clusters them by
+    sup-norm distance, lowest level first, so each cluster is represented
+    by its lowest member. The neighborhood radius is half the minimal
     inter-cluster distance, floored at a quarter of the largest member
-    amplitude. Raises AttainabilityError when every run diverges (wrong
-    regime, e.g. positive pairing).
+    amplitude. Raises AttainabilityError when no start converges (wrong
+    regime, e.g. positive pairing, where every start diverges).
     """
-    reports: list[SolveReport] = []
-    for k in range(sample_count):
-        try:
-            rep = ground_state(spec_at_star, starts=2, tol=tol, seed=seed + 17 * k + 1)
-        except SolverError:
-            continue
-        if rep.ok:
-            reports.append(rep)
+    reports, _, _ = _ground_runs(spec_at_star, sample_count, tol, seed, True)
     if not reports:
         raise AttainabilityError(
             "no converged minimizer at the threshold: level appears unbounded below"
         )
-    level = min(r.breakdown.I_trunc for r in reports)
+    reports.sort(key=lambda r: r.breakdown.I_trunc)
+    level = reports[0].breakdown.I_trunc
     keep = [r for r in reports if r.breakdown.I_trunc <= level + 100.0 * tol * (1.0 + abs(level))]
 
     clusters: list[GridFn] = []
@@ -623,11 +621,10 @@ def _newton_finish(energy: Energy, x: np.ndarray, tol: float) -> tuple[np.ndarra
     """Guarded Newton on grad I from x: (point, sup residual, steps, Morse index).
 
     Each step solves H s = g on the interior nodes with the LDL^T of the
-    tridiagonal Hessian, and counts only if it at least halves the sup
-    residual, so the run ends after at most log2(residual / tol) steps: at
-    residual < tol, at the first refused step, or where the Hessian is
-    not finite. The index is the count of negative pivots at the returned
-    point, None where it has no Hessian.
+    tridiagonal Hessian, and counts only if it lowers the sup residual.
+    The run ends at residual < tol, at the first step that does not lower
+    it, or where the Hessian is not finite. The index is the count of
+    negative pivots at the returned point, None where it has no Hessian.
     """
     g = energy.grad_I(x)
     residual = float(np.max(np.abs(g)))
@@ -643,7 +640,7 @@ def _newton_finish(energy: Energy, x: np.ndarray, tol: float) -> tuple[np.ndarra
         trial[1:-1] -= solve(g[1:-1])
         g_trial = energy.grad_I(trial)
         r_trial = float(np.max(np.abs(g_trial)))
-        if not r_trial <= 0.5 * residual:
+        if not r_trial < residual:
             return x, residual, steps, index
         x, g, residual = trial, g_trial, r_trial
         steps += 1
@@ -661,16 +658,16 @@ def mountain_pass(
 
     A climbing string (string_relax) on the q-mean path from max(u, 0) to
     max(omega, 0) brings its highest interior bead into Newton's basin:
-    it stops at the loose entry residual NEWTON_ENTRY. Guarded Newton
-    steps on the tridiagonal Hessian of the truncated energy then finish
-    from that bead (_newton_finish). The saddle is accepted at residual
-    < tol with Morse index 1, exactly one negative pivot, and a level above
-    both endpoints. When a Newton step is refused, the Hessian is not
-    finite, or the point Newton reaches does not pass, the string resumes
-    from where it stopped at a 10x tighter entry residual, down to tol
-    itself. Critical points of the truncated energy are nonnegative, so
-    the path starts from the positive parts: a local minimum may carry
-    negative dust within its stop residual.
+    it stops at the loose entry residual NEWTON_ENTRY. Newton steps on
+    the tridiagonal Hessian of the truncated energy then finish from that
+    bead while each lowers the sup residual (_newton_finish). The saddle is
+    accepted at residual < tol with Morse index 1, exactly one negative
+    pivot, and a level above both endpoints. When a Newton step does not
+    lower the residual, the Hessian is not finite, or the point Newton
+    reaches does not pass, the string resumes from where it stopped at a
+    10x tighter entry residual, down to tol itself. Critical points of the
+    truncated energy are nonnegative, so the path starts from the positive
+    parts: a local minimum may carry negative dust within its stop residual.
 
     Fails with status "saddle_not_found" when the string has used its
     5000 sweeps, or reached tol itself, without an accepted saddle. The

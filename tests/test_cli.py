@@ -169,11 +169,7 @@ class TestSweepDeterminism:
 
 
 class TestSweepBranches:
-    def test_sweep_crosses_threshold(self):
-        # negative pairing: ground + m_minus below the threshold, tube
-        # continuation (and its saddle) above it
-        cfg = parse_config(
-            """
+    CROSSES = """
 n_cells = 128
 p = 3.0
 q = 2.0
@@ -186,8 +182,11 @@ seed = 3
 starts = 3
 sample_count = 2
 """
-        )
-        table = run_sweep(cfg)
+
+    def test_sweep_crosses_threshold(self):
+        # negative pairing: ground + m_minus below the threshold, tube
+        # continuation (and its saddle) above it
+        table = run_sweep(parse_config(self.CROSSES))
         branches = {r.branch for r in table.rows}
         assert {"ground", "m_minus", "local_min"} <= branches
         ground_rows = [r for r in table.rows if r.branch == "ground" and r.status == "ok"]
@@ -196,6 +195,22 @@ sample_count = 2
         assert ground_rows and m_rows and cont_rows
         assert all(r.energy < 0 for r in ground_rows + cont_rows)
         assert all(r.energy > 0 for r in m_rows)
+
+    def test_saddle_finishes_from_the_first_newton_entry(self, monkeypatch):
+        # Newton's first step from the 1e-2 entry lowers the sup residual only
+        # to 0.9 of it; a step that lowers it counts, so the string runs once
+        calls = []
+        string_relax = solvers.string_relax
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return string_relax(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "string_relax", counting)
+        table = run_sweep(parse_config(self.CROSSES))
+        saddles = [r for r in table.rows if r.branch == "mountain_pass"]
+        assert [r.status for r in saddles] == ["ok"]
+        assert len(calls) == 1
 
 
 class TestSaddlePastThreshold:

@@ -200,6 +200,20 @@ class TestMinimizerSet:
         for a, b in itertools.combinations(kset_p5.members, 2):
             assert float(np.max(np.abs(a.values - b.values))) > floor
 
+    def test_each_start_solved_once(self, zero_pairing_p5_problem, monkeypatch):
+        # one multistart of sample_count starts: one ray-phase descent each
+        spec0, pair = zero_pairing_p5_problem
+        calls = []
+        ray_descent = solvers._ray_descent
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return ray_descent(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_ray_descent", counting)
+        solvers.minimizer_set_at_star(spec0.with_lambda(pair.lambda1), sample_count=3, tol=TOL, seed=3)
+        assert len(calls) == 3
+
     def test_positive_pairing_not_attainable(self, mesh256):
         p, q = 3.0, 2.0
         pair = first_eigenpair(mesh256, p)

@@ -29,13 +29,13 @@ differed.
 The list holds the commands of the four benchmark workloads, whose configs
 are read from this checkout's perfbench/configs/, and small configs taken
 from the test suite: sweeps on both sides of the threshold, the
-three-solution scan, ground (also at p = 4, q = 1.5, 1.05 lambda1, whose
-polish once ran to its iteration cap on every start), certify, critical,
-the eigenpair at p = 1.25 (n = 256, q = 1.1), JSON and stdout output
-(also of a region cell whose Picone minimum is -inf),
-zero-pairing sweeps at lambda1 (no mountain-pass branch) and just past it
-(a mountain pass over the local minimum, also at q = 1.5, where that
-minimum carries negative dust), and configs that must be refused.
+three-solution scan (also at seed 3), ground (also at p = 4, q = 1.5,
+1.05 lambda1, whose polish once ran to its iteration cap on every
+start), certify, critical, the eigenpair at p = 1.25 (n = 256, q = 1.1),
+JSON and stdout output (also of a region cell whose Picone minimum is
+-inf), zero-pairing sweeps at lambda1 (no mountain-pass branch) and just
+past it (a mountain pass over the local minimum, also at q = 1.5, where
+that minimum carries negative dust), and configs that must be refused.
 """
 
 from __future__ import annotations
@@ -233,6 +233,8 @@ COMMANDS = (
     # other seeds, branches and subcommands
     Command("critical-p3", "critical", "sweep-p3.cfg"),
     Command("sweep-p3-seed3", "sweep", "sweep-p3.cfg", ("--seed", "3")),
+    # seed 3 finds the triple at 0.9975 lambda1, the pinned seed 7 at 0.995 lambda1
+    Command("three-p5-seed3", "three", "three-p5.cfg", ("--seed", "3")),
     Command("ground-p3", "ground", "ground-p3"),
     Command("ground-p4", "ground", "ground-p4"),
     Command("certify", "certify", "certify"),
