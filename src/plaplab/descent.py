@@ -5,16 +5,17 @@ objective of the last `window` accepted points (Birgin, Martinez & Raydan,
 SIAM J. Optim. 10, 2000; reference value of Grippo, Lampariello & Lucidi,
 1986). The objectives here are smooth away from kinks t -> max(t,0)^(q-1),
 q > 1, which the nonmonotone test handles without smoothing. bb_descent
-and projected_descent are the loop's two entry points. Its hooks:
+and projected_descent are the loop's two entry points. Every run is
+preconditioned: precond is an SPD operator turning the gradient into the
+step direction, and convergence is still judged on the raw gradient. It
+may change from one accepted point to the next (a metric that follows the
+iterate). The loop's optional hooks:
 
   * normalize: retraction applied to every trial (e.g. onto a sphere);
   * project: projection applied to every trial; convergence is then judged
     on the fixed-point residual x - project(x - g), not on g;
   * guard: admissibility predicate; a refused trial is not valued;
-  * floor: stop "diverged" once the objective sinks below it;
-  * precond: SPD operator turning the gradient into the step direction;
-    convergence is still judged on the raw gradient. It may change from
-    one accepted point to the next (a metric that follows the iterate).
+  * floor: stop "diverged" once the objective sinks below it.
 
 A run ends "converged" (residual sup-norm below tol), "diverged",
 "stalled" (no trial passed within the backtracking budget) or
@@ -80,11 +81,11 @@ def _spg(
     max_iter: int,
     window: int,
     *,
+    precond: Callable[[np.ndarray], np.ndarray],
     normalize: Callable[[np.ndarray], np.ndarray] | None = None,
     project: Callable[[np.ndarray], np.ndarray] | None = None,
     guard: Callable[[np.ndarray], bool] | None = None,
     floor: float | None = None,
-    precond: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> DescentResult:
     x = np.array(x0, dtype=float)
     if normalize is not None:
@@ -93,7 +94,7 @@ def _spg(
         x = project(x)
     f = fun(x)
     g = grad(x)
-    d = precond(g) if precond is not None else g
+    d = precond(g)
     history = [f]  # objective at the accepted points
     alpha = _STEP0
     prev_x = None
@@ -149,7 +150,7 @@ def _spg(
         prev_x, prev_d = x, d
         x, f = trial, f_trial
         g = grad(x)
-        d = precond(g) if precond is not None else g
+        d = precond(g)
         history.append(f)
 
     return DescentResult(x=x, f=f, iterations=it, status=status)
@@ -160,13 +161,13 @@ def bb_descent(
     fun: Callable[[np.ndarray], float],
     grad: Callable[[np.ndarray], np.ndarray],
     *,
+    precond: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-8,
     max_iter: int = 50_000,
     window: int = _WINDOW,
     guard: Callable[[np.ndarray], bool] | None = None,
     floor: float | None = None,
     normalize: Callable[[np.ndarray], np.ndarray] | None = None,
-    precond: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> DescentResult:
     """Minimize fun by the descent loop from normalize(x0), which must pass guard."""
     return _spg(x0, fun, grad, tol, max_iter, window, normalize=normalize, guard=guard, floor=floor, precond=precond)
@@ -178,9 +179,9 @@ def projected_descent(
     grad: Callable[[np.ndarray], np.ndarray],
     project: Callable[[np.ndarray], np.ndarray],
     *,
+    precond: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-8,
     max_iter: int = 50_000,
-    precond: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> DescentResult:
     """Minimize fun over a convex (or retractable) set by the descent loop from project(x0)."""
     return _spg(x0, fun, grad, tol, max_iter, _WINDOW, project=project, precond=precond)

@@ -50,7 +50,6 @@ class EigenPair:
 
     lambda1: float
     phi: GridFn
-    p: float
     residual_sup: float
     iterations: int
 
@@ -96,38 +95,24 @@ def _solve_dg(mesh: Mesh, p: float, b: np.ndarray) -> np.ndarray:
     return w
 
 
-def first_eigenpair(
-    mesh: Mesh,
-    p: float,
-    tol: float = 1e-9,
-    start: GridFn | None = None,
-) -> EigenPair:
+def first_eigenpair(mesh: Mesh, p: float, tol: float = 1e-9) -> EigenPair:
     """Compute the first eigenpair on this mesh.
 
-    Converged when an inverse-iteration step moves the normalized iterate
-    by less than tol relative to its sup-norm; raises NonConvergenceError
-    after _MAX_STEPS steps. lambda1 is the Rayleigh quotient of the
-    returned phi and residual_sup the sup-norm of dg - lambda1*dm there.
-    Deterministic for the default start (constant 1 on the interior
-    nodes). Results for the default start are cached per (mesh, p, tol).
+    The iteration starts from the constant 1 on the interior nodes and is
+    converged when a step moves the normalized iterate by less than tol
+    relative to its sup-norm; raises NonConvergenceError after _MAX_STEPS
+    steps. lambda1 is the Rayleigh quotient of the returned phi and
+    residual_sup the sup-norm of dg - lambda1*dm there. Deterministic, and
+    cached per (mesh, p, tol).
     """
     if p <= 1.0:
         raise ValueError(f"exponent must exceed 1, got p={p}")
     key = (mesh, float(p), float(tol))
-    if start is None and key in _cache:
+    if key in _cache:
         return _cache[key]
 
-    n = mesh.n_nodes
-    if start is None:
-        vals = np.ones(n)
-        vals[0] = vals[-1] = 0.0
-    else:
-        if start.mesh != mesh:
-            raise MeshMismatchError("start function lives on a different mesh")
-        vals = np.array(start.values)
-        if not np.any(vals != 0.0):
-            raise ValueError("start must be nonzero")
-
+    vals = np.ones(mesh.n_nodes)
+    vals[0] = vals[-1] = 0.0
     energy = P1Energy(mesh, p)
     x = energy.normalize(vals)
     for steps in range(1, _MAX_STEPS + 1):
@@ -154,12 +139,10 @@ def first_eigenpair(
     pair = EigenPair(
         lambda1=float(lam),
         phi=phi,
-        p=float(p),
         residual_sup=float(np.max(np.abs(dg - lam * dm))),
         iterations=steps,
     )
-    if start is None:
-        _cache[key] = pair
+    _cache[key] = pair
     return pair
 
 

@@ -15,7 +15,7 @@ All types are immutable after construction; all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -146,15 +146,14 @@ class Weight:
 
 @dataclass(frozen=True)
 class SignPartition:
-    """Maximal interior-node intervals where the weight is above/below a threshold.
+    """Maximal interior-node intervals where the weight is positive/negative.
 
     Components are inclusive index pairs (first_node, last_node), ordered and
-    disjoint. Nodes with |a| <= threshold form the zero set.
+    disjoint.
     """
 
     plus_components: tuple[tuple[int, int], ...]
     minus_components: tuple[tuple[int, int], ...]
-    zero_set: tuple[int, ...] = field(default_factory=tuple)
 
 
 def _check_same_mesh(m1: Mesh, m2: Mesh) -> None:
@@ -263,22 +262,17 @@ def smooth_noise(mesh: Mesh, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def sign_partition(a: Weight, threshold: float = 0.0) -> SignPartition:
-    """Split the interior nodes by the sign of a relative to a threshold.
+def sign_partition(a: Weight) -> SignPartition:
+    """Split the interior nodes by the sign of a.
 
-    Nodes with a > threshold form the plus components, a < -threshold the
-    minus components, and |a| <= threshold the zero set. Components are
-    maximal runs of consecutive interior node indices.
+    Nodes with a > 0 form the plus components, a < 0 the minus components;
+    nodes where a = 0 lie in neither. Components are maximal runs of
+    consecutive interior node indices.
     """
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
     vals = a.values
     n = a.mesh.n_nodes
-    plus: list[tuple[int, int]] = []
-    minus: list[tuple[int, int]] = []
-    zero: list[int] = []
 
-    def runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    def runs(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
         out = []
         start = None
         for i in range(1, n - 1):
@@ -290,12 +284,6 @@ def sign_partition(a: Weight, threshold: float = 0.0) -> SignPartition:
                 start = None
         if start is not None:
             out.append((start, n - 2))
-        return out
+        return tuple(out)
 
-    plus = runs(vals > threshold)
-    minus = runs(vals < -threshold)
-    in_component = np.zeros(n, dtype=bool)
-    for i0, i1 in plus + minus:
-        in_component[i0 : i1 + 1] = True
-    zero = [i for i in range(1, n - 1) if not in_component[i]]
-    return SignPartition(tuple(plus), tuple(minus), tuple(zero))
+    return SignPartition(runs(vals > 0.0), runs(vals < 0.0))

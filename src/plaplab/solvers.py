@@ -19,7 +19,9 @@ Branches covered:
                        string (string_relax) on the q-mean path
                        ((1-s) u^q + s w^q)^(1/q) to a loose residual, then
                        Newton steps while they lower the residual, verdict
-                       Morse index 1 (morse_index).
+                       Morse index 1 (morse_index). string_relax has no
+                       stop of its own: mountain_pass sets its residual
+                       and its sweep budget.
 
 Every multistart solve takes its starts from one generator, _starts: the
 solver's fixed candidates in order, then jittered copies of the
@@ -94,10 +96,6 @@ J_FLOOR = -1e7
 # integral means the iterate has pushed its Rayleigh quotient onto lam
 # while staying admissible: the minimization level is unbounded below.
 _E_COLLAPSE_RTOL = 1e-8
-# string_relax's own default stop: the floor of the string alone, whose
-# first-order sweeps slow down near the saddle; mountain_pass finishes
-# with Newton and stops at the minimizers' tol instead
-SADDLE_TOL = 1e-6
 # mountain_pass hands the climbing bead to Newton once its sup residual is
 # below this, and tightens it 10x whenever Newton stalls short of a saddle
 NEWTON_ENTRY = 1e-2
@@ -125,10 +123,6 @@ class SolveReport:
     def ok(self) -> bool:
         return self.status == "converged"
 
-    @property
-    def level(self) -> float:
-        return self.breakdown.I_trunc
-
 
 @dataclass(frozen=True)
 class MinimizerSet:
@@ -145,8 +139,6 @@ class PathState:
 
     beads: tuple[GridFn, ...]
     energies: tuple[float, ...]
-    # sup-norm gradient at the highest interior bead, set by string_relax
-    residual: float | None = None
 
 
 def _energy_collapsed(energy: Energy, v: np.ndarray) -> bool:
@@ -522,8 +514,8 @@ def string_relax(
     spec: ProblemSpec,
     path: PathState,
     *,
-    tol: float = SADDLE_TOL,
-    max_sweeps: int = 2000,
+    tol: float,
+    max_sweeps: int,
 ) -> tuple[PathState, list[float]]:
     """Relax a path by the climbing string method until its top bead is a saddle.
 
@@ -546,12 +538,11 @@ def string_relax(
     interior bead is valued once: its energy and gradient come from that
     one point. The climbing bead is chosen anew after every sweep.
 
-    Stops once the climbing bead's full gradient is below tol in sup norm
-    (that residual is the returned path's residual), or after max_sweeps.
-    Returns the path and the per-sweep barrier, the highest bead energy
-    after each sweep. (Ren & Vanden-Eijnden, J. Chem. Phys. 138, 134105,
-    2013, on the simplified string method of E, Ren & Vanden-Eijnden,
-    J. Chem. Phys. 126, 164103, 2007.)
+    Stops once the climbing bead's full gradient is below tol in sup norm,
+    or after max_sweeps. Returns the path and the per-sweep barrier, the
+    highest bead energy after each sweep. (Ren & Vanden-Eijnden, J. Chem.
+    Phys. 138, 134105, 2013, on the simplified string method of E, Ren &
+    Vanden-Eijnden, J. Chem. Phys. 126, 164103, 2007.)
     """
     energy = Energy(spec, truncated=True)
     precond = _stiffness_solver(spec.mesh, np.ones(spec.mesh.n_cells))
@@ -614,7 +605,7 @@ def string_relax(
         barrier_history.append(max(energies))
 
     beads = tuple(GridFn(spec.mesh, v) for v in chain)
-    return PathState(beads=beads, energies=tuple(energies), residual=residual), barrier_history
+    return PathState(beads=beads, energies=tuple(energies)), barrier_history
 
 
 def _newton_finish(energy: Energy, x: np.ndarray, tol: float) -> tuple[np.ndarray, float, int, int | None]:
@@ -710,21 +701,15 @@ def morse_index(spec: ProblemSpec, u: GridFn) -> int | None:
     return None if factored is None else factored[1]
 
 
-def runaway_state(
-    spec: ProblemSpec,
-    below: float,
-    pair: EigenPair | None = None,
-) -> GridFn:
+def runaway_state(spec: ProblemSpec, below: float, pair: EigenPair) -> GridFn:
     """Nonnegative state with truncated energy under the given level.
 
-    Scales up a direction with negative truncated E (the eigenfunction,
+    Scales up a direction with negative truncated E (pair's eigenfunction,
     optionally mixed with a small bump in a positive-weight component so
     the weight integral stays positive along q-mean paths). Exists for any
     lam above the first eigenvalue; raises SolverError otherwise.
     """
     energy = Energy(spec, truncated=True)
-    if pair is None:
-        pair = first_eigenpair(spec.mesh, spec.p)
     partition = sign_partition(spec.a)
     bump = None
     if partition.plus_components:

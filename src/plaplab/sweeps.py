@@ -39,7 +39,7 @@ from .critical import (
 from .eigen import EigenPair, first_eigenpair
 from .errors import ConfigError, PlapLabError, SolverError
 from .functionals import ProblemSpec
-from .grid import Mesh, SignPartition, Weight, make_mesh, sign_partition
+from .grid import SignPartition, Weight, make_mesh, sign_partition
 from .presets import build_weight
 from .solvers import MinimizerSet, SolveReport
 from .tables import BranchRow, BranchTable, RegionRow, RegionTable
@@ -161,10 +161,8 @@ class Problem:
     """Everything a driver needs: instance pieces plus the eigenpair."""
 
     config: RunConfig
-    mesh: Mesh
-    weight: Weight
     base: Weight  # the weight before the perturbation of the perturbed family
-    spec0: ProblemSpec  # lam = 0 carrier; use spec0.with_lambda(lam)
+    spec0: ProblemSpec  # lam = 0 carrier of the mesh and weight; use spec0.with_lambda(lam)
     pair: EigenPair
     partition: SignPartition
 
@@ -175,7 +173,7 @@ def build_problem(config: RunConfig) -> Problem:
     base, weight = build_weight(mesh, config)
     pair = first_eigenpair(mesh, config.p, min(config.tol, 1e-9))
     spec0 = ProblemSpec(config.p, config.q, 0.0, weight, mesh)
-    return Problem(config, mesh, weight, base, spec0, pair, sign_partition(weight))
+    return Problem(config, base, spec0, pair, sign_partition(weight))
 
 
 def _lambda_grid(config: RunConfig, lambda1: float) -> np.ndarray:
@@ -299,7 +297,7 @@ def run_three_solutions(config: RunConfig) -> BranchTable:
     pair, partition = problem.pair, problem.partition
     # the minimizer set of the unperturbed problem, whose threshold is lambda1
     kset = solvers.minimizer_set_at_star(
-        ProblemSpec(config.p, config.q, pair.lambda1, problem.base, problem.mesh),
+        ProblemSpec(config.p, config.q, pair.lambda1, problem.base, problem.spec0.mesh),
         sample_count=config.sample_count,
         tol=config.tol,
         seed=config.seed,

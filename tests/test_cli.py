@@ -9,6 +9,8 @@ import pytest
 from plaplab import solvers
 from plaplab.cli import main
 from plaplab.errors import ConfigError, SolverError
+from plaplab.functionals import evaluate
+from plaplab.grid import component_bump, grid_fn, widest_component_bump
 from plaplab.sweeps import (
     RunConfig,
     build_problem,
@@ -276,6 +278,39 @@ sample_count = 2
         assert local_min.energy < saddle.energy < 0.0
 
 
+class TestSaddleFromAResumedString:
+    # a wider positive bump past lambda1: Newton fails from the 1e-2 entry,
+    # so mountain_pass resumes the string to 1e-3 and Newton finishes there
+    CONFIG = """
+n_cells = 128
+p = 5.0
+q = 2.0
+weight_family = orthogonal-two-bump
+center_plus = 0.22
+width_plus = 0.28
+lambda_start = 1.035
+lambda_count = 1
+seed = 7
+starts = 3
+sample_count = 2
+"""
+
+    def test_saddle_finishes_from_the_resumed_string(self, monkeypatch):
+        calls = []
+        string_relax = solvers.string_relax
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return string_relax(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "string_relax", counting)
+        table = run_sweep(parse_config(self.CONFIG))
+        saddles = [r for r in table.rows if r.branch == "mountain_pass"]
+        assert [r.status for r in saddles] == ["ok"]
+        assert saddles[0].residual < 1e-8  # the config's tol
+        assert len(calls) == 2
+
+
 class TestThreeSolutionScan:
     def test_mu_zero_finds_no_triple(self):
         from plaplab.sweeps import run_three_solutions
@@ -334,17 +369,18 @@ sample_count = 3
         with pytest.raises(Stop):
             run_three_solutions(cfg)
         problem = build_problem(cfg)
-        assert np.array_equal(seen[0].a.values, problem.weight.values)
-        assert seen[0].mesh == problem.mesh
+        assert np.array_equal(seen[0].a.values, problem.spec0.a.values)
+        assert seen[0].mesh == problem.spec0.mesh
 
     def test_perturbation_is_scaled_by_the_base(self):
         problem = build_problem(parse_config(self.THREE + "b_amp = 2.0\nb_width = 0.1\n"))
-        bump = problem.weight.values - problem.base.values
+        bump = problem.spec0.a.values - problem.base.values
         assert np.min(bump) >= 0.0
         # mu times ||base||_inf times a bump of amplitude b_amp
         assert np.max(bump) == pytest.approx(0.05 * problem.base.linf() * 2.0, rel=1e-12)
         # the bump sits on the negative part of the base (center_minus = 0.75)
-        assert abs(problem.mesh.nodes[np.argmax(bump)] - 0.75) <= problem.mesh.h
+        mesh = problem.spec0.mesh
+        assert abs(mesh.nodes[np.argmax(bump)] - 0.75) <= mesh.h
 
     def test_three_requires_the_perturbed_family(self):
         cfg = parse_config("n_cells = 64\np = 5.0\nq = 2.0\nweight_family = two-bump\n")
@@ -392,10 +428,17 @@ sample_count = 2
 class TestThreeFailureRows:
     """A solve of the scan that raises gives a row of its own branch, and the scan goes on."""
 
+    CONFIG = "n_cells = 64\np = 5.0\nq = 2.0\nweight_family = perturbed\nmu = 0.05\n"
+
     @staticmethod
     def _report(level, peak):
         u = SimpleNamespace(values=np.array([0.0, peak, 0.0]))
         return SimpleNamespace(ok=True, breakdown=SimpleNamespace(I_trunc=level), u=u)
+
+    def _stub_solves(self, monkeypatch):
+        monkeypatch.setattr(solvers, "minimizer_set_at_star", lambda *args, **kwargs: None)
+        monkeypatch.setattr(solvers, "ground_state", lambda *args, **kwargs: self._report(-2.0, 2.0))
+        monkeypatch.setattr(solvers, "local_min_continuation", lambda *args, **kwargs: self._report(-1.0, 1.0))
 
     @pytest.mark.parametrize(
         "failing, branch",
@@ -405,14 +448,19 @@ class TestThreeFailureRows:
         def fail(*args, **kwargs):
             raise SolverError("forced failure")
 
-        monkeypatch.setattr(solvers, "minimizer_set_at_star", lambda *args, **kwargs: None)
-        monkeypatch.setattr(solvers, "ground_state", lambda *args, **kwargs: self._report(-2.0, 2.0))
-        monkeypatch.setattr(solvers, "local_min_continuation", lambda *args, **kwargs: self._report(-1.0, 1.0))
+        self._stub_solves(monkeypatch)
         monkeypatch.setattr(solvers, failing, fail)
-        cfg = parse_config("n_cells = 64\np = 5.0\nq = 2.0\nweight_family = perturbed\nmu = 0.05\n")
-        rows = run_three_solutions(cfg).rows
+        rows = run_three_solutions(parse_config(self.CONFIG)).rows
         assert len(rows) == 10
         assert {(r.branch, r.status) for r in rows} == {(branch, "error:SolverError")}
+
+    def test_saddle_below_the_local_minimum_is_no_third_solution(self, monkeypatch):
+        # a converged saddle between the two levels breaks ground < local_min < saddle
+        self._stub_solves(monkeypatch)
+        monkeypatch.setattr(solvers, "mountain_pass", lambda *args, **kwargs: self._report(-1.5, 1.5))
+        rows = run_three_solutions(parse_config(self.CONFIG)).rows
+        assert len(rows) == 10
+        assert {(r.branch, r.status) for r in rows} == {("mountain_pass", "no_third_solution")}
 
 
 class TestRegionMap:
@@ -458,22 +506,54 @@ class TestRegionMap:
 
 
 class TestCertify:
-    def test_no_uncertified_positive(self):
-        cfg = parse_config(
-            """
+    CONFIG = """
 n_cells = 128
 p = 2.0
 q = 1.5
 weight_family = orthogonal-two-bump
-lambda_start = 1.02
+lambda_start = {lam}
 lambda_count = 1
 seed = 11
 certify_starts = 8
 """
-        )
-        table = run_certify(cfg)
+
+    def test_no_uncertified_positive(self):
+        table = run_certify(parse_config(self.CONFIG.format(lam=1.02)))
         assert len(table.rows) == 8
         assert all(r.status != "uncertified_positive" for r in table.rows)
+        # every start diverges here, so the line above holds without a
+        # classified candidate; the classification is tested below
+        assert {r.status for r in table.rows} == {"diverged"}
+
+    def test_every_candidate_class(self, monkeypatch):
+        # converged candidates at 0.5 lambda1, one per status, and a diverged run
+        cfg = parse_config(self.CONFIG.format(lam=0.5))
+        problem = build_problem(cfg)
+        mesh, phi = problem.spec0.mesh, problem.pair.phi.values
+        (plus,) = problem.partition.plus_components
+        bump = component_bump(mesh, plus)
+        part_bump = bump.copy()
+        part_bump[plus[0] : (plus[0] + plus[1]) // 2] = 0.0
+        candidates = [
+            # positive on {a > 0} and so small that int_{u>0} a phi^q outweighs
+            # the certificate's (lambda1 - lam) term
+            (1e-12 * bump, "converged"),
+            (phi, "converged"),  # positive everywhere; the weight pairs to 0 with phi^q
+            (widest_component_bump(mesh, problem.partition.minus_components), "converged"),  # zero on {a > 0}
+            (part_bump, "converged"),  # zero on part of {a > 0}
+            (phi, "diverged"),
+        ]
+
+        def candidates_at(spec, **kwargs):
+            reports = []
+            for v, status in candidates:
+                u = grid_fn(mesh, v)
+                reports.append(solvers.SolveReport(u, evaluate(u, spec), 0.0, 0, spec.lam, status))
+            return reports
+
+        monkeypatch.setattr(solvers, "multistart_truncated_descent", candidates_at)
+        statuses = [r.status for r in run_certify(cfg).rows]
+        assert statuses == ["certified_spurious", "uncertified_positive", "dead_core", "not_positive", "diverged"]
 
 
 class TestExitCodes:

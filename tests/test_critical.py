@@ -273,7 +273,7 @@ class TestNonexistenceBound:
 
         spec0 = ProblemSpec(2.0, 1.5, 0.0, two_bump(mesh256), mesh256)
         with pytest.raises(SolverError):
-            nonexistence_bound(spec0, SignPartition((), ((1, 5),), ()))
+            nonexistence_bound(spec0, SignPartition((), ((1, 5),)))
 
 
 class TestPiconeCertificate:

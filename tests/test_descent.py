@@ -69,7 +69,7 @@ def test_box_constrained_quadratic_with_active_bound_converges():
     grad = lambda v: k @ v - b
     clip = lambda v: np.clip(v, 0.0, upper)
 
-    res = projected_descent(np.zeros(n), fun, grad, clip, tol=1e-10, max_iter=20_000)
+    res = projected_descent(np.zeros(n), fun, grad, clip, precond=lambda g: g, tol=1e-10, max_iter=20_000)
     assert res.status == "converged"
     assert res.iterations > _STALL_WINDOW  # the stop rule was live the whole time
     assert np.any(res.x == upper)

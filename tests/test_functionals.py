@@ -254,12 +254,12 @@ class TestConeAlongTheRay:
     def test_scale_free_and_agrees_with_fiber_scale(self, text, factor, truncated):
         problem = build_problem(parse_config(text))
         spec = problem.spec0.with_lambda(factor * problem.pair.lambda1)
-        b = component_bump(problem.mesh, problem.partition.plus_components[0])
+        b = component_bump(spec.mesh, problem.partition.plus_components[0])
         energy = Energy(spec, truncated)
         scaled = []
         for c in (1e-6, 1e-3, 1.0, 1e3, 1e6):
             assert energy.in_cone(c * b, +1)
-            scaled.append(c * fiber_scale(grid_fn(problem.mesh, c * b), spec, truncated))
+            scaled.append(c * fiber_scale(grid_fn(spec.mesh, c * b), spec, truncated))
         assert max(scaled) - min(scaled) <= 1e-12 * scaled[2]
 
 

@@ -188,21 +188,17 @@ class TestSignPartition:
         assert part.plus_components == ((1, 15),)
         assert part.minus_components == ()
 
-    def test_large_threshold_moves_all_to_zero_set(self):
-        mesh = make_mesh(0.0, 1.0, 16)
-        a = weight_fn(mesh, np.sin(2.0 * np.pi * mesh.nodes))
-        part = sign_partition(a, threshold=2.0)
-        assert part.plus_components == () and part.minus_components == ()
-        assert len(part.zero_set) == 15
-
     def test_partition_covers_interior(self):
+        # the components are disjoint and cover exactly the interior nodes where a != 0
         mesh = make_mesh(0.0, 1.0, 128)
         rng = np.random.default_rng(5)
-        a = weight_fn(mesh, rng.normal(size=mesh.n_nodes))
+        vals = rng.normal(size=mesh.n_nodes)
+        vals[rng.choice(mesh.n_nodes, size=20, replace=False)] = 0.0
+        a = weight_fn(mesh, vals)
         part = sign_partition(a)
-        covered = set(part.zero_set)
+        covered = set()
         for i0, i1 in part.plus_components + part.minus_components:
             span = set(range(i0, i1 + 1))
             assert not (covered & span)  # disjoint
             covered |= span
-        assert covered == set(range(1, mesh.n_nodes - 1))
+        assert covered == {i for i in range(1, mesh.n_nodes - 1) if vals[i] != 0.0}

@@ -35,7 +35,9 @@ start), certify, critical, the eigenpair at p = 1.25 (n = 256, q = 1.1),
 JSON and stdout output (also of a region cell whose Picone minimum is
 -inf), zero-pairing sweeps at lambda1 (no mountain-pass branch) and just
 past it (a mountain pass over the local minimum, also at q = 1.5, where
-that minimum carries negative dust), and configs that must be refused.
+that minimum carries negative dust, and on a wider positive bump, where
+Newton fails from the first entry and the string resumes), and configs
+that must be refused.
 """
 
 from __future__ import annotations
@@ -185,6 +187,21 @@ seed = 7
 starts = 3
 sample_count = 2
 """,
+    # Newton fails from the 1e-2 entry; the string resumes to 1e-3 and
+    # Newton finishes the saddle from there
+    "resumed-saddle": """
+n_cells = 128
+p = 5.0
+q = 2.0
+weight_family = orthogonal-two-bump
+center_plus = 0.22
+width_plus = 0.28
+lambda_start = 1.035
+lambda_count = 1
+seed = 7
+starts = 3
+sample_count = 2
+""",
     "three-two-bump": "n_cells = 64\np = 5.0\nq = 2.0\nweight_family = two-bump\nstarts = 2\n",
     "region-small": "region_p_count = 4\nregion_q_count = 3\n",
     # at p = 1.01, q = 1 + 1e-7 the Picone minimum is -inf
@@ -262,6 +279,8 @@ COMMANDS = (
     Command("zero-pairing-past-lambda1", "sweep", "zero-pairing-past-lambda1"),
     # a mountain pass from a local minimum with negative dust
     Command("local-min-negative-dust", "sweep", "local-min-negative-dust"),
+    # a mountain pass whose string resumes after the first Newton entry
+    Command("resumed-saddle", "sweep", "resumed-saddle"),
     # configs that must be refused
     Command("three-two-bump", "three", "three-two-bump"),
     Command("bad-n-cells-fraction", "eigen", "bad-n-cells-fraction"),
