@@ -17,15 +17,16 @@ the sign of the pairing int a*phi^q with the first eigenfunction:
 
 Only one value per sign case is nontrivial. It is the minimum of the
 Rayleigh quotient on the sphere {int |u'|^p = 1} under the one sign
-constraint, found by an augmented Lagrangian (Hestenes-Powell multiplier,
-bounded penalty weight) from two deterministic starts, so it takes no
-seed. `converged` reports the KKT test at the winning point: tangential
-gradient and constraint violation both below tolerance. An exact
-feasibility restoration follows, so the reported value is the quotient of
-a feasible function, an upper bound. The quotient, the constraint integral
-and their gradients come from functionals.P1Energy, one EnergyPoint per
-point through its one-entry memo; the descent is preconditioned with the
-p-stiffness of the point that memo holds (EnergyPoint.precondition).
+constraint, which the pairing sign makes active: one retracted descent
+per start on the surface where the constraint integral vanishes, from two
+deterministic starts, so it takes no seed. `converged` reports the KKT
+test at the winning point: the tangential gradient below tolerance and a
+nonnegative multiplier. An exact feasibility restoration follows, so the
+reported value is the quotient of a feasible function, an upper bound.
+The quotient, the constraint integral and their gradients come from
+functionals.P1Energy, one EnergyPoint per point through its one-entry
+memo; the descent is preconditioned with the p-stiffness of the point
+that memo holds (EnergyPoint.precondition).
 
 The Picone condition, min over s >= 0 of the polynomial f(s) of
 picone_condition being nonnegative, is decided from the shape of f: its
@@ -70,13 +71,11 @@ PICONE_TOL = 1e-12
 # cores of a classified solution, the zero set of the Picone certificate
 DEAD_CORE_RTOL = 1e-8
 
-# augmented-Lagrangian schedule of _constrained_rayleigh_min
-_AL_TOL = 1e-7  # KKT test: tangential gradient (sup norm) and constraint violation
-_AL_RHO0 = 100.0  # initial penalty weight, in units of lambda1
-_AL_GROWTH = 4.0  # penalty growth when the violation did not shrink enough
-_AL_SHRINK = 0.5  # the violation must at least halve per round to keep rho
-_AL_ROUNDS = 20
-_AL_INNER_ITER = 700
+# the constrained descent of _constrained_rayleigh_min
+_KKT_TOL = 1e-7  # KKT test: tangential gradient, sup norm
+_DESCENT_ITER = 14_000  # iteration budget per start
+_SURFACE_RTOL = 1e-15  # |int a|u|^q| on the surface, relative to |a|_inf
+_RETRACT_STEPS = 20  # Newton steps per retraction
 
 
 @dataclass(frozen=True)
@@ -107,35 +106,31 @@ def _pairing_sign(value: float, a: Weight, pair: EigenPair, q: float) -> str:
     return "positive" if value > 0.0 else "negative"
 
 
-def _constrained_rayleigh_min(
-    spec: ProblemSpec,
-    pair: EigenPair,
-    want_nonneg: bool,
-    rounds: int = _AL_ROUNDS,
-    inner_iter: int = _AL_INNER_ITER,
-) -> tuple[float, bool]:
+def _constrained_rayleigh_min(spec: ProblemSpec, pair: EigenPair, want_nonneg: bool) -> tuple[float, bool, float]:
     """min Rayleigh quotient subject to c(u) = int a|u|^q >= 0 (or -int a|u|^q >= 0).
 
-    Augmented Lagrangian (Hestenes-Powell-Rockafellar) on the sphere
-    {int |u'|^p = 1}: each outer round minimizes
+    The pairing sign puts phi on the wrong side, so the constraint is
+    active: R is minimized on the surface {int |u'|^p = 1, c = 0} by one
+    BB descent per start in the p-stiffness metric of the iterate, with a
+    retraction onto the surface as its normalize hook (Absil, Mahony &
+    Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008). The
+    descent sees R's gradient with its grad c component removed, which is
+    tangent to rays too, as grad c . u = q c = 0 on the surface. The
+    retraction takes Newton steps on c along grad c, each followed by the
+    sphere scaling, until |c| <= _SURFACE_RTOL |a|_inf, and the guard
+    refuses a trial it left off the surface. A start passes the KKT test
+    when its descent converged (tangential gradient below _KKT_TOL within
+    _DESCENT_ITER iterations) with multiplier mu = grad R . grad c /
+    |grad c|^2 >= 0: R cannot fall by moving into {c > 0}.
 
-        R(u) + (max(0, mu - rho c(u))^2 - mu^2) / (2 rho)
-
-    by BB descent in the p-stiffness metric of the iterate (at most
-    inner_iter iterations, warm-started from the last round), then sets
-    mu <- max(0, mu - rho c). The descent sees the gradient tangent to the
-    sphere. rho grows only when the violation |min(c, mu/rho)| did not
-    halve, and at most `rounds` rounds run. A start passes the KKT test
-    when a round's descent converged (its gradient, which is the
-    tangential Lagrangian gradient at the updated multiplier, is below
-    _AL_TOL) and the violation is below _AL_TOL; running out of rounds or
-    hitting an iteration cap never counts.
-
-    Two deterministic starts, phi and the feasible bump on the widest
-    component of the required sign, plus the bump itself as a candidate.
-    Each start's result is mixed with the bump by bisection until exactly
-    feasible, so the reported value is the quotient of a feasible function,
-    an upper bound. Returns (value, whether the winning start passed KKT).
+    Two deterministic starts: phi, and the mix of phi with the bump on the
+    widest component of the required sign that is just feasible (the bump
+    itself lies inside {c > 0}, where no Newton step along grad c reaches
+    the surface); the bump is a candidate too. Each result is mixed with
+    the bump by bisection until exactly feasible, so the reported value is
+    the quotient of a feasible function, an upper bound. Returns (value,
+    whether the winning start passed KKT, its multiplier; nan when the bump
+    wins).
     """
     mesh, p, q = spec.mesh, spec.p, spec.q
     part = sign_partition(spec.a)
@@ -146,6 +141,7 @@ def _constrained_rayleigh_min(
 
     energy = P1Energy(mesh, p, q, spec.a.gauss)
     sign = 1.0 if want_nonneg else -1.0
+    surface_tol = _SURFACE_RTOL * spec.a.linf()
 
     def rayleigh(v: np.ndarray) -> float:
         pt = energy(v)
@@ -166,72 +162,64 @@ def _constrained_rayleigh_min(
                 hi = mid
         return (1.0 - hi) * v + hi * feas_dir
 
-    def solve(x: np.ndarray) -> tuple[np.ndarray, bool]:
-        mu, rho = 0.0, _AL_RHO0 * pair.lambda1
-        prev_viol = np.inf
-        for _round in range(rounds):
+    def on_surface(v: np.ndarray) -> bool:
+        return abs(energy(v).weight) <= surface_tol
 
-            def fun(v: np.ndarray) -> float:
-                pt = energy(v)
-                shifted = max(0.0, mu - rho * sign * pt.weight)
-                return pt.grad_term / pt.mass + (shifted**2 - mu**2) / (2.0 * rho)
+    def retract(v: np.ndarray) -> np.ndarray:
+        # ends on a point the kernel valued last, so precond finds it in the memo
+        v = energy.normalize(v)
+        for _ in range(_RETRACT_STEPS):
+            if on_surface(v):
+                break
+            pt = energy.last  # on_surface just valued v
+            dw = pt.weight_gradient()
+            v = energy.normalize(v - (pt.weight / float(dw @ dw)) * dw)
+        energy(v)
+        return v
 
-            def grad_fun(v: np.ndarray) -> np.ndarray:
-                # descent calls this only at accepted points, right after
-                # fun on the same array: the point is a memo hit
-                pt = energy(v)
-                dg, dm = pt.gradients()
-                out = (dg - (pt.grad_term / pt.mass) * dm) / pt.mass
-                shifted = max(0.0, mu - rho * sign * pt.weight)
-                if shifted > 0.0:
-                    out = out - (shifted * sign) * pt.weight_gradient()
-                    # the penalty is not 0-homogeneous like R: keep the part of
-                    # its gradient tangent to the sphere, the gradient of the
-                    # objective composed with normalize
-                    out = out - (float(out @ v) / (p * pt.grad_term)) * dg
-                return out
+    mu = np.nan  # the multiplier at the last accepted point
 
-            res = bb_descent(
-                x,
-                fun,
-                grad_fun,
-                tol=_AL_TOL,
-                max_iter=inner_iter,
-                normalize=energy.normalize,
-                # descent calls this right after grad_fun: the memo holds the point
-                precond=lambda g: energy.last.precondition(g),
-            )
-            x = res.x
-            c = constraint(x)
-            viol = abs(min(c, mu / rho))
-            mu = max(0.0, mu - rho * c)
-            if res.status == "converged" and viol < _AL_TOL:
-                return x, True
-            if viol > _AL_SHRINK * prev_viol:
-                rho *= _AL_GROWTH
-            prev_viol = viol
-        return x, False
+    def tangent_gradient(v: np.ndarray) -> np.ndarray:
+        # descent calls this only at accepted points, right after rayleigh
+        # on the same array: the point is a memo hit
+        nonlocal mu
+        pt = energy(v)
+        dg, dm = pt.gradients()
+        dw = pt.weight_gradient()
+        grad_r = (dg - (pt.grad_term / pt.mass) * dm) / pt.mass
+        coeff = float(grad_r @ dw) / float(dw @ dw)
+        mu = sign * coeff  # grad c = sign dw
+        return grad_r - coeff * dw
 
-    # the bump itself is a candidate: cheap, and sometimes better for
-    # strongly localized constraints; it never passes the KKT test
-    best, best_ok = rayleigh(feas_dir), False
-    for start in (pair.phi.values, feas_dir):
-        x, ok = solve(start)
-        value = rayleigh(restore_feasible(x))
+    best, best_ok, best_mu = rayleigh(feas_dir), False, np.nan
+    for start in (pair.phi.values, restore_feasible(pair.phi.values)):
+        res = bb_descent(
+            start,
+            rayleigh,
+            tangent_gradient,
+            tol=_KKT_TOL,
+            max_iter=_DESCENT_ITER,
+            normalize=retract,
+            guard=on_surface,
+            # descent calls this right after tangent_gradient: the memo holds the point
+            precond=lambda g: energy.last.precondition(g),
+        )
+        value = rayleigh(restore_feasible(res.x))
         if value < best:
-            best, best_ok = value, ok
+            best, best_ok, best_mu = value, res.status == "converged" and mu >= 0.0, mu
     if not np.isfinite(best):
         raise NonConvergenceError("constrained Rayleigh minimization failed to produce a value")
-    return float(best), best_ok
+    return float(best), best_ok, float(best_mu)
 
 
 def compute_critical_values(spec: ProblemSpec, pair: EigenPair) -> CriticalValues:
     """Fill all four thresholds for this instance.
 
     Requires a sign-changing weight. The trivial identities are filled from
-    the pairing sign; the one nontrivial value comes from the augmented-
-    Lagrangian search, is the quotient of a feasible function and exceeds
-    lambda1. Deterministic: the same instance gives the same record.
+    the pairing sign; the one nontrivial value comes from the descent on
+    the constraint surface, is the quotient of a feasible function and
+    exceeds lambda1. converged is that search's KKT verdict. Deterministic:
+    the same instance gives the same record.
     """
     if not spec.a.is_sign_changing():
         raise WeightError("critical values require a sign-changing weight")
@@ -241,7 +229,7 @@ def compute_critical_values(spec: ProblemSpec, pair: EigenPair) -> CriticalValue
     if sign == "zero":
         return CriticalValues(lam1, lam1, lam1, lam1, lam1, val, sign, True)
     if sign == "positive":
-        nontrivial, ok = _constrained_rayleigh_min(spec, pair, want_nonneg=False)
+        nontrivial, ok, _ = _constrained_rayleigh_min(spec, pair, want_nonneg=False)
         return CriticalValues(
             lambda1=lam1,
             lambda_star=lam1,
@@ -252,7 +240,7 @@ def compute_critical_values(spec: ProblemSpec, pair: EigenPair) -> CriticalValue
             pairing_sign=sign,
             converged=ok,
         )
-    nontrivial, ok = _constrained_rayleigh_min(spec, pair, want_nonneg=True)
+    nontrivial, ok, _ = _constrained_rayleigh_min(spec, pair, want_nonneg=True)
     return CriticalValues(
         lambda1=lam1,
         lambda_star=nontrivial,

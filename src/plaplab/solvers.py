@@ -376,10 +376,10 @@ def minimizer_set_at_star(
 
     Runs the ground-state multistart once with sample_count starts, keeps
     the converged solves at the common minimal level, and clusters them by
-    sup-norm distance, lowest level first, so each cluster is represented
-    by its lowest member. The neighborhood radius is half the minimal
-    inter-cluster distance, floored at a quarter of the largest member
-    amplitude. Raises AttainabilityError when no start converges (wrong
+    the sup-norm distance of their positive parts, lowest level first, so
+    each cluster is represented by its lowest member. The neighborhood
+    radius is half the minimal inter-cluster distance, floored at a quarter
+    of the largest member amplitude. Raises AttainabilityError when no start converges (wrong
     regime, e.g. positive pairing, where every start diverges).
     """
     reports, _, _ = _ground_runs(spec_at_star, sample_count, tol, seed, True)
@@ -393,11 +393,9 @@ def minimizer_set_at_star(
 
     clusters: list[GridFn] = []
     for r in keep:
-        if not clusters:
-            clusters.append(r.u)
-            continue
-        d, _ = _sup_dist_to_members(r.u.values, tuple(clusters))
-        if d > DISTINCT_TOL_FACTOR * tol:
+        # critical points of I_trunc are nonnegative: negative dust is no distance
+        plus = np.maximum(r.u.values, 0.0)
+        if all(np.max(np.abs(plus - np.maximum(m.values, 0.0))) > DISTINCT_TOL_FACTOR * tol for m in clusters):
             clusters.append(r.u)
     members = tuple(clusters)
     max_amp = max(m.linf() for m in members)

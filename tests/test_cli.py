@@ -388,7 +388,17 @@ sample_count = 3
             run_three_solutions(cfg)
 
 
+def _fail(*args, **kwargs):
+    raise SolverError("forced failure")
+
+
+def _not_reached(*args, **kwargs):
+    raise AssertionError("this solve must not run")
+
+
 class TestSweepFailureRows:
+    """A solve of the sweep that raises gives a marker row of its branch, and the sweep exits 3."""
+
     # past the threshold of a zero-pairing weight, where lambda* = lambda1:
     # the local minimum is ok, then the mountain pass over it is made to fail
     CONFIG = """
@@ -402,27 +412,52 @@ seed = 7
 starts = 3
 sample_count = 2
 """
+    # negative pairing, between lambda1 and lambda*: ground and m_minus
+    BELOW_STAR = SMALL_SWEEP.replace("lambda_start = 0.4", "lambda_start = 1.05").replace(
+        "lambda_count = 2", "lambda_count = 1"
+    )
+
+    @staticmethod
+    def _sweep(tmp_path, text):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        return code, [(r.branch, r.status) for r in parse_table(out).rows]
 
     @pytest.mark.parametrize("failing", ["runaway_state", "mountain_pass"])
     def test_failure_row_names_the_mountain_pass(self, tmp_path, monkeypatch, failing):
-        def fail(*args, **kwargs):
-            raise SolverError("forced failure")
-
-        monkeypatch.setattr(solvers, failing, fail)
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(self.CONFIG.format(lam=1.02))
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
-        rows = [(r.branch, r.status) for r in parse_table(out).rows]
+        monkeypatch.setattr(solvers, failing, _fail)
+        code, rows = self._sweep(tmp_path, self.CONFIG.format(lam=1.02))
+        assert code == 3
         assert rows == [("local_min", "ok"), ("mountain_pass", "error:SolverError")]
+
+    @pytest.mark.parametrize(
+        "failing, rows",
+        [
+            ("ground_state", [("ground", "error:SolverError"), ("m_minus", "ok")]),
+            ("m_minus", [("ground", "ok"), ("m_minus", "error:SolverError")]),
+        ],
+    )
+    def test_failure_row_below_the_threshold(self, tmp_path, monkeypatch, failing, rows):
+        monkeypatch.setattr(solvers, failing, _fail)
+        assert self._sweep(tmp_path, self.BELOW_STAR) == (3, rows)
+
+    def test_failed_continuation_ends_its_lambda(self, tmp_path, monkeypatch):
+        # no local minimum to climb from: the mountain pass is not tried
+        monkeypatch.setattr(solvers, "local_min_continuation", _fail)
+        monkeypatch.setattr(solvers, "mountain_pass", _not_reached)
+        assert self._sweep(tmp_path, self.CONFIG.format(lam=1.02)) == (3, [("local_min", "error:SolverError")])
+
+    def test_no_minimizer_set(self, tmp_path, monkeypatch):
+        # minimizer_set_at_star raising leaves the sweep without a set to continue
+        monkeypatch.setattr(solvers, "minimizer_set_at_star", _fail)
+        monkeypatch.setattr(solvers, "local_min_continuation", _not_reached)
+        assert self._sweep(tmp_path, self.CONFIG.format(lam=1.02)) == (3, [("local_min", "error:NoMinimizerSet")])
 
     def test_no_mountain_pass_at_lambda1(self, tmp_path):
         # no runaway state exists at lam = lambda1, so there is no branch to fail
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(self.CONFIG.format(lam=1.0))
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        assert [(r.branch, r.status) for r in parse_table(out).rows] == [("local_min", "ok")]
+        assert self._sweep(tmp_path, self.CONFIG.format(lam=1.0)) == (0, [("local_min", "ok")])
 
 
 class TestThreeFailureRows:
@@ -445,11 +480,8 @@ class TestThreeFailureRows:
         [("ground_state", "ground"), ("local_min_continuation", "local_min"), ("mountain_pass", "mountain_pass")],
     )
     def test_failure_row_names_the_failed_solve(self, monkeypatch, failing, branch):
-        def fail(*args, **kwargs):
-            raise SolverError("forced failure")
-
         self._stub_solves(monkeypatch)
-        monkeypatch.setattr(solvers, failing, fail)
+        monkeypatch.setattr(solvers, failing, _fail)
         rows = run_three_solutions(parse_config(self.CONFIG)).rows
         assert len(rows) == 10
         assert {(r.branch, r.status) for r in rows} == {(branch, "error:SolverError")}

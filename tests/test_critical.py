@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -122,9 +124,12 @@ class TestRegionClassify:
 
 
 class TestCriticalValues:
-    def test_converged_false_when_descents_are_capped(self, neg_pairing_problem):
+    def test_converged_false_when_descents_are_capped(self, neg_pairing_problem, monkeypatch):
+        import plaplab.critical as critical
+
         spec0, pair = neg_pairing_problem
-        _, converged = _constrained_rayleigh_min(spec0, pair, want_nonneg=True, rounds=1, inner_iter=1)
+        monkeypatch.setattr(critical, "_DESCENT_ITER", 1)
+        _, converged, _ = _constrained_rayleigh_min(spec0, pair, want_nonneg=True)
         assert converged is False
 
     def test_gradient_pieces_built_only_at_accepted_points(self, neg_pairing_problem, monkeypatch):
@@ -132,45 +137,90 @@ class TestCriticalValues:
         import plaplab.functionals as functionals
 
         spec0, pair = neg_pairing_problem
-        calls = {"scatter": 0, "scatter_in_fun": 0, "fun": 0, "grad": 0}
-        in_fun = [False]
+        # scatters of gradient pieces, by (callback running, piece built)
+        built = Counter()
+        calls = Counter()
+        where, piece = ["outside"], ["none"]
         runs = []
         real_scatter = functionals.scatter_gauss_gradient
+        real_normalize = functionals.P1Energy.normalize
         real_descent = critical.bb_descent
 
+        def within(counter_key, slot, value, fn):
+            def wrapped(*args):
+                calls[counter_key] += 1
+                saved, slot[0] = slot[0], value
+                try:
+                    return fn(*args)
+                finally:
+                    slot[0] = saved
+
+            return wrapped
+
         def counting_scatter(*args):
-            calls["scatter"] += 1
-            calls["scatter_in_fun"] += in_fun[0]
+            built[where[0], piece[0]] += 1
             return real_scatter(*args)
 
+        def counting_normalize(self, v):
+            calls["scaling", where[0]] += 1
+            return real_normalize(self, v)
+
         def counting_descent(x0, fun, grad, **kwargs):
-            def counted_fun(v):
-                calls["fun"] += 1
-                in_fun[0] = True
-                try:
-                    return fun(v)
-                finally:
-                    in_fun[0] = False
-
-            def counted_grad(v):
-                calls["grad"] += 1
-                return grad(v)
-
-            res = real_descent(x0, counted_fun, counted_grad, **kwargs)
+            kwargs["normalize"] = within("retract", where, "retract", kwargs["normalize"])
+            kwargs["guard"] = within("guard", where, "guard", kwargs["guard"])
+            res = real_descent(x0, within("fun", where, "fun", fun), within("grad", where, "grad", grad), **kwargs)
             runs.append(res)
             return res
 
+        ep = functionals.EnergyPoint
+        monkeypatch.setattr(ep, "gradients", within("gradients", piece, "mass", ep.gradients))
+        monkeypatch.setattr(ep, "weight_gradient", within("weight_gradient", piece, "weight", ep.weight_gradient))
         monkeypatch.setattr(functionals, "scatter_gauss_gradient", counting_scatter)
+        monkeypatch.setattr(functionals.P1Energy, "normalize", counting_normalize)
         monkeypatch.setattr(critical, "bb_descent", counting_descent)
-        _constrained_rayleigh_min(spec0, pair, want_nonneg=True, rounds=1, inner_iter=6)
+        _constrained_rayleigh_min(spec0, pair, want_nonneg=True)
         # every iteration accepts a point, except one that stops at its top
         accepted = sum(r.iterations - (r.status != "max_iterations") for r in runs)
         assert len(runs) == 2 and accepted > 0
         assert calls["grad"] == len(runs) + accepted  # the start point, then each accepted point
-        assert calls["scatter_in_fun"] == 0  # trial values never build gradient pieces
-        # the mass gradient at every point, the weight gradient where the constraint is violated
-        assert calls["grad"] <= calls["scatter"] <= 2 * calls["grad"]
-        assert calls["fun"] >= calls["grad"]
+        assert calls["fun"] >= calls["grad"] and calls["retract"] >= calls["fun"]
+        # trial values and the guard never build gradient pieces
+        assert all(count == 0 for (callback, _), count in built.items() if callback in ("fun", "guard"))
+        # the stiffness and mass gradients only at accepted points, once each
+        assert built["grad", "mass"] == calls["grad"]
+        assert sum(count for (_, p), count in built.items() if p == "mass") == calls["grad"]
+        # the weight gradient at accepted points, and once per Newton step of
+        # the retraction: each step is followed by one sphere scaling
+        newton_steps = calls["scaling", "retract"] - calls["retract"]
+        assert built["grad", "weight"] == calls["grad"]
+        assert built["retract", "weight"] == newton_steps > 0
+        assert sum(built.values()) == 2 * calls["grad"] + newton_steps
+
+    def test_winning_multiplier_is_positive(self, neg_pairing_problem, pos_pairing_problem):
+        for (spec0, pair), want_nonneg in ((neg_pairing_problem, True), (pos_pairing_problem, False)):
+            _, converged, mu = _constrained_rayleigh_min(spec0, pair, want_nonneg=want_nonneg)
+            assert converged is True
+            assert mu > 0.0
+
+    def test_converged_descent_with_negative_multiplier_is_not_converged(self, neg_pairing_problem, monkeypatch):
+        import plaplab.critical as critical
+
+        # phi satisfies -int a phi^q >= 0 strictly, so on the surface R falls
+        # into {c > 0}: the descents converge to a point with mu < 0
+        spec0, pair = neg_pairing_problem
+        runs = []
+        real_descent = critical.bb_descent
+
+        def recording_descent(*args, **kwargs):
+            runs.append(real_descent(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(critical, "bb_descent", recording_descent)
+        value, converged, mu = _constrained_rayleigh_min(spec0, pair, want_nonneg=False)
+        assert [r.status for r in runs] == ["converged", "converged"]
+        assert value == pytest.approx(min(r.f for r in runs), rel=1e-12)
+        assert mu < 0.0
+        assert converged is False
 
     def test_negative_pairing_chain(self, neg_pairing_problem):
         spec0, pair = neg_pairing_problem

@@ -200,10 +200,26 @@ class TestMinimizerSet:
 
     def test_members_are_distinct_solutions(self, kset_p5):
         # distinct as run_three_solutions counts solutions distinct: farther
-        # apart than a converged solution is accurate
+        # apart than a converged solution is accurate, in their positive parts
         floor = solvers.DISTINCT_TOL_FACTOR * TOL
         for a, b in itertools.combinations(kset_p5.members, 2):
-            assert float(np.max(np.abs(a.values - b.values))) > floor
+            assert float(np.max(np.abs(np.maximum(a.values, 0.0) - np.maximum(b.values, 0.0)))) > floor
+
+    def test_negative_dust_makes_no_second_member(self):
+        # p = 5, q = 1.5, orthogonal two-bump at lambda* = lambda1: both starts
+        # converge to one minimizer, and the degenerate p = 5 flux leaves
+        # different negative dust on the two solves
+        problem = build_problem(
+            parse_config("n_cells = 128\np = 5.0\nq = 1.5\nweight_family = orthogonal-two-bump\nseed = 7\n")
+        )
+        spec_star = problem.spec0.with_lambda(problem.pair.lambda1)
+        reports, _, _ = solvers._ground_runs(spec_star, 2, TOL, 7, True)
+        a, b = (r.u.values for r in reports)
+        floor = solvers.DISTINCT_TOL_FACTOR * TOL
+        assert float(np.max(np.abs(a - b))) > 10.0 * floor
+        assert float(np.max(np.abs(np.maximum(a, 0.0) - np.maximum(b, 0.0)))) <= floor
+        kset = solvers.minimizer_set_at_star(spec_star, sample_count=2, tol=TOL, seed=7)
+        assert len(kset.members) == 1
 
     def test_each_start_solved_once(self, zero_pairing_p5_problem, monkeypatch):
         # one multistart of sample_count starts: one ray-phase descent each
@@ -384,6 +400,25 @@ seed = 7
         # at q = 2 the weight term has its second derivative everywhere
         spec = ProblemSpec(3.0, 2.0, 10.0, a, mesh256)
         assert solvers.morse_index(spec, grid_fn(mesh256, core)) is not None
+
+    @pytest.mark.parametrize("p, q, node", [(1.5, 1.2, "flat"), (3.0, 1.5, "core")])
+    def test_newton_stops_where_the_hessian_is_not_finite(self, mesh256, p, q, node):
+        # the two points of the test above without a Hessian, far from any
+        # critical point: Newton returns them as they are, with no index
+        a = weight_fn(mesh256, np.cos(3.0 * np.pi * mesh256.nodes))
+        x = np.sin(np.pi * mesh256.nodes)
+        x[0] = x[-1] = 0.0
+        if node == "flat":
+            x[100] = x[101]
+        else:
+            x[100:120] = 0.0
+        energy = functionals.Energy(ProblemSpec(p, q, 10.0, a, mesh256), truncated=True)
+        assert not np.all(np.isfinite(energy.hess_I(x)[0]))
+        residual = float(np.max(np.abs(energy.grad_I(x))))
+        assert residual > 1.0
+        point, r, steps, index = solvers._newton_finish(energy, x, TOL)
+        assert point is x
+        assert (r, steps, index) == (residual, 0, None)
 
 
 class _StartsTaken(Exception):

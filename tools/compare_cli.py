@@ -31,8 +31,9 @@ are read from this checkout's perfbench/configs/, and small configs taken
 from the test suite: sweeps on both sides of the threshold, the
 three-solution scan (also at seed 3), ground (also at p = 4, q = 1.5,
 1.05 lambda1, whose polish once ran to its iteration cap on every
-start), certify, critical, the eigenpair at p = 1.25 (n = 256, q = 1.1),
-JSON and stdout output (also of a region cell whose Picone minimum is
+start), certify, critical (also at p = 4, q = 1.5, and on a positive
+pairing whose search ends unconverged), the eigenpair at p = 1.25
+(n = 256, q = 1.1), JSON and stdout output (also of a region cell whose Picone minimum is
 -inf), zero-pairing sweeps at lambda1 (no mountain-pass branch) and just
 past it (a mountain pass over the local minimum, also at q = 1.5, where
 that minimum carries negative dust, and on a wider positive bump, where
@@ -202,6 +203,19 @@ seed = 7
 starts = 3
 sample_count = 2
 """,
+    # a positive pairing whose lambda_minus no start reaches within its budget
+    "critical-unconverged": """
+n_cells = 128
+p = 3.0
+q = 1.29
+weight_family = two-bump
+amp_plus = 52.9
+center_plus = 0.44
+width_plus = 0.21
+amp_minus = 7.9
+center_minus = 0.53
+width_minus = 0.19
+""",
     "three-two-bump": "n_cells = 64\np = 5.0\nq = 2.0\nweight_family = two-bump\nstarts = 2\n",
     "region-small": "region_p_count = 4\nregion_q_count = 3\n",
     # at p = 1.01, q = 1 + 1e-7 the Picone minimum is -inf
@@ -273,6 +287,9 @@ COMMANDS = (
     Command("region-inf-json", "region", "region-inf", format="json"),
     # the perturbed weight outside the three-solution scan
     Command("critical-p5-perturbed", "critical", "three-p5.cfg"),
+    # a second lambda* record, and a search that ends unconverged
+    Command("critical-ground-p4", "critical", "ground-p4"),
+    Command("critical-unconverged", "critical", "critical-unconverged"),
     # the zero-pairing threshold lambda* = lambda1: a local minimum and no
     # runaway state at lambda1, a mountain pass over it just past lambda1
     Command("zero-pairing-at-lambda1", "sweep", "zero-pairing-at-lambda1"),
