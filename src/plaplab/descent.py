@@ -1,7 +1,7 @@
 """The descent engine: one nonmonotone spectral projected-gradient loop.
 
 Barzilai-Borwein steps, accepted by an Armijo test against the largest
-objective of the last `window` accepted points (Birgin, Martinez & Raydan,
+objective of the last _WINDOW = 10 accepted points (Birgin, Martinez & Raydan,
 SIAM J. Optim. 10, 2000; reference value of Grippo, Lampariello & Lucidi,
 1986). The objectives here are smooth away from kinks t -> max(t,0)^(q-1),
 q > 1, which the nonmonotone test handles without smoothing. bb_descent
@@ -79,7 +79,6 @@ def _spg(
     grad: Callable[[np.ndarray], np.ndarray],
     tol: float,
     max_iter: int,
-    window: int,
     *,
     precond: Callable[[np.ndarray], np.ndarray],
     normalize: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -120,7 +119,7 @@ def _spg(
 
         if prev_x is not None:
             alpha = _bb_step(x - prev_x, d - prev_d, alpha)
-        f_ref = max(history[-window:])
+        f_ref = max(history[-_WINDOW:])
         slack = _FLOAT_SLACK * (1.0 + abs(f_ref))
         slope = float(np.dot(g, d))
         step = alpha
@@ -164,13 +163,12 @@ def bb_descent(
     precond: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-8,
     max_iter: int = 50_000,
-    window: int = _WINDOW,
     guard: Callable[[np.ndarray], bool] | None = None,
     floor: float | None = None,
     normalize: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> DescentResult:
     """Minimize fun by the descent loop from normalize(x0), which must pass guard."""
-    return _spg(x0, fun, grad, tol, max_iter, window, normalize=normalize, guard=guard, floor=floor, precond=precond)
+    return _spg(x0, fun, grad, tol, max_iter, normalize=normalize, guard=guard, floor=floor, precond=precond)
 
 
 def projected_descent(
@@ -184,4 +182,4 @@ def projected_descent(
     max_iter: int = 50_000,
 ) -> DescentResult:
     """Minimize fun over a convex (or retractable) set by the descent loop from project(x0)."""
-    return _spg(x0, fun, grad, tol, max_iter, _WINDOW, project=project, precond=precond)
+    return _spg(x0, fun, grad, tol, max_iter, project=project, precond=precond)

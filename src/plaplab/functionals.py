@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FiberUndefinedError, MeshMismatchError
+from .errors import FiberUndefinedError, MeshMismatchError, SolverError
 from .grid import (
     GridFn,
     Mesh,
@@ -98,6 +98,15 @@ def _stiffness_solver(mesh: Mesh, w: np.ndarray):
         return z
 
     return apply
+
+
+def _power(x: float, e: float) -> float:
+    """x ** e; SolverError where it overflows a float, as the fibered powers
+    of J and t(u) do for q near p, whose exponents p/(p-q), q/(p-q) are large."""
+    try:
+        return x**e
+    except OverflowError:
+        raise SolverError(f"{x:.6g} ** {e:.6g} overflows: q is too near p for the fibered energy") from None
 
 
 def _ldlt(diag: np.ndarray, off: np.ndarray):
@@ -390,7 +399,8 @@ class Energy:
     E = grad_term - lam * mass, G = weight, and on them I, the ray-optimal
     J, their gradients, the cones and the Nehari scaling. The kernel keeps
     its last point, so the guard, value, gradient and precond callbacks
-    descent calls on one accepted point share a single evaluation.
+    descent calls on one accepted point share a single evaluation. J,
+    grad_J and fiber_scale raise SolverError where a power overflows.
     """
 
     def __init__(self, spec: ProblemSpec, truncated: bool):
@@ -438,7 +448,7 @@ class Energy:
         E, G = self.EG(v)
         p, q = self.p, self.q
         coeff = (p - q) / (p * q)
-        return -np.sign(E) * coeff * abs(G) ** (p / (p - q)) / abs(E) ** (q / (p - q))
+        return -np.sign(E) * coeff * _power(abs(G), p / (p - q)) / _power(abs(E), q / (p - q))
 
     def grad_J(self, v: np.ndarray) -> np.ndarray:
         E, G = self.EG(v)
@@ -449,7 +459,7 @@ class Energy:
         alpha = p / (p - q)
         beta = q / (p - q)
         coeff = (p - q) / (p * q)
-        pref = -np.sign(E) * coeff * abs(G) ** (alpha - 1.0) * abs(E) ** (-beta - 1.0)
+        pref = -np.sign(E) * coeff * _power(abs(G), alpha - 1.0) * _power(abs(E), -beta - 1.0)
         return pref * (alpha * E * dG - beta * G * dE)
 
     def in_cone(self, v: np.ndarray, sign: int) -> bool:
@@ -466,10 +476,14 @@ class Energy:
             return E > zero_E and weight > zero_G
         return E < -zero_E and weight < -zero_G
 
+    def fiber_scale(self, v: np.ndarray) -> float:
+        """t(v) = (G/E)^(1/(p-q)); v must lie in one of the cones."""
+        E, G = self.EG(v)
+        return _power(G / E, 1.0 / (self.p - self.q))
+
     def fiber_project(self, v: np.ndarray) -> np.ndarray:
         """t(v) v, on the Nehari set {E = G}; v must lie in one of the cones."""
-        E, G = self.EG(v)
-        return v * (G / E) ** (1.0 / (self.p - self.q))
+        return v * self.fiber_scale(v)
 
     def residual_sup(self, v: np.ndarray) -> float:
         return float(np.max(np.abs(self.grad_I(v))))
@@ -527,10 +541,10 @@ def fiber_scale(u: GridFn, spec: ProblemSpec, truncated: bool = False) -> float:
     """Unique stationary scale t(u) > 0 of t -> I(t*u).
 
     Requires E(u) and the weight integral to share a strict sign (Energy.in_cone);
-    raises FiberUndefinedError otherwise.
+    raises FiberUndefinedError otherwise, and SolverError where t(u)
+    overflows a float (q near p).
     """
-    E, G = _fiber(u, spec, truncated).EG(u.values)
-    return (G / E) ** (1.0 / (spec.p - spec.q))
+    return _fiber(u, spec, truncated).fiber_scale(u.values)
 
 
 def fibered_J(u: GridFn, spec: ProblemSpec, truncated: bool = False) -> float:

@@ -27,7 +27,8 @@ Every multistart solve takes its starts from one generator, _starts: the
 solver's fixed candidates in order, then jittered copies of the
 eigenfunction, draw k from its own RNG seed, each kept only if it passes
 the solver's acceptance test. ground_state and m_minus share one
-ray-optimal phase, _ray_descent, in their two cones.
+ray-optimal phase, _ray_descent, in their two cones: ground_state polishes
+its result on I, and for m_minus it is the whole solve.
 
 Every minimization is a descent.py run: Barzilai-Borwein steps, a
 nonmonotone line search, and a preconditioner that is the regularized
@@ -36,7 +37,7 @@ weight |u'|^(p-2) of the Hessian of int |u'|^p, solved in O(n) at each
 accepted point by the exact 1-D flux identity. That is the
 preconditioned descent of Huang, Li & Liu (J. Sci. Comput. 32, 2007);
 the linear stiffness it replaces is mismatched wherever u' = 0 and
-p != 2. The ray phase, both polishes, continuation and
+p != 2. The ray phase, the ground polish, continuation and
 multistart_truncated_descent all use it through Energy.precond. The
 climbing string steps its own beads with the linear stiffness M
 (functionals._stiffness_solver with unit weights): a Barzilai-Borwein
@@ -90,7 +91,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 50_000
 J_FLOOR = -1e7
 # On the gradient-normalized sphere, E this small with a positive weight
 # integral means the iterate has pushed its Rayleigh quotient onto lam
@@ -179,16 +179,15 @@ def _starts(
     return starts
 
 
-def _ray_descent(energy: Energy, v0: np.ndarray, sign: int, tol: float) -> DescentResult:
+def _ray_descent(energy: Energy, v0: np.ndarray, sign: int, stop: float) -> DescentResult:
     """The ray-optimal phase: minimize the 0-homogeneous J over normalized
-    functions in the cone of this sign, at a tolerance looser than the
-    polish that follows. Only the plus cone can sink below J_FLOOR: J > 0
-    in the minus cone."""
+    functions in the cone of this sign, to sup residual stop. Only the
+    plus cone can sink below J_FLOOR: J > 0 in the minus cone."""
     return bb_descent(
         v0,
         energy.J,
         energy.grad_J,
-        tol=max(100.0 * tol, 1e-6),
+        tol=stop,
         max_iter=4_000,
         guard=lambda v: energy.in_cone(v, sign),
         floor=J_FLOOR,
@@ -234,7 +233,7 @@ def _ground_runs(
     total_iters = 0
     failures: list[str] = []
     for k, v0 in enumerate(seeds):
-        res_a = _ray_descent(energy, v0, +1, tol)
+        res_a = _ray_descent(energy, v0, +1, max(100.0 * tol, 1e-6))
         total_iters += res_a.iterations
         if res_a.status == "diverged" or _energy_collapsed(energy, res_a.x):
             proj = energy.normalize(res_a.x)
@@ -246,8 +245,6 @@ def _ground_runs(
             energy.I,
             energy.grad_I,
             tol=tol,
-            max_iter=DEFAULT_MAX_ITER,
-            window=5,
             floor=J_FLOOR,
             precond=energy.precond,
         )
@@ -277,8 +274,9 @@ def ground_state(
 
     Pipeline per start: minimize the 0-homogeneous ray-optimal energy over
     normalized functions in the cone; scale the best point onto the Nehari
-    set; polish with monotone descent on the (truncated, by default)
-    energy. The level estimate is breakdown.I_trunc of the returned report.
+    set; polish with the nonmonotone descent on the (truncated, by
+    default) energy. The level estimate is breakdown.I_trunc of the
+    returned report.
 
     The starts are a bump in each positive-weight component, the
     eigenfunction, then positive perturbations of it. If the ray-optimal
@@ -306,12 +304,15 @@ def m_minus(
 ) -> SolveReport:
     """Least positive-energy solution over the minus cone {E < 0, int a|u|^q < 0}.
 
-    The ray-optimal value is positive there (a fiber maximum); minimizing
-    it over the cone and scaling onto the Nehari set yields a saddle-type
-    solution. The starts are the eigenfunction, its mixtures with bumps in
+    The ray-optimal value J is positive there (a fiber maximum) and
+    0-homogeneous: each start takes one descent of J retracted onto the
+    sphere {int |u'|^p = 1} (_ray_descent, to sup residual tol), scaled
+    onto the Nehari set. It counts when that descent converged or stalled
+    and grad I there is below 10 tol in sup norm; the lowest such start
+    is returned, a saddle-type solution. The starts are the eigenfunction, its mixtures with bumps in
     the negative-weight components, then small perturbations of it. Raises
     EmptyConeError when lam is at or below the first eigenvalue (the cone
-    is empty there).
+    is empty there), SolverError when no start counts.
     """
     energy = Energy(spec, truncated=False)
     partition = sign_partition(spec.a)
@@ -325,32 +326,19 @@ def m_minus(
     fixed = [np.array(phi)] + [
         phi + t * component_bump(spec.mesh, comp) * scale for comp in partition.minus_components for t in (0.2, 0.5)
     ]
-    guard = lambda v: energy.in_cone(v, -1)
-    seeds = _starts(
-        starts, fixed, lambda rng: phi + 0.1 * scale * smooth_noise(spec.mesh, rng), 2_000_003, seed, guard
-    )
+    jitter = lambda rng: phi + 0.1 * scale * smooth_noise(spec.mesh, rng)
+    seeds = _starts(starts, fixed, jitter, 2_000_003, seed, lambda v: energy.in_cone(v, -1))
     if not seeds:
         raise EmptyConeError("no admissible start in the minus cone")
 
     best: SolveReport | None = None
     total_iters = 0
     for v0 in seeds:
-        res_a = _ray_descent(energy, v0, -1, tol)
-        total_iters += res_a.iterations
-        x = energy.fiber_project(res_a.x)
-        res_b = bb_descent(
-            x,
-            energy.J,
-            energy.grad_J,
-            tol=tol,
-            max_iter=DEFAULT_MAX_ITER,
-            guard=guard,
-            precond=energy.precond,
-        )
-        total_iters += res_b.iterations
-        x = energy.fiber_project(res_b.x)
+        res = _ray_descent(energy, v0, -1, tol)
+        total_iters += res.iterations
+        x = energy.fiber_project(res.x)
         residual = energy.residual_sup(x)
-        status = "converged" if res_b.status in ("converged", "stalled") and residual < 10 * tol else "failed"
+        status = "converged" if res.status in ("converged", "stalled") and residual < 10 * tol else "failed"
         cand = _report_from(spec, x, residual, total_iters, status)
         if cand.ok and (best is None or cand.breakdown.I < best.breakdown.I):
             best = cand
@@ -412,7 +400,6 @@ def local_min_continuation(
     kset: MinimizerSet,
     *,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SolveReport:
     """Descend the truncated energy inside the tube around the minimizer set.
 
@@ -443,7 +430,6 @@ def local_min_continuation(
             energy.grad_I,
             project,
             tol=tol,
-            max_iter=max_iter,
             precond=energy.precond,
         )
         total_iters += res.iterations
@@ -762,7 +748,6 @@ def multistart_truncated_descent(
             energy.I,
             energy.grad_I,
             tol=tol,
-            max_iter=DEFAULT_MAX_ITER,
             floor=J_FLOOR,
             precond=energy.precond,
         )

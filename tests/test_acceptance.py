@@ -331,9 +331,7 @@ def test_criterion_11_nonexistence_bound(mesh512, zero_pairing_p5_problem, kset_
     spec0, pair = zero_pairing_p5_problem
     part5 = sign_partition(spec0.a)
     bound5 = nonexistence_bound(spec0, part5)
-    rep = solvers.local_min_continuation(
-        spec0.with_lambda(1.1 * bound5), kset_p5, tol=TOL, max_iter=6000
-    )
+    rep = solvers.local_min_continuation(spec0.with_lambda(1.1 * bound5), kset_p5, tol=TOL)
     classified = solvers.classify(rep, part5, 1e-8 * max(rep.u.linf(), 1e-30))
     failed = rep.status == "window_exceeded" or bool(classified.dead_core_components)
     ok = ok and failed

@@ -460,6 +460,47 @@ sample_count = 2
         assert self._sweep(tmp_path, self.CONFIG.format(lam=1.0)) == (0, [("local_min", "ok")])
 
 
+class TestQNearP:
+    """Where q is near p the fibered powers G^(p/(p-q)) and E^(-q/(p-q)) overflow a float."""
+
+    # between lambda1 = 21.1524 and lambda* = 21.1908: ground and m_minus
+    SWEEP = """
+n_cells = 128
+p = 2.71
+q = 2.59
+weight_family = two-bump
+amp_plus = 22.53
+center_plus = 0.67
+width_plus = 0.22
+amp_minus = 26.51
+center_minus = 0.46
+width_minus = 0.12
+lambda_start = 1.0009
+lambda_count = 1
+seed = 7
+"""
+    GROUND = (
+        "n_cells = 64\np = 3.0\nq = 2.999\nweight_family = two-bump\namp_plus = 60\n"
+        "lambda_start = 0.9\nlambda_count = 1\nseed = 7\n"
+    )
+
+    def test_m_minus_row_is_a_solver_error(self, tmp_path):
+        # no start passes m_minus's acceptance; the sweep still writes its table
+        code, rows = TestSweepFailureRows._sweep(tmp_path, self.SWEEP)
+        assert code == 3
+        assert rows == [("ground", "ok"), ("m_minus", "error:SolverError")]
+
+    def test_ground_overflow_exits_3_with_a_message(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.GROUND)
+        res = subprocess.run(
+            [sys.executable, "-m", "plaplab.cli", "ground", "--config", str(cfg)], capture_output=True, text=True
+        )
+        assert res.returncode == 3
+        assert "solver failure:" in res.stderr and "q is too near p" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
 class TestThreeFailureRows:
     """A solve of the scan that raises gives a row of its own branch, and the scan goes on."""
 

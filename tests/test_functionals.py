@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plaplab.errors import FiberUndefinedError, MeshMismatchError
+from plaplab.errors import FiberUndefinedError, MeshMismatchError, SolverError
 from plaplab.functionals import (
     METRIC_EPS,
     Energy,
@@ -322,6 +322,20 @@ class TestFiberedJ:
                 assert abs(ts[k] - t_star) <= step + 1e-12
                 return
         pytest.skip("no admissible draw")
+
+
+    def test_overflow_near_q_equal_p_is_a_solver_error(self):
+        # p = 3, q = 2.999: J carries G^(p/(p-q)) = G^3000, which overflows a
+        # float at u = 50 phi, where G is about 1.6e4
+        problem = build_problem(
+            parse_config("n_cells = 64\np = 3.0\nq = 2.999\nweight_family = two-bump\namp_plus = 60\n")
+        )
+        spec = problem.spec0.with_lambda(0.9 * problem.pair.lambda1)
+        u = grid_fn(spec.mesh, 50.0 * problem.pair.phi.values)
+        with pytest.raises(SolverError, match="q is too near p"):
+            fibered_J(u, spec)
+        with pytest.raises(SolverError, match="q is too near p"):
+            Energy(spec, truncated=False).grad_J(u.values)
 
 
 class TestFiberMaxDichotomy:

@@ -169,6 +169,29 @@ class TestMMinus:
         hi = solvers.m_minus(spec0.with_lambda(pair.lambda1 + 0.9 * gap), starts=4, tol=TOL, seed=1)
         assert lo.breakdown.I > hi.breakdown.I > 0
 
+    def test_one_descent_per_start(self, neg_pairing_problem, crit_neg, monkeypatch):
+        # J is 0-homogeneous: its minimum on the sphere is the level, so the
+        # ray phase is the whole solve and no second descent follows it
+        spec0, pair = neg_pairing_problem
+        spec = spec0.with_lambda(pair.lambda1 + 0.5 * (crit_neg.lambda_star - pair.lambda1))
+        descents, drawn = [], []
+        real_descent, real_starts = solvers.bb_descent, solvers._starts
+
+        def counting_descent(*args, **kwargs):
+            descents.append(1)
+            return real_descent(*args, **kwargs)
+
+        def counting_starts(*args, **kwargs):
+            starts = real_starts(*args, **kwargs)
+            drawn.append(len(starts))
+            return starts
+
+        monkeypatch.setattr(solvers, "bb_descent", counting_descent)
+        monkeypatch.setattr(solvers, "_starts", counting_starts)
+        assert solvers.m_minus(spec, starts=4, tol=TOL, seed=1).ok
+        assert drawn[0] > 0
+        assert len(descents) == drawn[0]
+
     def test_empty_cone_below_lambda1(self, neg_pairing_problem):
         spec0, pair = neg_pairing_problem
         with pytest.raises(EmptyConeError):

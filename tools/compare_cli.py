@@ -37,8 +37,10 @@ pairing whose search ends unconverged), the eigenpair at p = 1.25
 -inf), zero-pairing sweeps at lambda1 (no mountain-pass branch) and just
 past it (a mountain pass over the local minimum, also at q = 1.5, where
 that minimum carries negative dust, and on a wider positive bump, where
-Newton fails from the first entry and the string resumes), and configs
-that must be refused.
+Newton fails from the first entry and the string resumes), q near p, where
+the fibered powers p/(p-q) and q/(p-q) overflow a float (a sweep whose
+m_minus row fails, sweep-q-near-p, and a ground solve that exits 3,
+ground-q-near-p), and configs that must be refused.
 """
 
 from __future__ import annotations
@@ -216,6 +218,33 @@ amp_minus = 7.9
 center_minus = 0.53
 width_minus = 0.19
 """,
+    # q near p: between lambda1 = 21.1524 and lambda* = 21.1908, no m_minus start is accepted
+    "sweep-q-near-p": """
+n_cells = 128
+p = 2.71
+q = 2.59
+weight_family = two-bump
+amp_plus = 22.53
+center_plus = 0.67
+width_plus = 0.22
+amp_minus = 26.51
+center_minus = 0.46
+width_minus = 0.12
+lambda_start = 1.0009
+lambda_count = 1
+seed = 7
+""",
+    # q/(p-q) = 2999: the ray phase's first gradient overflows a float
+    "ground-q-near-p": """
+n_cells = 64
+p = 3.0
+q = 2.999
+weight_family = two-bump
+amp_plus = 60
+lambda_start = 0.9
+lambda_count = 1
+seed = 7
+""",
     "three-two-bump": "n_cells = 64\np = 5.0\nq = 2.0\nweight_family = two-bump\nstarts = 2\n",
     "region-small": "region_p_count = 4\nregion_q_count = 3\n",
     # at p = 1.01, q = 1 + 1e-7 the Picone minimum is -inf
@@ -298,6 +327,9 @@ COMMANDS = (
     Command("local-min-negative-dust", "sweep", "local-min-negative-dust"),
     # a mountain pass whose string resumes after the first Newton entry
     Command("resumed-saddle", "sweep", "resumed-saddle"),
+    # q near p, where the fibered powers overflow a float
+    Command("sweep-q-near-p", "sweep", "sweep-q-near-p"),
+    Command("ground-q-near-p", "ground", "ground-q-near-p"),
     # configs that must be refused
     Command("three-two-bump", "three", "three-two-bump"),
     Command("bad-n-cells-fraction", "eigen", "bad-n-cells-fraction"),
