@@ -356,16 +356,10 @@ def picone_certificate(u: GridFn, spec: ProblemSpec, pair: EigenPair) -> float:
     vals = np.maximum(vals, 0.0)
     mesh = spec.mesh
     phi = pair.phi.values
-    g1, g2 = gauss_values(vals)
-    f1, f2 = gauss_values(phi)
-    lhs = gauss_integral(
-        mesh,
-        np.maximum(g1, 0.0) ** (spec.p - spec.q) * f1**spec.q,
-        np.maximum(g2, 0.0) ** (spec.p - spec.q) * f2**spec.q,
-    )
+    f_q = gauss_values(phi) ** spec.q
+    lhs = gauss_integral(mesh, np.maximum(gauss_values(vals), 0.0) ** (spec.p - spec.q) * f_q)
     threshold = DEAD_CORE_RTOL * u.linf()
     node_pos = vals > threshold
     cell_pos = node_pos[:-1] & node_pos[1:]
-    a1, a2 = spec.a.gauss
-    rhs = gauss_integral(mesh, cell_pos * a1 * f1**spec.q, cell_pos * a2 * f2**spec.q)
+    rhs = gauss_integral(mesh, cell_pos * spec.a.gauss * f_q)
     return (pair.lambda1 - spec.lam) * lhs - rhs

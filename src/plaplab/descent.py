@@ -40,6 +40,7 @@ and fun should compute values only: trials far outnumber accepted points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,8 +67,8 @@ class DescentResult:
 
 
 def _bb_step(s: np.ndarray, y: np.ndarray, fallback: float) -> float:
-    sy = float(np.dot(s, y))
-    ss = float(np.dot(s, s))
+    sy = float(s.dot(y))
+    ss = float(s.dot(s))
     if sy > 0.0 and ss > 0.0:
         return min(max(ss / sy, _STEP_MIN), _STEP_MAX)
     return fallback
@@ -103,7 +104,7 @@ def _spg(
 
     for it in range(1, max_iter + 1):
         residual = g if project is None else x - project(x - g)
-        if float(np.max(np.abs(residual))) < tol:
+        if float(np.abs(residual).max()) < tol:
             status = "converged"
             break
         if floor is not None and f < floor:
@@ -121,7 +122,7 @@ def _spg(
             alpha = _bb_step(x - prev_x, d - prev_d, alpha)
         f_ref = max(history[-_WINDOW:])
         slack = _FLOAT_SLACK * (1.0 + abs(f_ref))
-        slope = float(np.dot(g, d))
+        slope = float(g.dot(d))
         step = alpha
         accepted = False
         for _ in range(_BACKTRACK_MAX):
@@ -132,13 +133,13 @@ def _spg(
                 decrease = _ARMIJO_C * step * slope
             else:
                 trial = project(trial)
-                decrease = -_ARMIJO_C * float(np.dot(g, trial - x))
+                decrease = -_ARMIJO_C * float(g.dot(trial - x))
             # a trial that is no descent step, or that the guard refuses, is not valued
             if not decrease > 0.0 or (guard is not None and not guard(trial)):
                 step *= 0.5
                 continue
             f_trial = fun(trial)
-            if np.isfinite(f_trial) and f_trial <= f_ref - decrease + slack:
+            if math.isfinite(f_trial) and f_trial <= f_ref - decrease + slack:
                 accepted = True
                 break
             step *= 0.5

@@ -24,7 +24,9 @@ their nodal gradients. P1Energy is that kernel: called on a nodal vector
 it returns an EnergyPoint holding the three values and, on request, the
 gradients, the inverse of the p-stiffness at that point (the descent
 metric) and the tridiagonal Hessians, and its normalize scales a vector
-onto the gradient sphere {int |u'|^p = 1}. The eigen solver and the
+onto the gradient sphere {int |u'|^p = 1}. Its Gauss-point quantities are
+(2, n_cells) arrays (see grid), so each power, sum and scatter is one
+numpy call for both Gauss points. The eigen solver and the
 critical-value search use it and keep only their own algebra on top.
 Energy is its one lam-aware view: E, I, the ray-optimal J, their
 gradients, the Hessian of I and the cones, for the fibered solvers and
@@ -36,6 +38,7 @@ negative pivots, the Morse index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,10 +94,10 @@ def _stiffness_solver(mesh: Mesh, w: np.ndarray):
 
     def apply(r: np.ndarray) -> np.ndarray:
         c = np.zeros(mesh.n_cells)
-        np.cumsum(r[1:-1], out=c[1:])
-        flux = float(np.dot(c, compliance)) / total - c
+        r[1:-1].cumsum(out=c[1:])
+        flux = float(c.dot(compliance)) / total - c
         z = np.zeros(mesh.n_nodes)
-        np.cumsum((flux * compliance)[:-1], out=z[1:-1])
+        (flux * compliance)[:-1].cumsum(out=z[1:-1])
         return z
 
     return apply
@@ -192,10 +195,11 @@ class P1Energy:
         mass      = int |u|^p       (int u_+^p when truncated)
         weight    = int a |u|^q     (int a u_+^q when truncated)
 
-    a_gauss holds the weight's values at the Gauss points (Weight.gauss);
-    without it there is no weight term. Calling the kernel on a nodal
-    vector returns its EnergyPoint, and the kernel keeps the last one;
-    normalize scales a vector onto the gradient sphere {int |u'|^p = 1}.
+    a_gauss holds the weight's values at the Gauss points, the (2, n_cells)
+    array Weight.gauss; without it there is no weight term. Calling the
+    kernel on a nodal vector returns its EnergyPoint, and the kernel keeps
+    the last one; normalize scales a vector onto the gradient sphere
+    {int |u'|^p = 1}.
     """
 
     def __init__(
@@ -203,13 +207,13 @@ class P1Energy:
         mesh: Mesh,
         p: float,
         q: float | None = None,
-        a_gauss: tuple[np.ndarray, np.ndarray] | None = None,
+        a_gauss: np.ndarray | None = None,
         truncated: bool = False,
     ):
         self.mesh, self.p, self.q, self.a_gauss, self.truncated = mesh, p, q, a_gauss, truncated
         # a cell contributes h |du/h|^p = |du|^p / h^(p-1) to grad_term
         self.h_scale = mesh.h ** (p - 1.0)
-        self.qa = None if a_gauss is None else (q * a_gauss[0], q * a_gauss[1])
+        self.qa = None if a_gauss is None else q * a_gauss
         self._key: tuple | None = None
         self.last: EnergyPoint | None = None
 
@@ -237,8 +241,8 @@ class P1Energy:
         v[0] = v[-1] = 0.0
         du = v[1:] - v[:-1]
         g = float((np.abs(du) ** self.p).sum()) / self.h_scale
-        if g == 0.0 or not np.isfinite(g):
-            top = float(np.max(np.abs(du)))
+        if g == 0.0 or not math.isfinite(g):
+            top = float(np.abs(du).max())
             if top == 0.0:
                 raise ValueError("cannot normalize the zero function")
             v, du = v / top, du / top
@@ -250,12 +254,15 @@ class EnergyPoint:
     """The kernel's terms at one nodal vector, and their nodal gradients.
 
     grad_term, mass and weight (None without a weight) come from one
-    difference and one gauss_values pass. The nodal gradients are built only
-    when asked for and then kept, so a caller holding the point pays for
-    each at most once: gradients() assembles dg from the cell fluxes and
-    scatters dm, weight_gradient() scatters dw, precondition() builds the
-    cell compliances of the p-stiffness at this point, hessian() the
-    tridiagonal second derivatives of the three terms.
+    difference and one gauss_values pass. The Gauss-point values g, their
+    magnitudes b (u_+ when truncated) and every quantity derived from them
+    are (2, n_cells) arrays: each power is raised once over both Gauss
+    points, and each nodal gradient is one scatter. The nodal gradients are
+    built only when asked for and then kept, so a caller holding the point
+    pays for each at most once: gradients() assembles dg from the cell
+    fluxes and scatters dm, weight_gradient() scatters dw, precondition()
+    builds the cell compliances of the p-stiffness at this point, hessian()
+    the tridiagonal second derivatives of the three terms.
     """
 
     __slots__ = (
@@ -269,41 +276,31 @@ class EnergyPoint:
         du = v[1:] - v[:-1]
         abs_du = np.abs(du)
         self.grad_term = float((abs_du**p).sum()) / kernel.h_scale
-        g1, g2 = gauss_values(v)
-        if kernel.truncated:
-            b1, b2 = np.maximum(g1, 0.0), np.maximum(g2, 0.0)
-        else:
-            b1, b2 = np.abs(g1), np.abs(g2)
-        self.mass = gauss_integral(mesh, b1**p, b2**p)
-        self.weight = None
-        if kernel.a_gauss is not None:
-            a1, a2 = kernel.a_gauss
-            self.weight = gauss_integral(mesh, a1 * b1**q, a2 * b2**q)
-        self._du, self._abs_du, self._g, self._b = du, abs_du, (g1, g2), (b1, b2)
+        g = gauss_values(v)
+        b = np.maximum(g, 0.0) if kernel.truncated else np.abs(g)
+        self.mass = gauss_integral(mesh, b**p)
+        self.weight = None if kernel.a_gauss is None else gauss_integral(mesh, kernel.a_gauss * b**q)
+        self._du, self._abs_du, self._g, self._b = du, abs_du, g, b
         self._signs = self._grads = self._dw = self._metric = self._hess = None
 
-    def _gauss_power(self, r: float) -> tuple[np.ndarray, np.ndarray]:
+    def _gauss_power(self, r: float) -> np.ndarray:
         # d/dg of b^(r+1)/(r+1) at both Gauss points: b^r, times sign(g)
         # unless truncated (b = max(g, 0) is then zero where g is negative)
-        b1, b2 = self._b
         if self._k.truncated:
-            return b1**r, b2**r
+            return self._b**r
         if self._signs is None:
-            self._signs = np.sign(self._g[0]), np.sign(self._g[1])
-        s1, s2 = self._signs
-        return s1 * b1**r, s2 * b2**r
+            self._signs = np.sign(self._g)
+        return self._signs * self._b**r
 
-    def _gauss_curvature(self, r: float) -> tuple[np.ndarray, np.ndarray]:
+    def _gauss_curvature(self, r: float) -> np.ndarray:
         # d2/dg2 of b^(r+2)/((r+2)(r+1)) at both Gauss points: b^r, which is
         # inf at b = 0 when r < 0 (no second derivative there); truncated, a
         # Gauss point with g < 0 contributes nothing, as b vanishes near it
-        b1, b2 = self._b
         with np.errstate(divide="ignore"):
-            c1, c2 = b1**r, b2**r
+            c = self._b**r
         if self._k.truncated:
-            g1, g2 = self._g
-            c1, c2 = np.where(g1 < 0.0, 0.0, c1), np.where(g2 < 0.0, 0.0, c2)
-        return c1, c2
+            c = np.where(self._g < 0.0, 0.0, c)
+        return c
 
     def gradients(self) -> tuple[np.ndarray, np.ndarray]:
         """(dg, dm): nodal gradients of grad_term and mass.
@@ -319,8 +316,7 @@ class EnergyPoint:
             dg[:-1] -= flux
             dg[1:] += flux
             dg[0] = dg[-1] = 0.0
-            m1, m2 = self._gauss_power(p - 1.0)
-            dm = scatter_gauss_gradient(k.mesh, p * m1, p * m2)
+            dm = scatter_gauss_gradient(k.mesh, p * self._gauss_power(p - 1.0))
             dg.flags.writeable = dm.flags.writeable = False
             self._grads = dg, dm
         return self._grads
@@ -329,8 +325,7 @@ class EnergyPoint:
         """dw: nodal gradient of weight, read-only and zero at the boundary; built once."""
         if self._dw is None:
             k = self._k
-            w1, w2 = self._gauss_power(k.q - 1.0)
-            self._dw = scatter_gauss_gradient(k.mesh, k.qa[0] * w1, k.qa[1] * w2)
+            self._dw = scatter_gauss_gradient(k.mesh, k.qa * self._gauss_power(k.q - 1.0))
             self._dw.flags.writeable = False
         return self._dw
 
@@ -352,18 +347,15 @@ class EnergyPoint:
             with np.errstate(divide="ignore"):
                 w = (p * (p - 1.0) / k.h_scale) * self._abs_du ** (p - 2.0)
             grad = (w[:-1] + w[1:], -w[1:-1])
-            m1, m2 = self._gauss_curvature(p - 2.0)
-            mass = scatter_gauss_hessian(mesh, p * (p - 1.0) * m1, p * (p - 1.0) * m2)
+            mass = scatter_gauss_hessian(mesh, p * (p - 1.0) * self._gauss_curvature(p - 2.0))
             weight = None
             if k.a_gauss is not None:
                 c = k.q * (k.q - 1.0)
-                w1, w2 = self._gauss_curvature(k.q - 2.0)
-                a1, a2 = k.a_gauss
+                a = k.a_gauss
                 with np.errstate(invalid="ignore"):
                     # a = 0 cancels b^(q-2) = inf: that term is zero
-                    weight = scatter_gauss_hessian(
-                        mesh, np.where(a1 != 0.0, c * a1 * w1, 0.0), np.where(a2 != 0.0, c * a2 * w2, 0.0)
-                    )
+                    curvature = c * a * self._gauss_curvature(k.q - 2.0)
+                    weight = scatter_gauss_hessian(mesh, np.where(a != 0.0, curvature, 0.0))
             self._hess = grad, mass, weight
         return self._hess
 
@@ -381,12 +373,12 @@ class EnergyPoint:
         """
         if self._metric is None:
             k = self._k
-            top = float(np.max(self._abs_du))
+            top = float(self._abs_du.max())
             if top > 0.0:
                 # weights of s_k / max s: scale-free, so no power under- or overflows
                 t = self._abs_du / top
                 w = (t * t + METRIC_EPS**2) ** (0.5 * (k.p - 2.0))
-                w /= np.max(w)
+                w /= w.max()
             else:
                 w = np.ones(k.mesh.n_cells)
             self._metric = _stiffness_solver(k.mesh, w)
@@ -400,7 +392,9 @@ class Energy:
     J, their gradients, the cones and the Nehari scaling. The kernel keeps
     its last point, so the guard, value, gradient and precond callbacks
     descent calls on one accepted point share a single evaluation. J,
-    grad_J and fiber_scale raise SolverError where a power overflows.
+    grad_J and fiber_scale raise SolverError where a power overflows, and J
+    also where |E|^(q/(p-q)) underflows to 0 (q near p), which would leave
+    it 0/0 or x/0.
     """
 
     def __init__(self, spec: ProblemSpec, truncated: bool):
@@ -448,7 +442,11 @@ class Energy:
         E, G = self.EG(v)
         p, q = self.p, self.q
         coeff = (p - q) / (p * q)
-        return -np.sign(E) * coeff * _power(abs(G), p / (p - q)) / _power(abs(E), q / (p - q))
+        num = _power(abs(G), p / (p - q))
+        den = _power(abs(E), q / (p - q))
+        if den == 0.0:
+            raise SolverError(f"{abs(E):.6g} ** {q / (p - q):.6g} underflows: q is too near p for the fibered energy")
+        return math.copysign(coeff, -E) * num / den
 
     def grad_J(self, v: np.ndarray) -> np.ndarray:
         E, G = self.EG(v)
@@ -459,7 +457,7 @@ class Energy:
         alpha = p / (p - q)
         beta = q / (p - q)
         coeff = (p - q) / (p * q)
-        pref = -np.sign(E) * coeff * _power(abs(G), alpha - 1.0) * _power(abs(E), -beta - 1.0)
+        pref = math.copysign(coeff, -E) * _power(abs(G), alpha - 1.0) * _power(abs(E), -beta - 1.0)
         return pref * (alpha * E * dG - beta * G * dE)
 
     def in_cone(self, v: np.ndarray, sign: int) -> bool:
@@ -486,7 +484,7 @@ class Energy:
         return v * self.fiber_scale(v)
 
     def residual_sup(self, v: np.ndarray) -> float:
-        return float(np.max(np.abs(self.grad_I(v))))
+        return float(np.abs(self.grad_I(v)).max())
 
 
 def _energy(u: GridFn, spec: ProblemSpec, truncated: bool) -> Energy:

@@ -4,10 +4,14 @@ Discretization: conforming P1 (piecewise-linear) elements on a uniform
 mesh. Zero-order nonlinear integrals use composite 2-point Gauss
 quadrature per cell applied to the interpolant; gauss_values,
 gauss_integral, scatter_gauss_gradient and scatter_gauss_hessian are its
-primitives. Weights are nodal samples interpolated with the same P1
-model, so products like a*|u|^q are evaluated pointwise at the Gauss
-nodes. The integrals themselves, int |u'|^p (exact: the derivative of
-the interpolant is cellwise constant), int |u|^p and int a|u|^q, are
+primitives. They hold both Gauss points in one (2, n_cells) array: row 0
+is the point nearer each cell's left node, row 1 the one nearer its right
+node, so a power or product over the integrand is one numpy call for both
+points, and a row sum (.sum(axis=1)) adds each point's samples in the
+order a 1-D sum would. Weights are nodal samples interpolated with the
+same P1 model, so products like a*|u|^q are evaluated pointwise at the
+Gauss nodes. The integrals themselves, int |u'|^p (exact: the derivative
+of the interpolant is cellwise constant), int |u|^p and int a|u|^q, are
 computed in one place, functionals.P1Energy.
 
 All types are immutable after construction; all operations are pure.
@@ -39,6 +43,14 @@ __all__ = [
 # P1 shape-function values at the two Gauss points of the reference cell.
 _T_LO = 0.5 - 0.5 / np.sqrt(3.0)
 _T_HI = 0.5 + 0.5 / np.sqrt(3.0)
+# The same values as columns: Gauss point i of a cell is
+# _LEFT[i] * (left node) + _RIGHT[i] * (right node), and as the matrix is
+# symmetric, node j's share of the two Gauss-point samples d is
+# _LEFT[j] * d[0] + _RIGHT[j] * d[1].
+_LEFT = np.array([[_T_HI], [_T_LO]])
+_RIGHT = np.array([[_T_LO], [_T_HI]])
+_LEFT_SQ = np.array([[_T_HI**2], [_T_LO**2]])
+_RIGHT_SQ = np.array([[_T_LO**2], [_T_HI**2]])
 _NOISE_MODES = 6  # sine modes in smooth_noise
 
 
@@ -69,6 +81,14 @@ class Mesh:
         x = np.linspace(self.x_lo, self.x_hi, self.n_nodes)
         x.flags.writeable = False
         return x
+
+    @cached_property
+    def _noise_modes(self) -> np.ndarray:
+        """Row k-1 holds sin(k pi x) at the nodes, x scaled to [0, 1], for k = 1 .. _NOISE_MODES."""
+        x = (self.nodes - self.x_lo) / (self.x_hi - self.x_lo)
+        modes = np.array([np.sin(k * np.pi * x) for k in range(1, _NOISE_MODES + 1)])
+        modes.flags.writeable = False
+        return modes
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:
@@ -130,12 +150,11 @@ class Weight:
             raise ValueError("weight must not be identically zero")
 
     @cached_property
-    def gauss(self) -> tuple[np.ndarray, np.ndarray]:
-        """Values of the P1 interpolant at the two Gauss points of every cell."""
-        a1, a2 = gauss_values(self.values)
-        a1.flags.writeable = False
-        a2.flags.writeable = False
-        return a1, a2
+    def gauss(self) -> np.ndarray:
+        """Values of the P1 interpolant at the two Gauss points of every cell, (2, n_cells), read-only."""
+        g = gauss_values(self.values)
+        g.flags.writeable = False
+        return g
 
     def is_sign_changing(self) -> bool:
         return bool(np.any(self.values > 0.0) and np.any(self.values < 0.0))
@@ -175,53 +194,52 @@ def weight_fn(mesh: Mesh, values) -> Weight:
     return Weight(mesh, np.asarray(values, dtype=float))
 
 
-def gauss_values(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values of the P1 interpolant at the two Gauss points of every cell."""
-    left = vals[:-1]
-    right = vals[1:]
-    g1 = _T_HI * left + _T_LO * right
-    g2 = _T_LO * left + _T_HI * right
-    return g1, g2
+def gauss_values(vals: np.ndarray) -> np.ndarray:
+    """Values of the P1 interpolant at the two Gauss points of every cell, (2, n_cells)."""
+    return _LEFT * vals[:-1] + _RIGHT * vals[1:]
 
 
-def gauss_integral(mesh: Mesh, f1: np.ndarray, f2: np.ndarray) -> float:
-    """Composite 2-point Gauss sum of per-cell integrand samples f1, f2 (arrays)."""
-    return 0.5 * mesh.h * float(f1.sum() + f2.sum())
+def gauss_integral(mesh: Mesh, f: np.ndarray) -> float:
+    """Composite 2-point Gauss sum of per-cell integrand samples f, (2, n_cells)."""
+    s1, s2 = f.sum(axis=1).tolist()
+    return 0.5 * mesh.h * (s1 + s2)
 
 
-def scatter_gauss_gradient(mesh: Mesh, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+def scatter_gauss_gradient(mesh: Mesh, d: np.ndarray) -> np.ndarray:
     """Assemble nodal partials from per-Gauss-point integrand derivatives.
 
-    d1, d2 are dF/d(value at Gauss point) for the two Gauss points of each
-    cell; the chain rule through the P1 shape functions distributes them to
-    the two cell nodes. Boundary entries are zeroed (Dirichlet).
+    d, (2, n_cells), holds dF/d(value at Gauss point) for the two Gauss
+    points of each cell; the chain rule through the P1 shape functions
+    distributes them to the two cell nodes. Boundary entries are zeroed
+    (Dirichlet).
     """
-    w = 0.5 * mesh.h
+    share = _LEFT * d[0] + _RIGHT * d[1]  # row 0 to each cell's left node, row 1 to its right node
+    share *= 0.5 * mesh.h
     grad = np.zeros(mesh.n_nodes)
-    grad[:-1] += w * (_T_HI * d1 + _T_LO * d2)
-    grad[1:] += w * (_T_LO * d1 + _T_HI * d2)
+    grad[:-1] += share[0]
+    grad[1:] += share[1]
     grad[0] = 0.0
     grad[-1] = 0.0
     return grad
 
 
-def scatter_gauss_hessian(mesh: Mesh, c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def scatter_gauss_hessian(mesh: Mesh, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Assemble the interior tridiagonal block from per-Gauss-point second derivatives.
 
-    c1, c2 are d2F/d(value at Gauss point)^2 for the two Gauss points of
-    each cell; the P1 shape-function values at the Gauss point spread each
-    into the 2x2 block of its cell's nodes, as scatter_gauss_gradient
-    spreads first derivatives. Returns (diag, off) over the interior nodes
-    1 .. n_cells - 1: diag has n_cells - 1 entries, off the n_cells - 2
-    couplings of neighboring interior nodes.
+    c, (2, n_cells), holds d2F/d(value at Gauss point)^2 for the two Gauss
+    points of each cell; the P1 shape-function values at the Gauss point
+    spread each into the 2x2 block of its cell's nodes, as
+    scatter_gauss_gradient spreads first derivatives. Returns (diag, off)
+    over the interior nodes 1 .. n_cells - 1: diag has n_cells - 1 entries,
+    off the n_cells - 2 couplings of neighboring interior nodes.
     """
     w = 0.5 * mesh.h
-    # each cell adds to the diagonal entry of its left node (as that node's
-    # right cell) and of its right node (as that node's left cell)
-    left = w * (_T_HI**2 * c1 + _T_LO**2 * c2)
-    right = w * (_T_LO**2 * c1 + _T_HI**2 * c2)
-    off = (w * _T_HI * _T_LO) * (c1 + c2)
-    return right[:-1] + left[1:], off[1:-1]
+    # each cell adds to the diagonal entry of its left node (row 0, as that
+    # node's right cell) and of its right node (row 1, as that node's left cell)
+    share = _LEFT_SQ * c[0] + _RIGHT_SQ * c[1]
+    share *= w
+    off = (w * _T_HI * _T_LO) * (c[0] + c[1])
+    return share[1, :-1] + share[0, 1:], off[1:-1]
 
 
 def cos_bump(mesh: Mesh, center: float, width: float) -> np.ndarray:
@@ -254,10 +272,9 @@ def widest_component_bump(mesh: Mesh, comps: tuple[tuple[int, int], ...]) -> np.
 
 def smooth_noise(mesh: Mesh, rng: np.random.Generator) -> np.ndarray:
     """Random sum of the first _NOISE_MODES sine modes, amplitude of mode k drawn from N(0, 1/k)."""
-    x = (mesh.nodes - mesh.x_lo) / (mesh.x_hi - mesh.x_lo)
     out = np.zeros(mesh.n_nodes)
-    for k in range(1, _NOISE_MODES + 1):
-        out += rng.normal(0.0, 1.0 / k) * np.sin(k * np.pi * x)
+    for k, mode in enumerate(mesh._noise_modes, start=1):
+        out += rng.normal(0.0, 1.0 / k) * mode
     out[0] = out[-1] = 0.0  # sin(k*pi) float dust would break the Dirichlet pin
     return out
 

@@ -4,7 +4,9 @@ These deliberately avoid the library's own code paths: the eigenvalue
 comes in closed form and by shooting, the critical-value oracle integrates
 the ODE by shooting, the polynomial oracle is a dense grid scan, and
 derivative checks use central finite differences on the plain functional
-values.
+values. The P1 kernel and smooth_noise have plain restatements here, one
+array per Gauss point and one sine per draw, that the library must match
+bit for bit.
 """
 
 from __future__ import annotations
@@ -169,3 +171,120 @@ def picone_poly_min(p: float, q: float, n_grid: int = 200_001, s_max: float | No
 def central_diff_directional(fun, vals: np.ndarray, direction: np.ndarray, eps: float) -> float:
     """Central finite difference of fun along direction at vals."""
     return (fun(vals + eps * direction) - fun(vals - eps * direction)) / (2.0 * eps)
+
+
+# The P1 kernel restated operation by operation, with the two Gauss points
+# of every cell as two separate arrays; functionals.P1Energy must agree with
+# it bit for bit.
+_T_LO = 0.5 - 0.5 / np.sqrt(3.0)
+_T_HI = 0.5 + 0.5 / np.sqrt(3.0)
+
+
+def _two_point_values(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    left, right = vals[:-1], vals[1:]
+    return _T_HI * left + _T_LO * right, _T_LO * left + _T_HI * right
+
+
+def _two_point_gradient(h: float, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    w = 0.5 * h
+    grad = np.zeros(d1.size + 1)
+    grad[:-1] += w * (_T_HI * d1 + _T_LO * d2)
+    grad[1:] += w * (_T_LO * d1 + _T_HI * d2)
+    grad[0] = 0.0
+    grad[-1] = 0.0
+    return grad
+
+
+def _two_point_hessian(h: float, c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    w = 0.5 * h
+    left = w * (_T_HI**2 * c1 + _T_LO**2 * c2)
+    right = w * (_T_LO**2 * c1 + _T_HI**2 * c2)
+    off = (w * _T_HI * _T_LO) * (c1 + c2)
+    return right[:-1] + left[1:], off[1:-1]
+
+
+def p1_kernel_reference(
+    v: np.ndarray, h: float, p: float, q: float | None, a: np.ndarray | None, truncated: bool, r: np.ndarray,
+    metric_eps: float,
+) -> dict:
+    """grad_term, mass, weight, their nodal gradients and Hessian blocks, and the
+    regularized p-stiffness solve z = K^-1 r, of the nodal vector v on a uniform
+    mesh of cell size h; a holds the weight's nodal values (None: no weight).
+
+    Every term is int over the cells of the P1 interpolant, with 2-point Gauss
+    quadrature for int |u|^p and int a |u|^q (u_+ when truncated), and the
+    Gauss points are handled one array each.
+    """
+    h_scale = h ** (p - 1.0)
+    du = v[1:] - v[:-1]
+    abs_du = np.abs(du)
+    out = {"grad_term": float((abs_du**p).sum()) / h_scale}
+    g1, g2 = _two_point_values(v)
+    b1, b2 = (np.maximum(g1, 0.0), np.maximum(g2, 0.0)) if truncated else (np.abs(g1), np.abs(g2))
+    out["mass"] = 0.5 * h * float((b1**p).sum() + (b2**p).sum())
+
+    def power(e):
+        if truncated:
+            return b1**e, b2**e
+        return np.sign(g1) * b1**e, np.sign(g2) * b2**e
+
+    def curvature(e):
+        with np.errstate(divide="ignore"):
+            c1, c2 = b1**e, b2**e
+        if truncated:
+            c1, c2 = np.where(g1 < 0.0, 0.0, c1), np.where(g2 < 0.0, 0.0, c2)
+        return c1, c2
+
+    flux = p * (np.sign(du) * abs_du ** (p - 1.0)) / h_scale
+    dg = np.zeros(v.size)
+    dg[:-1] -= flux
+    dg[1:] += flux
+    dg[0] = dg[-1] = 0.0
+    m1, m2 = power(p - 1.0)
+    out["dg"], out["dm"] = dg, _two_point_gradient(h, p * m1, p * m2)
+
+    with np.errstate(divide="ignore"):
+        wc = (p * (p - 1.0) / h_scale) * abs_du ** (p - 2.0)
+    out["hess_grad"] = (wc[:-1] + wc[1:], -wc[1:-1])
+    m1, m2 = curvature(p - 2.0)
+    out["hess_mass"] = _two_point_hessian(h, p * (p - 1.0) * m1, p * (p - 1.0) * m2)
+
+    out["weight"] = out["dw"] = out["hess_weight"] = None
+    if a is not None:
+        a1, a2 = _two_point_values(a)
+        out["weight"] = 0.5 * h * float((a1 * b1**q).sum() + (a2 * b2**q).sum())
+        w1, w2 = power(q - 1.0)
+        out["dw"] = _two_point_gradient(h, q * a1 * w1, q * a2 * w2)
+        cq = q * (q - 1.0)
+        w1, w2 = curvature(q - 2.0)
+        with np.errstate(invalid="ignore"):
+            out["hess_weight"] = _two_point_hessian(
+                h, np.where(a1 != 0.0, cq * a1 * w1, 0.0), np.where(a2 != 0.0, cq * a2 * w2, 0.0)
+            )
+
+    top = float(np.max(abs_du))
+    if top > 0.0:
+        t = abs_du / top
+        cell_w = (t * t + metric_eps**2) ** (0.5 * (p - 2.0))
+        cell_w /= np.max(cell_w)
+    else:
+        cell_w = np.ones(du.size)
+    compliance = h / cell_w
+    total = float(compliance.sum())
+    c = np.zeros(du.size)
+    np.cumsum(r[1:-1], out=c[1:])
+    flux = float(np.dot(c, compliance)) / total - c
+    z = np.zeros(v.size)
+    np.cumsum((flux * compliance)[:-1], out=z[1:-1])
+    out["precondition"] = z
+    return out
+
+
+def smooth_noise_reference(nodes: np.ndarray, x_lo: float, x_hi: float, rng: np.random.Generator) -> np.ndarray:
+    """Sum of sin(k pi x) for k = 1 .. 6 on the unit-scaled nodes, amplitude of mode k from N(0, 1/k)."""
+    x = (nodes - x_lo) / (x_hi - x_lo)
+    out = np.zeros(nodes.size)
+    for k in range(1, 7):
+        out += rng.normal(0.0, 1.0 / k) * np.sin(k * np.pi * x)
+    out[0] = out[-1] = 0.0
+    return out

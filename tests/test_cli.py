@@ -499,6 +499,8 @@ seed = 7
         assert res.returncode == 3
         assert "solver failure:" in res.stderr and "q is too near p" in res.stderr
         assert "Traceback" not in res.stderr
+        # |E|^(q/(p-q)) underflows before any power overflows: J must not go 0/0 on the way
+        assert "RuntimeWarning" not in res.stderr
 
 
 class TestThreeFailureRows:

@@ -19,7 +19,7 @@ from plaplab.functionals import (
 from plaplab.grid import component_bump, grid_fn, make_mesh, weight_fn
 from plaplab.sweeps import build_problem, parse_config
 
-from oracles import central_diff_directional
+from oracles import central_diff_directional, p1_kernel_reference
 
 
 def _spec(mesh, p=3.0, q=2.0, lam=5.0, seed=0):
@@ -447,3 +447,67 @@ class TestMetric:
                 flux = w * np.diff(z) / mesh.h
                 residual = np.max(np.abs(flux[:-1] - flux[1:] - r[1:-1]))
                 assert residual <= 1e-12 * k_max * np.max(np.abs(z))
+
+
+class TestKernelOracle:
+    """P1Energy against the plain two-array restatement of its arithmetic, bit for bit."""
+
+    @staticmethod
+    def vectors(mesh):
+        """A vector with flat cells, negative entries and a zero stretch, and a positive bump."""
+        x = mesh.nodes
+        mixed = np.sin(3.0 * np.pi * x / x[-1]) * (1.0 + 0.5 * np.cos(7.0 * x))
+        mixed[(x > 0.4 * x[-1]) & (x < 0.5 * x[-1])] = -0.4
+        mixed[(x > 0.75 * x[-1]) & (x < 0.85 * x[-1])] = 0.0
+        if mesh.n_cells == 3:  # its interior nodes sit at zeros of the sine
+            mixed[1:3] = -0.4
+        mixed[0] = mixed[-1] = 0.0
+        bump = component_bump(mesh, (1, mesh.n_nodes - 2))
+        return {"mixed": mixed, "bump": bump}
+
+    @staticmethod
+    def weight_values(mesh):
+        """Sign-changing nodal weight, zero on a stretch (and at the middle node of n = 2)."""
+        x = mesh.nodes / mesh.nodes[-1]
+        return np.where(np.abs(x - 0.5) < 0.1, 0.0, np.sin(2.0 * np.pi * x) + 0.3)
+
+    @staticmethod
+    def same_bits(x, y):
+        if x is None or y is None:
+            return x is None and y is None
+        if isinstance(x, float):
+            return isinstance(y, float) and x.hex() == y.hex()
+        return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 256, 1025])
+    @pytest.mark.parametrize("truncated", [False, True])
+    @pytest.mark.parametrize("q", [1.2, 2.0, 2.5])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
+    def test_every_output_matches_the_two_array_formulas(self, p, q, truncated, n):
+        mesh = make_mesh(0.0, 1.3, n)
+        a = self.weight_values(mesh)
+        r = np.random.default_rng(n).normal(size=mesh.n_nodes)
+        for weighted in (False, True):
+            kernel = P1Energy(mesh, p, q, weight_fn(mesh, a).gauss, truncated) if weighted else P1Energy(
+                mesh, p, truncated=truncated
+            )
+            for name, v in self.vectors(mesh).items():
+                ref = p1_kernel_reference(v, mesh.h, p, q, a if weighted else None, truncated, r, METRIC_EPS)
+                pt = kernel(v)
+                case = (name, weighted)
+                assert pt.grad_term == ref["grad_term"] and self.same_bits(pt.grad_term, ref["grad_term"]), case
+                assert pt.mass == ref["mass"] and self.same_bits(pt.mass, ref["mass"]), case
+                assert self.same_bits(pt.weight, ref["weight"]), case
+                dg, dm = pt.gradients()
+                assert self.same_bits(dg, ref["dg"]) and self.same_bits(dm, ref["dm"]), case
+                if weighted:
+                    assert self.same_bits(pt.weight_gradient(), ref["dw"]), case
+                grad, mass, weight = pt.hessian()
+                for got, want in ((grad, ref["hess_grad"]), (mass, ref["hess_mass"])):
+                    assert self.same_bits(got[0], want[0]) and self.same_bits(got[1], want[1]), case
+                if weighted:
+                    assert self.same_bits(weight[0], ref["hess_weight"][0]), case
+                    assert self.same_bits(weight[1], ref["hess_weight"][1]), case
+                else:
+                    assert weight is None
+                assert self.same_bits(pt.precondition(r), ref["precondition"]), case

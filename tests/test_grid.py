@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plaplab.functionals import P1Energy
-from plaplab.grid import GridFn, Weight, gauss_values, grid_fn, make_mesh, sign_partition, weight_fn
+from plaplab.grid import GridFn, Weight, gauss_values, grid_fn, make_mesh, sign_partition, smooth_noise, weight_fn
+
+from oracles import smooth_noise_reference
 
 
 def grad_term(u, p):
@@ -71,12 +73,13 @@ class TestGridFn:
     def test_weight_gauss_values_computed_once_and_frozen(self):
         mesh = make_mesh(0.0, 1.0, 8)
         a = weight_fn(mesh, np.linspace(-1.0, 2.0, 9))
-        a1, a2 = a.gauss
-        assert a.gauss[0] is a1 and a.gauss[1] is a2
-        g1, g2 = gauss_values(a.values)
-        assert np.array_equal(a1, g1) and np.array_equal(a2, g2)
+        assert a.gauss is a.gauss
+        assert a.gauss.shape == (2, mesh.n_cells)
+        assert np.array_equal(a.gauss, gauss_values(a.values))
         with pytest.raises(ValueError):
-            a1[0] = 0.0
+            a.gauss[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            a.gauss[1, -1] = 0.0
 
 
 # The three P1 integrals of functionals.P1Energy against closed forms.
@@ -202,3 +205,13 @@ class TestSignPartition:
             assert not (covered & span)  # disjoint
             covered |= span
         assert covered == {i for i in range(1, mesh.n_nodes - 1) if vals[i] != 0.0}
+
+
+class TestSmoothNoise:
+    @pytest.mark.parametrize("n", [2, 256])
+    def test_matches_the_sine_sum_bit_for_bit(self, n):
+        mesh = make_mesh(0.5, 2.0, n)
+        for seed in range(50):
+            got = smooth_noise(mesh, np.random.default_rng(seed))
+            want = smooth_noise_reference(mesh.nodes, mesh.x_lo, mesh.x_hi, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes(), seed
