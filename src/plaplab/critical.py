@@ -41,9 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descent import bb_descent
-from .eigen import EigenPair, first_eigenpair, pairing
+from .eigen import EigenPair, _phi_q, first_eigenpair
 from .errors import NonConvergenceError, SolverError, WeightError
-from .functionals import P1Energy, ProblemSpec
+from .functionals import EnergyPoint, P1Energy, ProblemSpec
 from .grid import (
     GridFn,
     Mesh,
@@ -99,11 +99,12 @@ class PiconeReport:
     argmin_s: float
 
 
-def _pairing_sign(value: float, a: Weight, pair: EigenPair, q: float) -> str:
-    scale = max(1.0, a.linf() * P1Energy(pair.phi.mesh, q)(pair.phi.values).mass)
-    if abs(value) <= PAIRING_ZERO_RTOL * scale:
+def _pairing_sign(phi_q: EnergyPoint, a: Weight) -> str:
+    """Sign of the pairing phi_q.weight (eigen._phi_q), zero up to PAIRING_ZERO_RTOL |a|_inf int phi^q."""
+    scale = max(1.0, a.linf() * phi_q.mass)
+    if abs(phi_q.weight) <= PAIRING_ZERO_RTOL * scale:
         return "zero"
-    return "positive" if value > 0.0 else "negative"
+    return "positive" if phi_q.weight > 0.0 else "negative"
 
 
 def _constrained_rayleigh_min(spec: ProblemSpec, pair: EigenPair, want_nonneg: bool) -> tuple[float, bool, float]:
@@ -215,39 +216,30 @@ def _constrained_rayleigh_min(spec: ProblemSpec, pair: EigenPair, want_nonneg: b
 def compute_critical_values(spec: ProblemSpec, pair: EigenPair) -> CriticalValues:
     """Fill all four thresholds for this instance.
 
-    Requires a sign-changing weight. The trivial identities are filled from
-    the pairing sign; the one nontrivial value comes from the descent on
-    the constraint surface, is the quotient of a feasible function and
-    exceeds lambda1. converged is that search's KKT verdict. Deterministic:
-    the same instance gives the same record.
+    Requires a sign-changing weight. One evaluation of phi gives the
+    pairing and its sign, and the sign fills the trivial identities. The
+    one nontrivial value comes from the descent on the constraint surface,
+    is the quotient of a feasible function and exceeds lambda1. converged
+    is that search's KKT verdict. Deterministic: the same instance gives
+    the same record.
     """
     if not spec.a.is_sign_changing():
         raise WeightError("critical values require a sign-changing weight")
-    val = pairing(spec.a, pair, spec.q)
-    sign = _pairing_sign(val, spec.a, pair, spec.q)
+    phi_q = _phi_q(spec.a, pair, spec.q)
+    sign = _pairing_sign(phi_q, spec.a)
     lam1 = pair.lambda1
     if sign == "zero":
-        return CriticalValues(lam1, lam1, lam1, lam1, lam1, val, sign, True)
-    if sign == "positive":
-        nontrivial, ok, _ = _constrained_rayleigh_min(spec, pair, want_nonneg=False)
-        return CriticalValues(
-            lambda1=lam1,
-            lambda_star=lam1,
-            lambda_plus=lam1,
-            lambda_minus=nontrivial,
-            lambda_zero=nontrivial,
-            pairing=val,
-            pairing_sign=sign,
-            converged=ok,
-        )
-    nontrivial, ok, _ = _constrained_rayleigh_min(spec, pair, want_nonneg=True)
+        nontrivial, ok = lam1, True
+    else:
+        nontrivial, ok, _ = _constrained_rayleigh_min(spec, pair, want_nonneg=sign == "negative")
+    star, minus = (lam1, nontrivial) if sign == "positive" else (nontrivial, lam1)
     return CriticalValues(
         lambda1=lam1,
-        lambda_star=nontrivial,
-        lambda_plus=nontrivial,
-        lambda_minus=lam1,
+        lambda_star=star,
+        lambda_plus=star,
+        lambda_minus=minus,
         lambda_zero=nontrivial,
-        pairing=val,
+        pairing=phi_q.weight,
         pairing_sign=sign,
         converged=ok,
     )
@@ -318,12 +310,13 @@ def _region_of(report: PiconeReport) -> str:
     return "undetermined"
 
 
-def nonexistence_bound(spec: ProblemSpec, partition: SignPartition, tol: float = 1e-9) -> float:
+def nonexistence_bound(spec: ProblemSpec, partition: SignPartition) -> float:
     """min over positive-weight components A of lambda1(p; A).
 
     Above this value no solution can stay positive on all of {a > 0}. Each
     component interval is extended to the neighboring sign-change nodes and
-    solved as its own Dirichlet eigenvalue problem on the same spacing.
+    solved as its own Dirichlet eigenvalue problem on the same spacing, by
+    first_eigenpair, to its one fixed stop and through its cache.
     """
     if not partition.plus_components:
         raise SolverError("no positive-weight component")
@@ -333,7 +326,7 @@ def nonexistence_bound(spec: ProblemSpec, partition: SignPartition, tol: float =
         lo = max(i0 - 1, 0)
         hi = min(i1 + 1, mesh.n_nodes - 1)
         sub = Mesh(float(mesh.nodes[lo]), float(mesh.nodes[hi]), hi - lo)
-        best = min(best, first_eigenpair(sub, spec.p, tol).lambda1)
+        best = min(best, first_eigenpair(sub, spec.p).lambda1)
     return float(best)
 
 

@@ -23,8 +23,10 @@ every slope du_k follows from its flux. The one unknown F_0 is the root
 of the increasing function F_0 -> sum du_k = w(1), which lies between the
 smallest and the largest partial sum and is found by bisection.
 
-The Rayleigh quotient, the weight pairing int a phi^q and the constant
-shift that makes it vanish read their integrals from the same kernel.
+The iteration stops at one fixed relative step, whatever tol a run uses,
+so every caller gets the one cached pair of its (mesh, p). The Rayleigh
+quotient, the weight pairing int a phi^q and the constant shift that
+makes it vanish read their integrals from the same kernel.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from .grid import GridFn, Mesh, Weight
 __all__ = ["EigenPair", "rayleigh", "first_eigenpair", "pairing", "orthogonalize_weight"]
 
 _MAX_STEPS = 100  # inverse-iteration steps; 9-10 suffice for 1.25 <= p <= 5
+_STEP_RTOL = 1e-9  # converged once a step moves the iterate less than this, relative to its sup norm
 
-_cache: dict[tuple[Mesh, float, float], "EigenPair"] = {}
+_cache: dict[tuple[Mesh, float], "EigenPair"] = {}
 
 
 @dataclass(frozen=True)
@@ -95,19 +98,19 @@ def _solve_dg(mesh: Mesh, p: float, b: np.ndarray) -> np.ndarray:
     return w
 
 
-def first_eigenpair(mesh: Mesh, p: float, tol: float = 1e-9) -> EigenPair:
+def first_eigenpair(mesh: Mesh, p: float) -> EigenPair:
     """Compute the first eigenpair on this mesh.
 
     The iteration starts from the constant 1 on the interior nodes and is
-    converged when a step moves the normalized iterate by less than tol
-    relative to its sup-norm; raises NonConvergenceError after _MAX_STEPS
-    steps. lambda1 is the Rayleigh quotient of the returned phi and
-    residual_sup the sup-norm of dg - lambda1*dm there. Deterministic, and
-    cached per (mesh, p, tol).
+    converged when a step moves the normalized iterate by less than
+    _STEP_RTOL relative to its sup-norm; raises NonConvergenceError after
+    _MAX_STEPS steps. lambda1 is the Rayleigh quotient of the returned phi
+    and residual_sup the sup-norm of dg - lambda1*dm there. Deterministic,
+    and cached per (mesh, p).
     """
     if p <= 1.0:
         raise ValueError(f"exponent must exceed 1, got p={p}")
-    key = (mesh, float(p), float(tol))
+    key = (mesh, float(p))
     if key in _cache:
         return _cache[key]
 
@@ -120,7 +123,7 @@ def first_eigenpair(mesh: Mesh, p: float, tol: float = 1e-9) -> EigenPair:
         nxt = energy.normalize(_solve_dg(mesh, p, dm))
         step = float(np.max(np.abs(nxt - x))) / float(np.max(np.abs(nxt)))
         x = nxt
-        if step < tol:
+        if step < _STEP_RTOL:
             break
     else:
         raise NonConvergenceError(

@@ -148,6 +148,8 @@ class Weight:
             raise ValueError(f"expected {self.mesh.n_nodes} nodal values, got shape {vals.shape}")
         if not np.any(vals != 0.0):
             raise ValueError("weight must not be identically zero")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("weight values must be finite")
 
     @cached_property
     def gauss(self) -> np.ndarray:

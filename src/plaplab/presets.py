@@ -74,7 +74,6 @@ _ORTHO_DEFAULTS = TwoBumpParams(
     center_minus=0.75,
     width_minus=0.2,
 )
-_ORTHO_EIGEN_TOL = 1e-9
 _ORTHO_MARGIN = 0.05  # relative excess of the raw positive pairing before the shift
 
 
@@ -91,7 +90,7 @@ def orthogonal_two_bump(
     orthogonalization is then positive and small, which keeps a single
     positive component inside the positive bump's support.
     """
-    pair = first_eigenpair(mesh, p, _ORTHO_EIGEN_TOL)
+    pair = first_eigenpair(mesh, p)
     plus = Weight(mesh, params.amp_plus * cos_bump(mesh, params.center_plus, params.width_plus))
     minus_vals = params.amp_minus * cos_bump(mesh, params.center_minus, params.width_minus)
     minus = Weight(mesh, minus_vals)

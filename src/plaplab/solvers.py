@@ -196,6 +196,14 @@ def _ray_descent(energy: Energy, v0: np.ndarray, sign: int, stop: float) -> Desc
     )
 
 
+def _plain_descent(energy: Energy, x: np.ndarray, tol: float) -> DescentResult:
+    """The plain descent of I from x to sup residual tol, diverged below J_FLOOR.
+
+    bb_descent is looked up at each call, so a tracer or test that replaces it sees every run.
+    """
+    return bb_descent(x, energy.I, energy.grad_I, tol=tol, floor=J_FLOOR, precond=energy.precond)
+
+
 def _report_from(spec: ProblemSpec, vals: np.ndarray, residual: float, iterations: int, status: str) -> SolveReport:
     u = GridFn(spec.mesh, vals)
     return SolveReport(
@@ -240,14 +248,7 @@ def _ground_runs(
             diverged = _report_from(spec, proj, energy.residual_sup(proj), total_iters, "diverged")
             continue
         x = energy.fiber_project(res_a.x)
-        res_b = bb_descent(
-            x,
-            energy.I,
-            energy.grad_I,
-            tol=tol,
-            floor=J_FLOOR,
-            precond=energy.precond,
-        )
+        res_b = _plain_descent(energy, x, tol)
         total_iters += res_b.iterations
         if res_b.status == "diverged":
             proj = energy.normalize(res_b.x)
@@ -743,14 +744,7 @@ def multistart_truncated_descent(
     ]
     reports = []
     for v0 in _starts(count, fixed, jitter, 3_000_017, seed, lambda v: True):
-        res = bb_descent(
-            v0,
-            energy.I,
-            energy.grad_I,
-            tol=tol,
-            floor=J_FLOOR,
-            precond=energy.precond,
-        )
+        res = _plain_descent(energy, v0, tol)
         status = {"converged": "converged", "diverged": "diverged"}.get(res.status, "failed")
         reports.append(_report_from(spec, res.x, energy.residual_sup(res.x), res.iterations, status))
     return reports

@@ -5,9 +5,9 @@ nonexistence certification experiment.
 A run configuration is a flat key=value text file with # comments. Its
 keys are the fields of RunConfig: a field's default is the key's default,
 and its declared type converts the key's text. Unknown keys, values that do
-not convert and degenerate values (fewer than two cells, an empty interval,
-a tolerance that is not finite and positive, no starts, too few beads, a
-lambda range that is not finite) raise ConfigError. The lambda grid may be
+not convert and degenerate values (a float key that is not finite, fewer
+than two cells, an empty interval, a tolerance that is not positive, no
+starts, too few beads) raise ConfigError. The lambda grid may be
 given in absolute units or as multiples of the first eigenvalue
 (lambda_scale = lambda1, the default), which is how every preset
 experiment is phrased.
@@ -22,6 +22,7 @@ single lambda.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -95,21 +96,21 @@ class RunConfig:
     certify_starts: int = 16
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if _CONVERT[f.type] is float and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.n_cells < 2:
             raise ConfigError(f"n_cells must be at least 2, got {self.n_cells}")
         if not self.x_lo < self.x_hi:
             raise ConfigError(f"need x_lo < x_hi, got x_lo={self.x_lo}, x_hi={self.x_hi}")
         if self.lambda_count < 1:
             raise ConfigError("lambda grid must be nonempty")
-        if not (math.isfinite(self.lambda_start) and math.isfinite(self.lambda_stop)):
-            raise ConfigError(
-                f"lambda_start and lambda_stop must be finite, got {self.lambda_start}, {self.lambda_stop}"
-            )
         if self.lambda_scale not in ("lambda1", "absolute"):
             raise ConfigError(f"lambda_scale must be lambda1 or absolute, got {self.lambda_scale!r}")
-        if not 1.0 < self.q < self.p:  # also rejects p <= 1 and NaN
+        if not 1.0 < self.q < self.p:  # also rejects p <= 1
             raise ConfigError(f"need 1 < q < p, got q={self.q}, p={self.p}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
+        if not self.tol > 0.0:
             raise ConfigError(f"tol must be finite and positive, got {self.tol}")
         for name in ("starts", "sample_count", "certify_starts"):
             if getattr(self, name) < 1:
@@ -171,7 +172,7 @@ def build_problem(config: RunConfig) -> Problem:
     """The one path from a config to its mesh, weight, eigenpair and partition."""
     mesh = make_mesh(config.x_lo, config.x_hi, config.n_cells)
     base, weight = build_weight(mesh, config)
-    pair = first_eigenpair(mesh, config.p, min(config.tol, 1e-9))
+    pair = first_eigenpair(mesh, config.p)
     spec0 = ProblemSpec(config.p, config.q, 0.0, weight, mesh)
     return Problem(config, base, spec0, pair, sign_partition(weight))
 
@@ -201,43 +202,45 @@ def _failure_row(lam: float, branch: str, marker: str) -> BranchRow:
     return BranchRow(lam=lam, branch=branch, status=marker)
 
 
+def _attempt(rows: list[BranchRow], lam: float, branch: str, solve: Callable[[], SolveReport]) -> SolveReport | None:
+    """The result of solve(); None once a PlapLabError it raised is in rows as an error:<Type> row."""
+    try:
+        return solve()
+    except PlapLabError as exc:
+        rows.append(_failure_row(lam, branch, f"error:{type(exc).__name__}"))
+        return None
+
+
 def _sweep_one(problem: Problem, crit: CriticalValues, kset: MinimizerSet | None, lam: float) -> list[BranchRow]:
     config = problem.config
     spec = problem.spec0.with_lambda(lam)
     rows: list[BranchRow] = []
-    below_star = lam < crit.lambda_star * (1.0 - 1e-12)
-    if below_star:
-        try:
-            rep = solvers.ground_state(spec, starts=config.starts, tol=config.tol, seed=config.seed)
-            rows.append(_row_from_report(rep, "ground", problem.partition))
-        except PlapLabError as exc:
-            rows.append(_failure_row(lam, "ground", f"error:{type(exc).__name__}"))
+
+    def solve(branch: str, run: Callable[[], SolveReport]) -> SolveReport | None:
+        rep = _attempt(rows, lam, branch, run)
+        if rep is not None:
+            rows.append(_row_from_report(rep, branch, problem.partition))
+        return rep
+
+    if lam < crit.lambda_star * (1.0 - 1e-12):
+        solve("ground", lambda: solvers.ground_state(spec, starts=config.starts, tol=config.tol, seed=config.seed))
         if crit.pairing_sign == "negative" and lam > crit.lambda1 * (1.0 + 1e-12):
-            try:
-                rep = solvers.m_minus(spec, starts=config.starts, tol=config.tol, seed=config.seed)
-                rows.append(_row_from_report(rep, "m_minus", problem.partition))
-            except PlapLabError as exc:
-                rows.append(_failure_row(lam, "m_minus", f"error:{type(exc).__name__}"))
-    else:
-        if kset is None:
-            rows.append(_failure_row(lam, "local_min", "error:NoMinimizerSet"))
-            return rows
-        try:
-            cont = solvers.local_min_continuation(spec, kset, tol=config.tol)
-            rows.append(_row_from_report(cont, "local_min", problem.partition))
-        except PlapLabError as exc:
-            rows.append(_failure_row(lam, "local_min", f"error:{type(exc).__name__}"))
-            return rows
-        # the mountain pass climbs from the local minimum to a runaway
-        # state, which exists only for lam above lambda1
-        if cont.ok and lam > crit.lambda1 * (1.0 + 1e-12):
-            try:
-                level = cont.breakdown.I_trunc
-                omega = solvers.runaway_state(spec, level - 10.0 * abs(level) - 1.0, problem.pair)
-                mp = solvers.mountain_pass(spec, cont.u, omega, beads=config.beads, tol=config.tol)
-                rows.append(_row_from_report(mp, "mountain_pass", problem.partition))
-            except PlapLabError as exc:
-                rows.append(_failure_row(lam, "mountain_pass", f"error:{type(exc).__name__}"))
+            solve("m_minus", lambda: solvers.m_minus(spec, starts=config.starts, tol=config.tol, seed=config.seed))
+        return rows
+    if kset is None:
+        rows.append(_failure_row(lam, "local_min", "error:NoMinimizerSet"))
+        return rows
+    cont = solve("local_min", lambda: solvers.local_min_continuation(spec, kset, tol=config.tol))
+
+    def climb() -> SolveReport:
+        level = cont.breakdown.I_trunc
+        omega = solvers.runaway_state(spec, level - 10.0 * abs(level) - 1.0, problem.pair)
+        return solvers.mountain_pass(spec, cont.u, omega, beads=config.beads, tol=config.tol)
+
+    # the mountain pass climbs from the local minimum to a runaway
+    # state, which exists only for lam above lambda1
+    if cont is not None and cont.ok and lam > crit.lambda1 * (1.0 + 1e-12):
+        solve("mountain_pass", climb)
     return rows
 
 
@@ -308,15 +311,16 @@ def run_three_solutions(config: RunConfig) -> BranchTable:
     for j in range(THREE_SCAN_STEPS):
         lam = (1.0 - THREE_SCAN_BASE_OFFSET * 0.5**j) * pair.lambda1
         spec = problem.spec0.with_lambda(lam)
-        try:
-            w = solvers.ground_state(spec, starts=config.starts, tol=config.tol, seed=config.seed)
-        except PlapLabError as exc:
-            rows.append(_failure_row(lam, "ground", f"error:{type(exc).__name__}"))
+        w = _attempt(
+            rows,
+            lam,
+            "ground",
+            lambda: solvers.ground_state(spec, starts=config.starts, tol=config.tol, seed=config.seed),
+        )
+        if w is None:
             continue
-        try:
-            u = solvers.local_min_continuation(spec, kset, tol=config.tol)
-        except PlapLabError as exc:
-            rows.append(_failure_row(lam, "local_min", f"error:{type(exc).__name__}"))
+        u = _attempt(rows, lam, "local_min", lambda: solvers.local_min_continuation(spec, kset, tol=config.tol))
+        if u is None:
             continue
         sep_wu = float(np.max(np.abs(w.u.values - u.u.values)))
         ordered = (
@@ -325,10 +329,13 @@ def run_three_solutions(config: RunConfig) -> BranchTable:
         if not ordered:
             rows.append(_failure_row(lam, "ground", "no_distinct_pair"))
             continue
-        try:
-            v = solvers.mountain_pass(spec, u.u, w.u, beads=config.beads, tol=config.tol)
-        except PlapLabError as exc:
-            rows.append(_failure_row(lam, "mountain_pass", f"error:{type(exc).__name__}"))
+        v = _attempt(
+            rows,
+            lam,
+            "mountain_pass",
+            lambda: solvers.mountain_pass(spec, u.u, w.u, beads=config.beads, tol=config.tol),
+        )
+        if v is None:
             continue
         sep_uv = float(np.max(np.abs(u.u.values - v.u.values)))
         sep_wv = float(np.max(np.abs(w.u.values - v.u.values)))

@@ -117,12 +117,6 @@ class BranchTable:
     def sorted(self) -> "BranchTable":
         return BranchTable(tuple(sorted(self.rows, key=lambda r: (r.branch, r.lam))))
 
-    def ok_rows(self) -> tuple[BranchRow, ...]:
-        return tuple(r for r in self.rows if r.status == "ok")
-
-    def to_csv(self) -> str:
-        return _text(self, "csv")
-
 
 @dataclass(frozen=True)
 class RegionRow:

@@ -8,6 +8,7 @@ import pytest
 
 from plaplab import solvers
 from plaplab.cli import main
+from plaplab.eigen import first_eigenpair
 from plaplab.errors import ConfigError, SolverError
 from plaplab.functionals import evaluate
 from plaplab.grid import component_bump, grid_fn, widest_component_bump
@@ -92,6 +93,10 @@ class TestConfig:
             "lambda_start = nan\n",
             "lambda_stop = inf\n",
             "lambda_scale = absolute\nlambda_start = nan\n",
+            "x_hi = inf\n",
+            "amp_minus = inf\n",
+            "amp_plus = nan\n",
+            "mu = nan\n",
         ],
     )
     def test_degenerate_value_rejected(self, text):
@@ -371,6 +376,11 @@ sample_count = 3
         problem = build_problem(cfg)
         assert np.array_equal(seen[0].a.values, problem.spec0.a.values)
         assert seen[0].mesh == problem.spec0.mesh
+
+    def test_the_solvers_look_up_the_pair_of_the_problem(self):
+        # a tol below the eigen solve's own stop must not give a second pair
+        problem = build_problem(parse_config("n_cells = 64\ntol = 1e-10\n"))
+        assert first_eigenpair(problem.spec0.mesh, problem.config.p) is problem.pair
 
     def test_perturbation_is_scaled_by_the_base(self):
         problem = build_problem(parse_config(self.THREE + "b_amp = 2.0\nb_width = 0.1\n"))
@@ -766,10 +776,16 @@ class TestCommandLine:
         assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize(
-        "text", ["n_cells = 7.5\n", "n_cells = 64\nweight_family = file\nweight_file = {dir}/w.txt\n"]
+        "text",
+        [
+            "n_cells = 7.5\n",
+            "n_cells = 64\nweight_family = file\nweight_file = {dir}/w.txt\n",
+            "n_cells = 4\nweight_family = file\nweight_file = {dir}/w-nan.txt\n",
+        ],
     )
     def test_degenerate_config_exit_code(self, tmp_path, text):
         (tmp_path / "w.txt").write_text("1.0\n-2.0\n3.0\n")
+        (tmp_path / "w-nan.txt").write_text("1.0\n-2.0\nnan\n3.0\n-1.0\n")
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text.replace("{dir}", str(tmp_path)))
         res = self._run(["ground", "--config", str(cfg)])

@@ -102,9 +102,9 @@ class TestFirstEigenpair:
         assert lam_l == pytest.approx(lam_unit / 2.0**p, rel=1e-6)
 
     def test_cache_key_normalizes_the_arguments(self):
-        # the default tol and an int p reach the same cached pair
+        # an int p and a float p reach the same cached pair
         mesh = make_mesh(0.0, 1.0, 96)
-        assert first_eigenpair(mesh, 3) is first_eigenpair(mesh, 3.0, 1e-9)
+        assert first_eigenpair(mesh, 3) is first_eigenpair(mesh, 3.0)
 
     def test_minimality_over_random_functions(self):
         mesh = make_mesh(0.0, 1.0, 128)

@@ -29,9 +29,12 @@ differed.
 The list holds the commands of the four benchmark workloads, whose configs
 are read from this checkout's perfbench/configs/, and small configs taken
 from the test suite: sweeps on both sides of the threshold, the
-three-solution scan (also at seed 3), ground (also at p = 4, q = 1.5,
-1.05 lambda1, whose polish once ran to its iteration cap on every
-start), certify, critical (also at p = 4, q = 1.5, and on a positive
+three-solution scan (also at seed 3), the sweep-p3 sweep at tol 1e-10,
+below the eigen solve's own stop (sweep-p3-tol1e-10), ground (also at
+p = 4, q = 1.5, 1.05 lambda1, whose polish once ran to its iteration cap
+on every start), certify (also on a two-bump weight at 0.5 lambda1, where
+two candidates carry a dead core and six reach the Picone certificate,
+certify-dead-core), critical (also at p = 4, q = 1.5, and on a positive
 pairing whose search ends unconverged), the eigenpair at p = 1.25
 (n = 256, q = 1.1), JSON and stdout output (also of a region cell whose Picone minimum is
 -inf), zero-pairing sweeps at lambda1 (no mountain-pass branch) and just
@@ -40,7 +43,9 @@ that minimum carries negative dust, and on a wider positive bump, where
 Newton fails from the first entry and the string resumes), q near p, where
 the fibered powers p/(p-q) and q/(p-q) overflow a float (a sweep whose
 m_minus row fails, sweep-q-near-p, and a ground solve that exits 3,
-ground-q-near-p), and configs that must be refused.
+ground-q-near-p), and configs that must be refused, among them a weight
+file holding a nan (bad-weight-nan) and an infinite interval end
+(bad-x-hi-inf).
 """
 
 from __future__ import annotations
@@ -94,6 +99,18 @@ lambda_start = 0.5
 lambda_count = 1
 starts = 2
 seed = 1
+""",
+    # two candidates that vanish on a positive-weight component: the
+    # dead-core verdict; the other six reach picone_certificate
+    "certify-dead-core": """
+n_cells = 96
+p = 2.0
+q = 1.5
+weight_family = two-bump
+lambda_start = 0.5
+lambda_count = 1
+seed = 11
+certify_starts = 8
 """,
     "certify": """
 n_cells = 128
@@ -262,8 +279,10 @@ seed = 7
     "bad-beads": "n_cells = 64\np = 5.0\nq = 2.0\nweight_family = perturbed\nmu = 0.05\nbeads = 3\n",
     "bad-starts": "n_cells = 64\nlambda_start = 0.5\nlambda_count = 1\nstarts = 0\n",
     "bad-lambda-nan": "n_cells = 64\nlambda_scale = absolute\nlambda_start = nan\nlambda_count = 1\n",
+    "bad-weight-nan": "n_cells = 4\nweight_family = file\nweight_file = {dir}/nan-weight.txt\n",
+    "bad-x-hi-inf": "n_cells = 64\nx_hi = inf\n",
 }
-DATA_FILES = {"three-values.txt": "1.0\n-2.0\n3.0\n"}
+DATA_FILES = {"three-values.txt": "1.0\n-2.0\n3.0\n", "nan-weight.txt": "1.0\n-2.0\nnan\n3.0\n-1.0\n"}
 
 
 @dataclass(frozen=True)
@@ -293,11 +312,14 @@ COMMANDS = (
     # other seeds, branches and subcommands
     Command("critical-p3", "critical", "sweep-p3.cfg"),
     Command("sweep-p3-seed3", "sweep", "sweep-p3.cfg", ("--seed", "3")),
+    # a tol below the eigen solve's fixed stop; m_minus at 1.025 lambda1 caps on both starts
+    Command("sweep-p3-tol1e-10", "sweep", "sweep-p3.cfg", ("--tol", "1e-10")),
     # seed 3 finds the triple at 0.9975 lambda1, the pinned seed 7 at 0.995 lambda1
     Command("three-p5-seed3", "three", "three-p5.cfg", ("--seed", "3")),
     Command("ground-p3", "ground", "ground-p3"),
     Command("ground-p4", "ground", "ground-p4"),
     Command("certify", "certify", "certify"),
+    Command("certify-dead-core", "certify", "certify-dead-core"),
     Command("small-sweep", "sweep", "small-sweep"),
     Command("crosses-threshold", "sweep", "crosses-threshold"),
     Command("past-threshold-seed3", "sweep", "past-threshold", ("--seed", "3")),
@@ -340,6 +362,8 @@ COMMANDS = (
     Command("bad-beads", "three", "bad-beads"),
     Command("bad-starts", "ground", "bad-starts"),
     Command("bad-lambda-nan", "ground", "bad-lambda-nan"),
+    Command("bad-weight-nan", "critical", "bad-weight-nan"),
+    Command("bad-x-hi-inf", "eigen", "bad-x-hi-inf"),
     Command("bad-tol-flag", "eigen", "eigen-small", ("--tol", "0")),
     Command("missing-config", "eigen", "missing"),
 )
