@@ -30,13 +30,15 @@ that memo holds (EnergyPoint.precondition).
 
 The Picone condition, min over s >= 0 of the polynomial f(s) of
 picone_condition being nonnegative, is decided from the shape of f: its
-minimum is f(0) or f at the one root of f' where f' increases, bisected
-to adjacent floats, so no grid is scanned.
+minimum is f(0) or f at the one root of f' where f' increases, found to
+adjacent floats by Newton steps with f'' inside a bisection bracket
+(grid._bracketed_root), so no grid is scanned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -49,6 +51,7 @@ from .grid import (
     Mesh,
     SignPartition,
     Weight,
+    _bracketed_root,
     gauss_integral,
     gauss_values,
     sign_partition,
@@ -157,6 +160,8 @@ def _constrained_rayleigh_min(spec: ProblemSpec, pair: EigenPair, want_nonneg: b
         lo, hi = 0.0, 1.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # closed: a probe at an endpoint would move neither
+                break
             if constraint((1.0 - mid) * v + mid * feas_dir) < 0.0:
                 lo = mid
             else:
@@ -253,6 +258,14 @@ def _picone_poly_deriv(p: float, q: float, s: float) -> float:
     return p * (q - 1.0) * s ** (p - 1.0) + q * (p - 1.0) * s ** (p - 2.0) - (p - q)
 
 
+def _picone_poly_deriv2(p: float, q: float, s: float) -> float:
+    """f''(s), or inf where s^(p-3) overflows at tiny s (which would otherwise raise)."""
+    try:
+        return (p - 1.0) * s ** (p - 3.0) * (p * (q - 1.0) * s + q * (p - 2.0))
+    except OverflowError:
+        return np.inf
+
+
 def picone_condition(p: float, q: float) -> PiconeReport:
     """Decide whether f(s) = (q-1)s^p + q s^(p-1) - (p-q)s + (q-p+1) >= 0 on s >= 0.
 
@@ -261,8 +274,14 @@ def picone_condition(p: float, q: float) -> PiconeReport:
     after it, and f' > 0 from s0 = ((p-q)/(q-1))^(1/(p-1)) on. The minimum
     is therefore f(0), or f at the one root of f' in (s_i, s0), which
     exists exactly when f' < 0 just right of s_i: p > 2 when s_i = 0, and
-    f'(s_i) < 0 when p < 2. That root is bisected until the midpoint
-    equals an endpoint.
+    f'(s_i) < 0 when p < 2. That root is the float that bisecting f' until
+    the midpoint equals an endpoint returns, found by Newton steps with
+    f'' (grid._bracketed_root). For p > 2 both powers in f' increase in s,
+    so f' is monotone in floating point wherever pow is, and the float is
+    the bisection's by construction. For p < 2 the term s^(p-2) decreases,
+    f' can change sign more than once within a few ulps of the root, and
+    the two floats can differ by those few ulps (one cell of the wide
+    region grid of the test suite).
     """
     if not (1.0 < q < p):
         raise ValueError(f"need 1 < q < p, got q={q}, p={p}")
@@ -272,13 +291,7 @@ def picone_condition(p: float, q: float) -> PiconeReport:
         hi = ((p - q) / (q - 1.0)) ** (1.0 / (p - 1.0))
         s = 0.0
         if p > 2.0 or (p < 2.0 and _picone_poly_deriv(p, q, lo) < 0.0):
-            s = 0.5 * (lo + hi)
-            while lo < s < hi:
-                if _picone_poly_deriv(p, q, s) < 0.0:
-                    lo = s
-                else:
-                    hi = s
-                s = 0.5 * (lo + hi)
+            s = _bracketed_root(partial(_picone_poly_deriv, p, q), partial(_picone_poly_deriv2, p, q), lo, hi)
         # on a tie the smaller s, 0, wins
         min_value, argmin_s = min((_picone_poly(p, q, 0.0), 0.0), (_picone_poly(p, q, s), s))
     except OverflowError:  # only near p = q = 1: the root of f' lies past 1e300, where f ~ -(p-q)s

@@ -21,7 +21,13 @@ fluxes F_k = p*sign(du_k)*|du_k|^(p-1)/h^(p-1), and node i reads
 F_(i-1) - F_i = b_i, so every flux is F_k = F_0 - (b_1 + ... + b_k) and
 every slope du_k follows from its flux. The one unknown F_0 is the root
 of the increasing function F_0 -> sum du_k = w(1), which lies between the
-smallest and the largest partial sum and is found by bisection.
+smallest and the largest partial sum. A bracketed Newton iteration
+(grid._bracketed_root) finds it in a handful of passes over the cells and
+returns the float that bisecting until the midpoint equals an endpoint
+would: the end value is built from a float subtraction, abs and copysign,
+a power and a sum in a fixed order, each monotone in F_0 (the power as
+long as it is correctly rounded), so its sign changes between exactly one
+pair of adjacent floats.
 
 The iteration stops at one fixed relative step, whatever tol a run uses,
 so every caller gets the one cached pair of its (mesh, p). The Rayleigh
@@ -37,7 +43,7 @@ import numpy as np
 
 from .errors import MeshMismatchError, NonConvergenceError, WeightError
 from .functionals import EnergyPoint, P1Energy
-from .grid import GridFn, Mesh, Weight
+from .grid import GridFn, Mesh, Weight, _bracketed_root
 
 __all__ = ["EigenPair", "rayleigh", "first_eigenpair", "pairing", "orthogonalize_weight"]
 
@@ -71,8 +77,11 @@ def _solve_dg(mesh: Mesh, p: float, b: np.ndarray) -> np.ndarray:
     """The nodal w with dg(w) = b on the interior nodes and w = 0 at both ends.
 
     dg is the gradient of int |w'|^p (EnergyPoint.gradients); b's boundary
-    entries are ignored. The root F_0 is bisected until the midpoint
-    equals an endpoint, and w(1) = 0 is then set exactly.
+    entries are ignored. The root F_0 is the float that bisecting the end
+    value until the midpoint equals an endpoint returns, found by Newton
+    steps on that value (grid._bracketed_root), and w(1) = 0 is then set
+    exactly. The Newton slope is infinite for p > 2 where F_0 equals a
+    partial sum; the step then falls back to the midpoint.
     """
     c = np.zeros(mesh.n_cells)
     np.cumsum(b[1:-1], out=c[1:])
@@ -83,15 +92,13 @@ def _solve_dg(mesh: Mesh, p: float, b: np.ndarray) -> np.ndarray:
         d = f0 - c
         return float(np.copysign(np.abs(d) ** e, d).sum())
 
-    lo, hi = float(c.min()), float(c.max())
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if end_value(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    flux = mid - c
+    def end_slope(f0: float) -> float:
+        # its derivative; for p > 2 a flux F_k that is 0 (or subnormal) makes it infinite
+        with np.errstate(divide="ignore", over="ignore"):
+            return e * float((np.abs(f0 - c) ** (e - 1.0)).sum())
+
+    f0 = _bracketed_root(end_value, end_slope, float(c.min()), float(c.max()))
+    flux = f0 - c
     du = mesh.h * np.copysign((np.abs(flux) / p) ** e, flux)
     w = np.zeros(mesh.n_nodes)
     np.cumsum(du[:-1], out=w[1:-1])

@@ -12,13 +12,15 @@ order a 1-D sum would. Weights are nodal samples interpolated with the
 same P1 model, so products like a*|u|^q are evaluated pointwise at the
 Gauss nodes. The integrals themselves, int |u'|^p (exact: the derivative
 of the interpolant is cellwise constant), int |u|^p and int a|u|^q, are
-computed in one place, functionals.P1Energy.
+computed in one place, functionals.P1Energy. _bracketed_root is the one
+scalar root finder, shared by the eigen solve and the Picone condition.
 
 All types are immutable after construction; all operations are pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,6 +54,7 @@ _RIGHT = np.array([[_T_LO], [_T_HI]])
 _LEFT_SQ = np.array([[_T_HI**2], [_T_LO**2]])
 _RIGHT_SQ = np.array([[_T_LO**2], [_T_HI**2]])
 _NOISE_MODES = 6  # sine modes in smooth_noise
+_NEWTON_RTOL = 1e-12  # _bracketed_root: a Newton step this small, relative to its point, ends the Newton probes
 
 
 @dataclass(frozen=True)
@@ -306,3 +309,61 @@ def sign_partition(a: Weight) -> SignPartition:
         return tuple(out)
 
     return SignPartition(runs(vals > 0.0), runs(vals < 0.0))
+
+
+def _bracketed_root(value, slope, lo: float, hi: float) -> float:
+    """The float that bisecting value on [lo, hi] until the midpoint equals an endpoint returns.
+
+    Every probe x narrows the bracket by its sign, as a bisection step
+    would: value(x) < 0 moves lo to x, anything else moves hi to x. The
+    probes come from Newton steps, slope(x) being called right after
+    value(x) at the same x. A probe falls back to the midpoint when the
+    slope is not positive and finite, when the step leaves the bracket, or
+    when it is more than half the step before last (rtsafe, Press et al.,
+    Numerical Recipes, 2007). Once a step falls below _NEWTON_RTOL of its
+    point, probes one ulp left and right of the step's end, doubling that
+    distance until the bracket lies within it, close the bracket from both
+    sides, and the bisection finishes.
+
+    Where value is monotone in floating point, exactly one pair of
+    adjacent floats has value(lo) < 0 <= value(hi) (an endpoint of the
+    starting bracket counts as either side), and any narrowing by sign
+    ends on it, so the returned midpoint is the bisection's own. Where it
+    is not, the two can differ.
+    """
+    x = 0.5 * (lo + hi)
+    last = prev = hi - lo  # the last move and the one before it
+    while lo < x < hi:
+        v = value(x)
+        if v < 0.0:
+            lo = x
+        else:
+            hi = x
+        s = slope(x)
+        nxt = 0.5 * (lo + hi)
+        if 0.0 < s < math.inf:
+            step = -v / s
+            if abs(step) <= _NEWTON_RTOL * abs(x):
+                end = x + step
+                pad = math.ulp(end)
+                while not end - pad <= lo < hi <= end + pad:
+                    for probe in (end - pad, end + pad):
+                        if lo < probe < hi:
+                            if value(probe) < 0.0:
+                                lo = probe
+                            else:
+                                hi = probe
+                    pad *= 2.0
+                break
+            if lo < x + step < hi and abs(step) <= 0.5 * prev:
+                nxt = x + step
+        prev, last = last, abs(nxt - x)
+        x = nxt
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if value(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid

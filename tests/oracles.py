@@ -288,3 +288,25 @@ def smooth_noise_reference(nodes: np.ndarray, x_lo: float, x_hi: float, rng: np.
         out += rng.normal(0.0, 1.0 / k) * np.sin(k * np.pi * x)
     out[0] = out[-1] = 0.0
     return out
+
+
+def bisect_to_adjacent(value, lo: float, hi: float) -> float:
+    """Bisect until the midpoint equals an endpoint and return that midpoint.
+
+    value(mid) < 0 moves lo to mid, anything else moves hi to mid: the plain
+    loop the eigen solve and the Picone condition ran before they shared a
+    Newton root finder, which must return the same float.
+    """
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if value(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
+def bisection_root_finder(value, slope, lo: float, hi: float) -> float:
+    """bisect_to_adjacent in the call shape of grid._bracketed_root; slope is unused."""
+    return bisect_to_adjacent(value, lo, hi)

@@ -1,10 +1,13 @@
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from plaplab import critical
 from plaplab.critical import (
     _constrained_rayleigh_min,
+    _picone_poly_deriv2,
     compute_critical_values,
     nonexistence_bound,
     picone_certificate,
@@ -17,7 +20,7 @@ from plaplab.functionals import ProblemSpec
 from plaplab.grid import grid_fn, make_mesh, sign_partition
 from plaplab.presets import TwoBumpParams, orthogonal_two_bump, two_bump
 
-from oracles import picone_poly_min, shooting_lambda_star
+from oracles import bisection_root_finder, picone_poly_min, shooting_lambda_star
 
 
 def sine_fn(mesh, power=1.0):
@@ -105,6 +108,78 @@ class TestPiconeCondition:
                 if picone_condition(float(p), float(q)).holds:
                     assert p <= q + 1.0 + 1e-9
                     assert p <= 2.0 * q + 1e-9
+
+
+def _region_cells(p_lo, p_hi, p_count, q_lo, q_hi, q_count):
+    return [
+        (float(p), float(q))
+        for p in np.linspace(p_lo, p_hi, p_count)
+        for q in np.linspace(q_lo, q_hi, q_count)
+        if 1.0 < q < p
+    ]
+
+
+DEFAULT_REGION_CELLS = _region_cells(1.1, 6.0, 50, 1.05, 4.0, 50)  # the region map's default grid
+# p from near 1 to 12, q from 1 + 1e-7: tiny roots of f' (p just above 2)
+# and the cell (1.01, 1.0000001), whose s0 overflows
+WIDE_REGION_CELLS = _region_cells(1.01, 12.0, 200, 1.0000001, 11.0, 200)
+
+
+class TestPiconeRootMatchesBisection:
+    """The Newton root of f' is the float the plain bisection returns (oracles.bisect_to_adjacent)."""
+
+    @staticmethod
+    def _both(cells, monkeypatch):
+        def reports():
+            return [(r.min_value, r.argmin_s, r.holds) for r in (picone_condition(p, q) for p, q in cells)]
+
+        newton = reports()
+        monkeypatch.setattr(critical, "_bracketed_root", bisection_root_finder)
+        return newton, reports()
+
+    def test_default_grid_identical(self, monkeypatch):
+        newton, bisected = self._both(DEFAULT_REGION_CELLS, monkeypatch)
+        assert newton == bisected
+
+    def test_wide_grid_identical_but_one_p_below_2_cell(self, monkeypatch):
+        # for p > 2, f' is monotone in floating point and the float is the
+        # bisection's by construction. For p < 2 its sign can flip back and
+        # forth within a few ulps of the root: at (1.3966, 1.0503) f' reads
+        # < 0, = 0, < 0, < 0, = 0 at the root + 0 .. 4 ulps, the bisection
+        # ends on the first sign change and the Newton probes on the second
+        newton, bisected = self._both(WIDE_REGION_CELLS, monkeypatch)
+        moved = [(cell, a, b) for cell, a, b in zip(WIDE_REGION_CELLS, newton, bisected) if a != b]
+        assert [cell for cell, _, _ in moved] == [(1.3965829145728643, 1.0502513557788946)]
+        for _, (min_a, s_a, holds_a), (min_b, s_b, holds_b) in moved:
+            assert holds_a == holds_b
+            assert abs(s_a - s_b) == 4 * math.ulp(s_b)
+            assert abs(min_a - min_b) <= 2e-15
+
+    def test_only_the_overflowing_s0_reports_minus_inf(self):
+        # the slope f'' overflows at tiny s on the wide grid (the cells with p
+        # just above 2, whose root of f' lies near 1e-300); that overflow
+        # must not reach picone_condition's OverflowError branch
+        cells = [(p, q) for p, q in WIDE_REGION_CELLS if picone_condition(p, q).min_value == -np.inf]
+        assert cells == [(1.01, 1.0000001)]
+        p = float(np.linspace(1.01, 12.0, 200)[18])
+        assert 2.0 < p < 2.01
+        assert _picone_poly_deriv2(p, 1.9, 1e-310) == np.inf
+
+    def test_derivative_calls_gate(self, monkeypatch):
+        # the bisection took 91 722 calls of f' on the default grid (52.0 per
+        # cell); the Newton root takes 13 208
+        calls = {"n": 0}
+        real = critical._picone_poly_deriv
+
+        def counted(p, q, s):
+            calls["n"] += 1
+            return real(p, q, s)
+
+        monkeypatch.setattr(critical, "_picone_poly_deriv", counted)
+        for p, q in DEFAULT_REGION_CELLS:
+            picone_condition(p, q)
+        assert len(DEFAULT_REGION_CELLS) == 1764
+        assert calls["n"] <= 16_500, calls
 
 
 class TestRegionClassify:

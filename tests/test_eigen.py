@@ -7,7 +7,7 @@ from plaplab.eigen import _solve_dg, first_eigenpair, orthogonalize_weight, pair
 from plaplab.functionals import P1Energy
 from plaplab.grid import grid_fn, make_mesh, weight_fn
 
-from oracles import closed_form_lambda1, shooting_lambda1
+from oracles import bisection_root_finder, closed_form_lambda1, shooting_lambda1
 
 
 def sine_fn(mesh, power=1.0):
@@ -204,6 +204,90 @@ class TestExactSolve:
             w = _solve_dg(mesh, p, b)
             dg, _ = energy(w).gradients()
             assert np.max(np.abs(dg[1:-1] - b[1:-1])) <= 1e-10 * np.max(np.abs(b[1:-1]))
+
+
+def _random_rhs(count=400, seed=2026):
+    """Seeded (p, mesh, b) for the solve: b of mixed sign, of one sign, half
+    zero (flat stretches of the partial sums c) and integer-rounded (ties
+    in c), scaled over six decades, p from 1.1 to 8, n from 8 to 4096."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        p = float(rng.uniform(1.1, 8.0))
+        n = int(rng.integers(8, 4097))
+        b = rng.normal(size=n + 1)
+        if i % 4 == 1:
+            b = np.abs(b)
+        elif i % 4 == 2:
+            b[rng.random(n + 1) < 0.5] = 0.0
+        elif i % 4 == 3:
+            b = np.round(3.0 * b)
+        b *= 10.0 ** rng.uniform(-3.0, 3.0)
+        yield p, make_mesh(0.0, float(rng.uniform(0.5, 3.0)), n), b
+
+
+class TestRootMatchesBisection:
+    """The Newton root of the solve is the float the plain bisection returns (oracles.bisect_to_adjacent)."""
+
+    def test_eigenpair_ladder_byte_identical(self, monkeypatch):
+        def ladder():
+            monkeypatch.setattr(eigen, "_cache", {})
+            out = []
+            for p in (1.25, 1.5, 2.0, 3.0, 5.0):
+                for n in (64, 128, 256, 512, 1024, 2048, 4096):
+                    pair = first_eigenpair(make_mesh(0.0, 1.0, n), p)
+                    out.append((p, n, pair.lambda1, pair.phi.values.tobytes(), pair.residual_sup, pair.iterations))
+            return out
+
+        newton = ladder()
+        monkeypatch.setattr(eigen, "_bracketed_root", bisection_root_finder)
+        assert newton == ladder()
+
+    def test_random_right_hand_sides_byte_identical(self, monkeypatch):
+        cases = list(_random_rhs())
+        newton = [_solve_dg(mesh, p, b).tobytes() for p, mesh, b in cases]
+        monkeypatch.setattr(eigen, "_bracketed_root", bisection_root_finder)
+        bisected = [_solve_dg(mesh, p, b).tobytes() for p, mesh, b in cases]
+        assert sum(x != y for x, y in zip(newton, bisected)) == 0
+
+    def test_infinite_slope_at_the_first_probe(self, monkeypatch):
+        # p = 3: the slope e * sum |F_0 - c_k|^(e - 1) has e - 1 = -1/2, and
+        # the first probe, the midpoint of [min c, max c] = [0, 2], is c_1 = 1.
+        # The slope is inf there without a RuntimeWarning (an error in this
+        # suite), and the probe falls back to the midpoint.
+        mesh = make_mesh(0.0, 1.0, 3)
+        b = np.array([0.0, 1.0, 1.0, 0.0])
+        real = eigen._bracketed_root
+        first_slopes = []
+
+        def spy(value, slope, lo, hi):
+            first_slopes.append(slope(0.5 * (lo + hi)))
+            return real(value, slope, lo, hi)
+
+        monkeypatch.setattr(eigen, "_bracketed_root", spy)
+        w = _solve_dg(mesh, 3.0, b)
+        assert first_slopes == [np.inf]
+        monkeypatch.setattr(eigen, "_bracketed_root", bisection_root_finder)
+        assert w.tobytes() == _solve_dg(mesh, 3.0, b).tobytes()
+
+
+def test_p15_ladder_end_value_gate(monkeypatch):
+    # the bisection took 2 684 end-value passes for the 50 roots of this
+    # ladder (about 54 per root); the Newton root takes 183
+    counter = {"passes": 0}
+    real = eigen._bracketed_root
+
+    def counting(value, slope, lo, hi):
+        def counted(x):
+            counter["passes"] += 1
+            return value(x)
+
+        return real(counted, slope, lo, hi)
+
+    monkeypatch.setattr(eigen, "_bracketed_root", counting)
+    monkeypatch.setattr(eigen, "_cache", {})
+    steps = sum(first_eigenpair(make_mesh(0.0, 1.0, n), 1.5).iterations for n in (256, 512, 1024, 2048, 4096))
+    assert steps == 50
+    assert counter["passes"] <= 250, counter
 
 
 def test_p15_ladder_iteration_gate():

@@ -4,9 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plaplab.functionals import P1Energy
-from plaplab.grid import GridFn, Weight, gauss_values, grid_fn, make_mesh, sign_partition, smooth_noise, weight_fn
+from plaplab.grid import (
+    GridFn,
+    Weight,
+    _bracketed_root,
+    gauss_values,
+    grid_fn,
+    make_mesh,
+    sign_partition,
+    smooth_noise,
+    weight_fn,
+)
 
-from oracles import smooth_noise_reference
+from oracles import bisect_to_adjacent, smooth_noise_reference
 
 
 def grad_term(u, p):
@@ -215,3 +225,55 @@ class TestSmoothNoise:
             got = smooth_noise(mesh, np.random.default_rng(seed))
             want = smooth_noise_reference(mesh.nodes, mesh.x_lo, mesh.x_hi, np.random.default_rng(seed))
             assert got.tobytes() == want.tobytes(), seed
+
+
+class TestBracketedRoot:
+    """_bracketed_root returns the float of the plain bisection for a value monotone in floating point."""
+
+    @pytest.mark.parametrize("root", [0.3, 1.0 / 3.0, -2.5, 1e-9, 7.0e5])
+    def test_cubic_lands_on_the_bisection_float(self, root):
+        def value(x):
+            return (x - root) ** 3 + (x - root)
+
+        def slope(x):
+            return 3.0 * (x - root) ** 2 + 1.0
+
+        for lo, hi in ((-10.0, 10.0), (root - 1.0, root + 3.0), (-1e6, 1e6)):
+            assert _bracketed_root(value, slope, lo, hi) == bisect_to_adjacent(value, lo, hi)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+    def test_unusable_slope_falls_back_to_the_midpoint(self, bad):
+        def value(x):
+            return x - 0.1
+
+        assert _bracketed_root(value, lambda x: bad, 0.0, 1.0) == bisect_to_adjacent(value, 0.0, 1.0)
+
+    def test_plateaus_and_a_root_outside_the_bracket(self):
+        # a float-level plateau around the root, where the value reads 0 over
+        # many ulps, and roots beyond either end, where one endpoint is never
+        # probed: each ends on the bisection's adjacent pair
+        def value(x):
+            return np.floor(1e12 * (x - 0.7)) * 1e-12
+
+        def slope(x):
+            return 1.0
+
+        for lo, hi in ((0.0, 1.0), (0.75, 2.0), (-3.0, 0.5), (0.7, 0.7)):
+            assert _bracketed_root(value, slope, lo, hi) == bisect_to_adjacent(value, lo, hi)
+
+    def test_probes_far_fewer_than_bisection(self):
+        counts = {"newton": 0, "bisect": 0}
+
+        def counted(key):
+            def value(x):
+                counts[key] += 1
+                return np.tanh(x - 0.123456789)
+
+            return value
+
+        def slope(x):
+            return 1.0 - np.tanh(x - 0.123456789) ** 2
+
+        assert _bracketed_root(counted("newton"), slope, -5.0, 5.0) == bisect_to_adjacent(counted("bisect"), -5.0, 5.0)
+        assert counts["bisect"] > 50
+        assert counts["newton"] <= 8, counts
