@@ -19,6 +19,7 @@ omitted.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -118,7 +119,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it unchanged, so every main call shares it."""
     parser = argparse.ArgumentParser(prog="plaplab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:

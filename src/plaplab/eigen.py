@@ -14,7 +14,8 @@ eigenfunction). dg and dm are the nodal gradients of int |u'|^p and
 int |u|^p (functionals.P1Energy), normalize scales onto the gradient
 sphere {int |u'|^p = 1}, and S is the exact solve of the discrete
 problem dg(w) = b, w = 0 at both ends. A fixed point satisfies
-dg(u) = lambda*dm(u) with lambda its Rayleigh quotient.
+dg(u) = lambda*dm(u) with lambda its Rayleigh quotient. A step reads dm
+alone (P1Energy.mass_gradient); only the last iterate is valued in full.
 
 In 1D that solve costs O(n). dg couples the nodes only through the cell
 fluxes F_k = p*sign(du_k)*|du_k|^(p-1)/h^(p-1), and node i reads
@@ -111,9 +112,9 @@ def first_eigenpair(mesh: Mesh, p: float) -> EigenPair:
     The iteration starts from the constant 1 on the interior nodes and is
     converged when a step moves the normalized iterate by less than
     _STEP_RTOL relative to its sup-norm; raises NonConvergenceError after
-    _MAX_STEPS steps. lambda1 is the Rayleigh quotient of the returned phi
-    and residual_sup the sup-norm of dg - lambda1*dm there. Deterministic,
-    and cached per (mesh, p).
+    _MAX_STEPS steps. Each step builds only dm; lambda1, the Rayleigh quotient
+    of the returned phi, and residual_sup, the sup-norm of dg - lambda1*dm,
+    come from phi's one EnergyPoint. Deterministic, and cached per (mesh, p).
     """
     if p <= 1.0:
         raise ValueError(f"exponent must exceed 1, got p={p}")
@@ -126,8 +127,7 @@ def first_eigenpair(mesh: Mesh, p: float) -> EigenPair:
     energy = P1Energy(mesh, p)
     x = energy.normalize(vals)
     for steps in range(1, _MAX_STEPS + 1):
-        _, dm = energy(x).gradients()
-        nxt = energy.normalize(_solve_dg(mesh, p, dm))
+        nxt = energy.normalize(_solve_dg(mesh, p, energy.mass_gradient(x)))
         step = float(np.max(np.abs(nxt - x))) / float(np.max(np.abs(nxt)))
         x = nxt
         if step < _STEP_RTOL:

@@ -26,8 +26,9 @@ gradients, the inverse of the p-stiffness at that point (the descent
 metric) and the tridiagonal Hessians, and its normalize scales a vector
 onto the gradient sphere {int |u'|^p = 1}. Its Gauss-point quantities are
 (2, n_cells) arrays (see grid), so each power, sum and scatter is one
-numpy call for both Gauss points. The eigen solver and the
-critical-value search use it and keep only their own algebra on top.
+numpy call for both Gauss points. The eigen solver (whose steps read dm
+alone, P1Energy.mass_gradient) and the critical-value search use it and
+keep only their own algebra on top.
 Energy is its one lam-aware view: E, I, the ray-optimal J, their
 gradients, the Hessian of I and the cones, for the fibered solvers and
 the GridFn functions below alike, so one rule decides where the fiber is
@@ -110,6 +111,12 @@ def _power(x: float, e: float) -> float:
         return x**e
     except OverflowError:
         raise SolverError(f"{x:.6g} ** {e:.6g} overflows: q is too near p for the fibered energy") from None
+
+
+def _gauss_power(b: np.ndarray, signs: np.ndarray | None, r: float) -> np.ndarray:
+    # d/dg of b^(r+1)/(r+1) at both Gauss points: b^r, times signs = sign(g);
+    # signs is None when truncated (b = max(g, 0) is then zero where g is negative)
+    return b**r if signs is None else signs * b**r
 
 
 def _ldlt(diag: np.ndarray, off: np.ndarray):
@@ -198,8 +205,8 @@ class P1Energy:
     a_gauss holds the weight's values at the Gauss points, the (2, n_cells)
     array Weight.gauss; without it there is no weight term. Calling the
     kernel on a nodal vector returns its EnergyPoint, and the kernel keeps
-    the last one; normalize scales a vector onto the gradient sphere
-    {int |u'|^p = 1}.
+    the last one; mass_gradient returns the point's dm alone, and
+    normalize scales a vector onto the gradient sphere {int |u'|^p = 1}.
     """
 
     def __init__(
@@ -228,6 +235,26 @@ class P1Energy:
             self.last = EnergyPoint(self, v)
             self._key = key
         return self.last
+
+    def _gauss(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the Gauss-point values g of v and their magnitudes b (u_+ when truncated)
+        g = gauss_values(v)
+        return g, np.maximum(g, 0.0) if self.truncated else np.abs(g)
+
+    def _mass_gradient(self, b: np.ndarray, signs: np.ndarray | None) -> np.ndarray:
+        # dm: p sign(g) b^(p-1) at both Gauss points, scattered; read-only
+        dm = scatter_gauss_gradient(self.mesh, self.p * _gauss_power(b, signs, self.p - 1.0))
+        dm.flags.writeable = False
+        return dm
+
+    def mass_gradient(self, v: np.ndarray) -> np.ndarray:
+        """dm at v, bit for bit the one EnergyPoint.gradients() returns, without the point.
+
+        For a caller that reads nothing else, as the eigen iteration's step:
+        neither the three integrals nor dg is computed, and last is unchanged.
+        """
+        g, b = self._gauss(v)
+        return self._mass_gradient(b, None if self.truncated else np.sign(g))
 
     def normalize(self, v: np.ndarray) -> np.ndarray:
         """Scale nodal values onto the gradient sphere {int |v'|^p = 1}.
@@ -276,21 +303,17 @@ class EnergyPoint:
         du = v[1:] - v[:-1]
         abs_du = np.abs(du)
         self.grad_term = float((abs_du**p).sum()) / kernel.h_scale
-        g = gauss_values(v)
-        b = np.maximum(g, 0.0) if kernel.truncated else np.abs(g)
+        g, b = kernel._gauss(v)
         self.mass = gauss_integral(mesh, b**p)
         self.weight = None if kernel.a_gauss is None else gauss_integral(mesh, kernel.a_gauss * b**q)
         self._du, self._abs_du, self._g, self._b = du, abs_du, g, b
         self._signs = self._grads = self._dw = self._metric = self._hess = None
 
-    def _gauss_power(self, r: float) -> np.ndarray:
-        # d/dg of b^(r+1)/(r+1) at both Gauss points: b^r, times sign(g)
-        # unless truncated (b = max(g, 0) is then zero where g is negative)
-        if self._k.truncated:
-            return self._b**r
-        if self._signs is None:
+    def _gauss_signs(self) -> np.ndarray | None:
+        # sign(g), computed once for dm and dw; None when truncated
+        if self._signs is None and not self._k.truncated:
             self._signs = np.sign(self._g)
-        return self._signs * self._b**r
+        return self._signs
 
     def _gauss_curvature(self, r: float) -> np.ndarray:
         # d2/dg2 of b^(r+2)/((r+2)(r+1)) at both Gauss points: b^r, which is
@@ -316,16 +339,15 @@ class EnergyPoint:
             dg[:-1] -= flux
             dg[1:] += flux
             dg[0] = dg[-1] = 0.0
-            dm = scatter_gauss_gradient(k.mesh, p * self._gauss_power(p - 1.0))
-            dg.flags.writeable = dm.flags.writeable = False
-            self._grads = dg, dm
+            dg.flags.writeable = False
+            self._grads = dg, k._mass_gradient(self._b, self._gauss_signs())
         return self._grads
 
     def weight_gradient(self) -> np.ndarray:
         """dw: nodal gradient of weight, read-only and zero at the boundary; built once."""
         if self._dw is None:
             k = self._k
-            self._dw = scatter_gauss_gradient(k.mesh, k.qa * self._gauss_power(k.q - 1.0))
+            self._dw = scatter_gauss_gradient(k.mesh, k.qa * _gauss_power(self._b, self._gauss_signs(), k.q - 1.0))
             self._dw.flags.writeable = False
         return self._dw
 

@@ -291,24 +291,13 @@ def sign_partition(a: Weight) -> SignPartition:
     nodes where a = 0 lie in neither. Components are maximal runs of
     consecutive interior node indices.
     """
-    vals = a.values
-    n = a.mesh.n_nodes
-
     def runs(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
-        out = []
-        start = None
-        for i in range(1, n - 1):
-            if mask[i]:
-                if start is None:
-                    start = i
-            elif start is not None:
-                out.append((start, i - 1))
-                start = None
-        if start is not None:
-            out.append((start, n - 2))
-        return tuple(out)
+        # boundary nodes cleared, mask flips from i to i+1 where a run ends at i or starts at i+1
+        mask[[0, -1]] = False
+        edges = np.flatnonzero(np.diff(mask))
+        return tuple(zip((edges[0::2] + 1).tolist(), edges[1::2].tolist()))
 
-    return SignPartition(runs(vals > 0.0), runs(vals < 0.0))
+    return SignPartition(runs(a.values > 0.0), runs(a.values < 0.0))
 
 
 def _bracketed_root(value, slope, lo: float, hi: float) -> float:

@@ -6,7 +6,8 @@ the ODE by shooting, the polynomial oracle is a dense grid scan, and
 derivative checks use central finite differences on the plain functional
 values. The P1 kernel and smooth_noise have plain restatements here, one
 array per Gauss point and one sine per draw, that the library must match
-bit for bit.
+bit for bit; so do the sign partition, as a walk over the nodes, and the
+eigen inverse iteration, with dm read from a full EnergyPoint.
 """
 
 from __future__ import annotations
@@ -310,3 +311,61 @@ def bisect_to_adjacent(value, lo: float, hi: float) -> float:
 def bisection_root_finder(value, slope, lo: float, hi: float) -> float:
     """bisect_to_adjacent in the call shape of grid._bracketed_root; slope is unused."""
     return bisect_to_adjacent(value, lo, hi)
+
+
+def sign_partition_loop(vals: np.ndarray) -> tuple[tuple, tuple]:
+    """(plus runs, minus runs) of the interior nodes of vals, by one walk over the nodes.
+
+    A run is an inclusive (first, last) pair of consecutive interior indices
+    where vals > 0 (plus) or vals < 0 (minus); nodes where vals = 0 lie in
+    neither. grid.sign_partition must return the same tuples of ints.
+    """
+    n = vals.size
+
+    def runs(mask):
+        out = []
+        start = None
+        for i in range(1, n - 1):
+            if mask[i]:
+                if start is None:
+                    start = i
+            elif start is not None:
+                out.append((start, i - 1))
+                start = None
+        if start is not None:
+            out.append((start, n - 2))
+        return tuple(out)
+
+    return runs(vals > 0.0), runs(vals < 0.0)
+
+
+def inverse_iteration_reference(kernel, solve, max_steps: int = 100, step_rtol: float = 1e-9):
+    """The first eigenpair's inverse iteration with dm read from a full EnergyPoint.
+
+    kernel is the P1Energy of the mesh and p, solve the exact solve
+    (mesh, p, b) -> w of dg(w) = b. Every step values kernel at the iterate
+    and takes dm from its gradients(), u <- normalize(solve(dm(u))), from the
+    constant 1 on the interior nodes, until a step moves the iterate by less
+    than step_rtol relative to its sup norm. Returns (lambda1, phi,
+    residual_sup, iterations) as eigen.first_eigenpair computes them, which
+    must match bit for bit.
+    """
+    mesh, p = kernel.mesh, kernel.p
+    vals = np.ones(mesh.n_nodes)
+    vals[0] = vals[-1] = 0.0
+    x = kernel.normalize(vals)
+    for steps in range(1, max_steps + 1):
+        _, dm = kernel(x).gradients()
+        nxt = kernel.normalize(solve(mesh, p, dm))
+        step = float(np.max(np.abs(nxt - x))) / float(np.max(np.abs(nxt)))
+        x = nxt
+        if step < step_rtol:
+            break
+    else:
+        raise RuntimeError(f"no convergence in {max_steps} steps")
+    if np.sum(x) < 0.0:
+        x = -x
+    pt = kernel(x)
+    lam = pt.grad_term / pt.mass
+    dg, dm = pt.gradients()
+    return float(lam), x, float(np.max(np.abs(dg - lam * dm))), steps

@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from plaplab import solvers
+from plaplab import cli, eigen, solvers
 from plaplab.cli import main
 from plaplab.eigen import first_eigenpair
 from plaplab.errors import ConfigError, SolverError
@@ -728,6 +729,64 @@ class TestSerializer:
         records = json.loads(texts["json"])
         assert records[0]["q"] == 1.0000001 and records[0]["picone_min"] is None
         assert _csv_records(texts["csv"])[0]["picone_min"] == "-inf"
+
+
+class TestOneParserPerProcess:
+    """main builds its parser on the first call and parses every later call with it."""
+
+    def test_two_calls_build_one_parser(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_cells = 16\n")
+        cli.build_parser.cache_clear()
+        assert main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+        assert main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 0
+        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flags_of_one_call_do_not_reach_the_next(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(config):
+            seen.append((config.seed, config.tol))
+            return {"seed": config.seed}, 0
+
+        monkeypatch.setitem(cli._COMMANDS, "eigen", record)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_cells = 16\nseed = 7\ntol = 1e-6\n")
+        out = tmp_path / "out"
+        flags = ["--seed", "3", "--tol", "1e-4", "--format", "json"]
+        assert main(["eigen", "--config", str(cfg), *flags, "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == {"seed": 3}
+        assert main(["eigen", "--config", str(cfg), "--out", str(out)]) == 0
+        assert seen == [(3, 1e-4), (7, 1e-6)]
+        assert out.read_text().splitlines() == ["seed", "7"]
+
+
+def test_eigen_ladder_in_one_process_writes_what_fresh_processes_write(tmp_path, monkeypatch):
+    """The benchmark's five eigen-p1.5 commands, run through main in this process
+    twice (the second time from the parser and eigen caches), write the bytes
+    five fresh processes write."""
+    configs = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+    ladder = [configs / f"eigen-p1.5-n{n}.cfg" for n in (256, 512, 1024, 2048, 4096)]
+
+    def argv(cfg, out_dir):
+        return ["eigen", "--config", str(cfg), "--out", str(out_dir / f"{cfg.stem}.json"), "--format", "json"]
+
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    for cfg in ladder:
+        res = subprocess.run([sys.executable, "-m", "plaplab.cli", *argv(cfg, fresh)], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+    want = [(fresh / f"{cfg.stem}.json").read_bytes() for cfg in ladder]
+
+    monkeypatch.setattr(eigen, "_cache", {})
+    cli.build_parser.cache_clear()
+    for round_ in ("first", "cached"):
+        out = tmp_path / round_
+        out.mkdir()
+        assert [main(argv(cfg, out)) for cfg in ladder] == [0] * 5
+        assert [(out / f"{cfg.stem}.json").read_bytes() for cfg in ladder] == want, round_
+    assert len(eigen._cache) == 5 and cli.build_parser.cache_info().misses == 1
 
 
 class TestCommandLine:

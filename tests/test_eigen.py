@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from plaplab import eigen
+from plaplab import eigen, functionals
 from plaplab.errors import NonConvergenceError, WeightError
 from plaplab.eigen import _solve_dg, first_eigenpair, orthogonalize_weight, pairing, rayleigh
 from plaplab.functionals import P1Energy
 from plaplab.grid import grid_fn, make_mesh, weight_fn
 
-from oracles import bisection_root_finder, closed_form_lambda1, shooting_lambda1
+from oracles import bisection_root_finder, closed_form_lambda1, inverse_iteration_reference, shooting_lambda1
 
 
 def sine_fn(mesh, power=1.0):
@@ -288,6 +288,36 @@ def test_p15_ladder_end_value_gate(monkeypatch):
     steps = sum(first_eigenpair(make_mesh(0.0, 1.0, n), 1.5).iterations for n in (256, 512, 1024, 2048, 4096))
     assert steps == 50
     assert counter["passes"] <= 250, counter
+
+
+def test_eigenpair_ladder_matches_the_full_point_iteration(monkeypatch):
+    # each step reads dm alone (P1Energy.mass_gradient); the oracle reads it
+    # from a full EnergyPoint, as the iteration once did
+    monkeypatch.setattr(eigen, "_cache", {})
+    for p in (1.25, 1.5, 2.0, 3.0, 5.0):
+        for n in (64, 128, 256, 512, 1024, 2048, 4096):
+            mesh = make_mesh(0.0, 1.0, n)
+            pair = first_eigenpair(mesh, p)
+            lam, phi, residual, steps = inverse_iteration_reference(P1Energy(mesh, p), _solve_dg)
+            got = (pair.lambda1, pair.phi.values.tobytes(), pair.residual_sup, pair.iterations)
+            assert got == (lam, phi.tobytes(), residual, steps), (p, n)
+
+
+def test_p15_ladder_builds_one_energy_point_per_rung(monkeypatch):
+    # the 50 steps read dm alone; only each rung's final point, where lambda1
+    # and residual_sup are read, is a full EnergyPoint (55 when every step built one)
+    built = []
+    real = functionals.EnergyPoint.__init__
+
+    def counting(self, kernel, v):
+        built.append(v.size)
+        real(self, kernel, v)
+
+    monkeypatch.setattr(functionals.EnergyPoint, "__init__", counting)
+    monkeypatch.setattr(eigen, "_cache", {})
+    steps = sum(first_eigenpair(make_mesh(0.0, 1.0, n), 1.5).iterations for n in (256, 512, 1024, 2048, 4096))
+    assert steps == 50
+    assert built == [257, 513, 1025, 2049, 4097]
 
 
 def test_p15_ladder_iteration_gate():

@@ -500,6 +500,9 @@ class TestKernelOracle:
                 assert self.same_bits(pt.weight, ref["weight"]), case
                 dg, dm = pt.gradients()
                 assert self.same_bits(dg, ref["dg"]) and self.same_bits(dm, ref["dm"]), case
+                dm_alone = kernel.mass_gradient(v)
+                assert self.same_bits(dm_alone, ref["dm"]) and not dm_alone.flags.writeable, case
+                assert kernel.last is pt, case
                 if weighted:
                     assert self.same_bits(pt.weight_gradient(), ref["dw"]), case
                 grad, mass, weight = pt.hessian()

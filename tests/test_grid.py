@@ -16,7 +16,7 @@ from plaplab.grid import (
     weight_fn,
 )
 
-from oracles import bisect_to_adjacent, smooth_noise_reference
+from oracles import bisect_to_adjacent, sign_partition_loop, smooth_noise_reference
 
 
 def grad_term(u, p):
@@ -215,6 +215,38 @@ class TestSignPartition:
             assert not (covered & span)  # disjoint
             covered |= span
         assert covered == {i for i in range(1, mesh.n_nodes - 1) if vals[i] != 0.0}
+
+    @staticmethod
+    def _matches_the_loop(vals):
+        part = sign_partition(weight_fn(make_mesh(0.0, 1.0, vals.size - 1), vals))
+        got = (part.plus_components, part.minus_components)
+        assert got == sign_partition_loop(vals), vals
+        assert all(type(i) is int for runs in got for run in runs for i in run)
+
+    def test_random_weights_with_zeros_match_the_loop(self):
+        rng = np.random.default_rng(27)
+        for _ in range(200):
+            n = int(rng.integers(2, 300))
+            vals = rng.normal(size=n + 1)
+            vals[rng.random(n + 1) < rng.uniform(0.0, 0.6)] = 0.0
+            self._matches_the_loop(vals)
+
+    @pytest.mark.parametrize(
+        "vals",
+        [
+            [0.0, 1.0, -1.0, 1.0, 0.0, -2.0, 0.0],  # single-node runs
+            [-3.0, 1.0, 1.0, 0.0, -1.0, -1.0, 5.0],  # runs touching nodes 1 and n-1, boundary of the other sign
+            [0.0, 2.0, 0.0, 0.0, 0.0, -2.0, 0.0],
+            [1.0, 2.0, 3.0, 4.0, 5.0],  # one sign
+            [-1.0, -2.0, -3.0, -4.0, -5.0],
+            [2.0, 0.0, 0.0, -2.0],  # interior all zero
+            [0.0, 1.0, 0.0],  # n_cells = 2
+            [1.0, -1.0, 1.0],
+            [-1.0, 0.0, -1.0],
+        ],
+    )
+    def test_edge_cases_match_the_loop(self, vals):
+        self._matches_the_loop(np.array(vals))
 
 
 class TestSmoothNoise:
