@@ -11,6 +11,7 @@ from .critical import (
     nonexistence_bound,
     picone_certificate,
     picone_condition,
+    picone_conditions,
     region_classify,
 )
 from .eigen import EigenPair, first_eigenpair, orthogonalize_weight, pairing, rayleigh

@@ -31,14 +31,15 @@ that memo holds (EnergyPoint.precondition).
 The Picone condition, min over s >= 0 of the polynomial f(s) of
 picone_condition being nonnegative, is decided from the shape of f: its
 minimum is f(0) or f at the one root of f' where f' increases, found to
-adjacent floats by Newton steps with f'' inside a bisection bracket
-(grid._bracketed_root), so no grid is scanned.
+adjacent floats for a whole grid of (p, q) at once (picone_conditions),
+so no grid of s is scanned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .grid import (
     SignPartition,
     Weight,
     _bracketed_root,
+    _close_bracket,
     gauss_integral,
     gauss_values,
     sign_partition,
@@ -63,6 +65,7 @@ __all__ = [
     "PiconeReport",
     "compute_critical_values",
     "picone_condition",
+    "picone_conditions",
     "region_classify",
     "nonexistence_bound",
     "picone_certificate",
@@ -70,6 +73,8 @@ __all__ = [
 
 PAIRING_ZERO_RTOL = 1e-10
 PICONE_TOL = 1e-12
+_LOG_NEWTON_RTOL = 1e-14  # _log_s_roots: all steps below this of max(1, |t|), t's own rounding, end it
+_LOG_NEWTON_MAX = 40  # and this many iterations (both region grids of the tests take 6)
 # nodal values below this fraction of the sup norm count as zero: the dead
 # cores of a classified solution, the zero set of the Picone certificate
 DEAD_CORE_RTOL = 1e-8
@@ -93,8 +98,7 @@ class CriticalValues:
     converged: bool
 
 
-@dataclass(frozen=True)
-class PiconeReport:
+class PiconeReport(NamedTuple):
     p: float
     q: float
     holds: bool
@@ -267,7 +271,12 @@ def _picone_poly_deriv2(p: float, q: float, s: float) -> float:
 
 
 def picone_condition(p: float, q: float) -> PiconeReport:
-    """Decide whether f(s) = (q-1)s^p + q s^(p-1) - (p-q)s + (q-p+1) >= 0 on s >= 0.
+    """Decide whether f(s) = (q-1)s^p + q s^(p-1) - (p-q)s + (q-p+1) >= 0 on s >= 0: one cell of picone_conditions."""
+    return picone_conditions([p], [q])[0]
+
+
+def picone_conditions(p_values, q_values) -> list[PiconeReport]:
+    """picone_condition for every cell (p_values[k], q_values[k]), in order.
 
     f''(s) = (p-1) s^(p-3) (p(q-1)s + q(p-2)) changes sign at most once, at
     s_i = max(0, q(2-p)/(p(q-1))), so f' decreases up to s_i and increases
@@ -275,28 +284,61 @@ def picone_condition(p: float, q: float) -> PiconeReport:
     is therefore f(0), or f at the one root of f' in (s_i, s0), which
     exists exactly when f' < 0 just right of s_i: p > 2 when s_i = 0, and
     f'(s_i) < 0 when p < 2. That root is the float that bisecting f' until
-    the midpoint equals an endpoint returns, found by Newton steps with
-    f'' (grid._bracketed_root). For p > 2 both powers in f' increase in s,
-    so f' is monotone in floating point wherever pow is, and the float is
-    the bisection's by construction. For p < 2 the term s^(p-2) decreases,
-    f' can change sign more than once within a few ulps of the root, and
-    the two floats can differ by those few ulps (one cell of the wide
-    region grid of the test suite).
+    the midpoint equals an endpoint returns. For p > 2 both powers in f'
+    increase in s, so f' is monotone in floating point wherever pow is, and
+    any narrowing by its sign ends on that float: grid._close_bracket
+    closes the estimates of _log_s_roots, one numpy pass over all such
+    cells. For p < 2 the term s^(p-2) decreases and f' can change sign
+    more than once within a few ulps of the root, so Newton steps with f''
+    from the middle of [s_i, s0] (grid._bracketed_root) keep their floats,
+    4 ulps off the bisection's in one cell of the tests' wide region grid.
     """
-    if not (1.0 < q < p):
-        raise ValueError(f"need 1 < q < p, got q={q}, p={p}")
-    p, q = float(p), float(q)
+    cells = [(float(p), float(q)) for p, q in zip(p_values, q_values)]
+    for p, q in cells:
+        if not (1.0 < q < p):
+            raise ValueError(f"need 1 < q < p, got q={q}, p={p}")
+    upper = np.array([cell for cell in cells if cell[0] > 2.0]).reshape(-1, 2)
+    guesses = iter(_log_s_roots(upper[:, 0], upper[:, 1]).tolist())
+    return [_picone_report(p, q, next(guesses) if p > 2.0 else np.nan) for p, q in cells]
+
+
+def _log_s_roots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The root of f' at every cell, all p > 2, estimated by one Newton iteration on arrays.
+
+    In t = log s, f' is g(t) = A e^((p-1)t) + B e^((p-2)t) - C, A = p(q-1), B = q(p-1),
+    C = p-q: convex and increasing. At t0 = min(log(C/A)/(p-1), log(C/B)/(p-2)) one term
+    alone reaches C, so g(t0) >= 0: Newton descends monotonically, and quadratically even
+    as p nears 2, where f' is flat in s.
+    """
+    a, b, c = p * (q - 1.0), q * (p - 1.0), p - q
+    # a root near 1e-300 underflows e^((p-1)t); an estimate gone astray only costs probes
+    with np.errstate(all="ignore"):
+        t = np.minimum(np.log(c / a) / (p - 1.0), np.log(c / b) / (p - 2.0))
+        for _ in range(_LOG_NEWTON_MAX):
+            ea, eb = a * np.exp((p - 1.0) * t), b * np.exp((p - 2.0) * t)
+            step = (ea + eb - c) / ((p - 1.0) * ea + (p - 2.0) * eb)
+            t -= step
+            if np.all(np.abs(step) <= _LOG_NEWTON_RTOL * np.maximum(1.0, np.abs(t))):
+                break
+        return np.exp(t)
+
+
+def _picone_report(p: float, q: float, guess: float) -> PiconeReport:
+    """picone_conditions at one cell; guess estimates the root of f' when p > 2."""
     lo = max(0.0, q * (2.0 - p) / (p * (q - 1.0)))
+    value = partial(_picone_poly_deriv, p, q)
     try:
         hi = ((p - q) / (q - 1.0)) ** (1.0 / (p - 1.0))
         s = 0.0
-        if p > 2.0 or (p < 2.0 and _picone_poly_deriv(p, q, lo) < 0.0):
-            s = _bracketed_root(partial(_picone_poly_deriv, p, q), partial(_picone_poly_deriv2, p, q), lo, hi)
+        if p > 2.0:
+            s = _close_bracket(value, lo, hi, min(guess, hi) if guess >= 0.0 else lo)  # nan fails >=
+        elif p < 2.0 and value(lo) < 0.0:
+            s = _bracketed_root(value, partial(_picone_poly_deriv2, p, q), lo, hi)
         # on a tie the smaller s, 0, wins
         min_value, argmin_s = min((_picone_poly(p, q, 0.0), 0.0), (_picone_poly(p, q, s), s))
     except OverflowError:  # only near p = q = 1: the root of f' lies past 1e300, where f ~ -(p-q)s
         min_value, argmin_s = -np.inf, np.inf
-    return PiconeReport(p=p, q=q, holds=min_value >= -PICONE_TOL, min_value=min_value, argmin_s=argmin_s)
+    return PiconeReport(p, q, min_value >= -PICONE_TOL, min_value, argmin_s)
 
 
 def region_classify(p: float, q: float) -> str:

@@ -13,7 +13,8 @@ same P1 model, so products like a*|u|^q are evaluated pointwise at the
 Gauss nodes. The integrals themselves, int |u'|^p (exact: the derivative
 of the interpolant is cellwise constant), int |u|^p and int a|u|^q, are
 computed in one place, functionals.P1Energy. _bracketed_root is the one
-scalar root finder, shared by the eigen solve and the Picone condition.
+scalar root finder, shared by the eigen solve and the Picone condition;
+its closure _close_bracket also finishes batched estimates of roots.
 
 All types are immutable after construction; all operations are pure.
 """
@@ -310,9 +311,8 @@ def _bracketed_root(value, slope, lo: float, hi: float) -> float:
     slope is not positive and finite, when the step leaves the bracket, or
     when it is more than half the step before last (rtsafe, Press et al.,
     Numerical Recipes, 2007). Once a step falls below _NEWTON_RTOL of its
-    point, probes one ulp left and right of the step's end, doubling that
-    distance until the bracket lies within it, close the bracket from both
-    sides, and the bisection finishes.
+    point, _close_bracket finishes from the step's end: probes around it
+    close the bracket, and the bisection ends it.
 
     Where value is monotone in floating point, exactly one pair of
     adjacent floats has value(lo) < 0 <= value(hi) (an endpoint of the
@@ -333,21 +333,31 @@ def _bracketed_root(value, slope, lo: float, hi: float) -> float:
         if 0.0 < s < math.inf:
             step = -v / s
             if abs(step) <= _NEWTON_RTOL * abs(x):
-                end = x + step
-                pad = math.ulp(end)
-                while not end - pad <= lo < hi <= end + pad:
-                    for probe in (end - pad, end + pad):
-                        if lo < probe < hi:
-                            if value(probe) < 0.0:
-                                lo = probe
-                            else:
-                                hi = probe
-                    pad *= 2.0
+                x += step
                 break
             if lo < x + step < hi and abs(step) <= 0.5 * prev:
                 nxt = x + step
         prev, last = last, abs(nxt - x)
         x = nxt
+    # x: the small step's end, or a midpoint on an endpoint of adjacent floats (no probes)
+    return _close_bracket(value, lo, hi, x)
+
+
+def _close_bracket(value, lo: float, hi: float, end: float) -> float:
+    """Narrow [lo, hi] by the sign of value, as _bracketed_root does, from a finite estimate end of the root.
+
+    Probes at end -+ 1, 2, 4, ... ulps close the bracket; a bisection until the midpoint equals an
+    endpoint returns that midpoint. Where value is monotone, end sets the count of probes, never the float.
+    """
+    pad = math.ulp(end)
+    while lo < hi and not (end - pad <= lo and hi <= end + pad):
+        for probe in (end - pad, end + pad):
+            if lo < probe < hi:
+                if value(probe) < 0.0:
+                    lo = probe
+                else:
+                    hi = probe
+        pad *= 2.0
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
         if value(mid) < 0.0:

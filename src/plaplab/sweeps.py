@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,7 @@ from .critical import (
     compute_critical_values,
     picone_certificate,
     picone_condition,
+    picone_conditions,
 )
 from .eigen import EigenPair, first_eigenpair
 from .errors import ConfigError, PlapLabError, SolverError
@@ -355,23 +356,11 @@ def run_three_solutions(config: RunConfig) -> BranchTable:
 
 
 def run_region_map(p_grid, q_grid) -> RegionTable:
-    """Classify every admissible (p, q) pair on the grid."""
-    rows = []
-    for p in p_grid:
-        for q in q_grid:
-            if not 1.0 < q < p:
-                continue
-            rep = picone_condition(p, q)
-            rows.append(
-                RegionRow(
-                    p=float(p),
-                    q=float(q),
-                    classification=_region_of(rep),
-                    picone_holds=rep.holds,
-                    picone_min=rep.min_value,
-                    existence_p_gt_2q=bool(p > 2.0 * q),
-                )
-            )
+    """Classify every admissible (p, q) pair on the grid, by one picone_conditions call."""
+    q_list = np.asarray(q_grid, dtype=float).tolist()
+    cells = [(p, q) for p in np.asarray(p_grid, dtype=float).tolist() for q in q_list if 1.0 < q < p]
+    reports = picone_conditions([p for p, _ in cells], [q for _, q in cells])
+    rows = (RegionRow(r.p, r.q, _region_of(r), r.holds, r.min_value, r.p > 2.0 * r.q) for r in reports)
     return RegionTable(tuple(rows))
 
 
@@ -402,7 +391,7 @@ def run_certify(config: RunConfig) -> BranchTable:
             status = "certified_spurious" if residual < -config.tol else "uncertified_positive"
         else:
             status = "dead_core" if row.dead_cores else "not_positive"
-        rows.append(replace(row, status=status))
+        rows.append(row._replace(status=status))
     return BranchTable(tuple(rows))
 
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -69,10 +70,8 @@ def _text(table, format: str) -> str:
     """The text of a table, or of one record given as a dict."""
     if isinstance(table, dict):
         columns, records = list(table), [tuple(table.values())]
-    else:
-        columns = table.columns
-        names = [f.name for f in fields(table.rows[0])] if table.rows else []
-        records = [tuple(getattr(row, name) for name in names) for row in table.rows]
+    else:  # a row is a tuple in its table's column order
+        columns, records = table.columns, table.rows
     if format == "csv":
         return "".join(",".join(map(_cell, values)) + "\n" for values in [columns, *records])
     if format == "json":
@@ -96,8 +95,7 @@ def _parse_value(value, kind):
     return kind(value)
 
 
-@dataclass(frozen=True)
-class BranchRow:
+class BranchRow(NamedTuple):
     lam: float
     branch: str
     energy: float | None = None
@@ -118,8 +116,7 @@ class BranchTable:
         return BranchTable(tuple(sorted(self.rows, key=lambda r: (r.branch, r.lam))))
 
 
-@dataclass(frozen=True)
-class RegionRow:
+class RegionRow(NamedTuple):
     p: float
     q: float
     classification: str

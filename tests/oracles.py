@@ -313,6 +313,33 @@ def bisection_root_finder(value, slope, lo: float, hi: float) -> float:
     return bisect_to_adjacent(value, lo, hi)
 
 
+def picone_bisected(p: float, q: float) -> tuple[float, float, bool]:
+    """(min f, argmin s, min f >= -1e-12) of the Picone polynomial, its root of f' bisected.
+
+    The plain restatement of the shape rule: the minimum is f(0), or f at
+    the root of f' in (s_i, s0), s_i = max(0, q(2-p)/(p(q-1))) and
+    s0 = ((p-q)/(q-1))^(1/(p-1)), which exists when p > 2, or when p < 2
+    and f'(s_i) < 0. bisect_to_adjacent finds that root from [s_i, s0].
+    An s0 that overflows reads (-inf, inf, False). f and f' are written as
+    critical writes them, so the floats must agree bit for bit.
+    """
+
+    def f(s):
+        return (q - 1.0) * s**p + q * s ** (p - 1.0) - (p - q) * s + (q - p + 1.0)
+
+    def df(s):
+        return p * (q - 1.0) * s ** (p - 1.0) + q * (p - 1.0) * s ** (p - 2.0) - (p - q)
+
+    lo = max(0.0, q * (2.0 - p) / (p * (q - 1.0)))
+    try:
+        hi = ((p - q) / (q - 1.0)) ** (1.0 / (p - 1.0))
+    except OverflowError:
+        return -np.inf, np.inf, False
+    s = bisect_to_adjacent(df, lo, hi) if p > 2.0 or (p < 2.0 and df(lo) < 0.0) else 0.0
+    min_value, argmin_s = min((f(0.0), 0.0), (f(s), s))
+    return min_value, argmin_s, min_value >= -1e-12
+
+
 def sign_partition_loop(vals: np.ndarray) -> tuple[tuple, tuple]:
     """(plus runs, minus runs) of the interior nodes of vals, by one walk over the nodes.
 

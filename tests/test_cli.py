@@ -562,25 +562,26 @@ class TestRegionMap:
         for r in table.rows:
             assert 1.0 < r.q < r.p
 
-    def test_one_picone_call_per_pair(self, monkeypatch):
-        import plaplab.critical
+    def test_every_pair_classified_once_in_grid_order(self, monkeypatch):
         import plaplab.sweeps
 
         calls = []
-        original = plaplab.critical.picone_condition
+        original = plaplab.sweeps.picone_conditions
 
-        def counting(p, q):
-            calls.append((p, q))
-            return original(p, q)
+        def counting(p_values, q_values):
+            calls.append((list(p_values), list(q_values)))
+            return original(p_values, q_values)
 
-        monkeypatch.setattr(plaplab.critical, "picone_condition", counting)
-        monkeypatch.setattr(plaplab.sweeps, "picone_condition", counting)
+        monkeypatch.setattr(plaplab.sweeps, "picone_conditions", counting)
         p_grid = np.linspace(1.1, 6.0, 6)
         q_grid = np.linspace(1.05, 4.0, 5)
         table = run_region_map(p_grid, q_grid)
         admissible = [(p, q) for p in p_grid for q in q_grid if 1.0 < q < p]
         assert len(table.rows) == len(admissible)
-        assert calls == admissible
+        assert len(calls) == 1
+        (p_values, q_values), = calls
+        assert list(zip(p_values, q_values)) == admissible
+        assert all(type(v) is float for v in p_values + q_values)
 
     def test_csv_booleans_lowercase(self):
         table = run_region_map(np.linspace(1.1, 6.0, 8), np.linspace(1.05, 4.0, 6))

@@ -12,6 +12,7 @@ from plaplab.critical import (
     nonexistence_bound,
     picone_certificate,
     picone_condition,
+    picone_conditions,
     region_classify,
 )
 from plaplab.errors import SolverError
@@ -20,7 +21,7 @@ from plaplab.functionals import ProblemSpec
 from plaplab.grid import grid_fn, make_mesh, sign_partition
 from plaplab.presets import TwoBumpParams, orthogonal_two_bump, two_bump
 
-from oracles import bisection_root_finder, picone_poly_min, shooting_lambda_star
+from oracles import picone_bisected, picone_poly_min, shooting_lambda_star
 
 
 def sine_fn(mesh, power=1.0):
@@ -125,61 +126,89 @@ DEFAULT_REGION_CELLS = _region_cells(1.1, 6.0, 50, 1.05, 4.0, 50)  # the region 
 WIDE_REGION_CELLS = _region_cells(1.01, 12.0, 200, 1.0000001, 11.0, 200)
 
 
+def _grid_reports(cells):
+    return picone_conditions([p for p, _ in cells], [q for _, q in cells])
+
+
 class TestPiconeRootMatchesBisection:
-    """The Newton root of f' is the float the plain bisection returns (oracles.bisect_to_adjacent)."""
+    """The root of f' is the float the plain bisection returns (oracles.picone_bisected)."""
 
     @staticmethod
-    def _both(cells, monkeypatch):
-        def reports():
-            return [(r.min_value, r.argmin_s, r.holds) for r in (picone_condition(p, q) for p, q in cells)]
+    def _both(cells):
+        found = [(r.min_value, r.argmin_s, r.holds) for r in _grid_reports(cells)]
+        return found, [picone_bisected(p, q) for p, q in cells]
 
-        newton = reports()
-        monkeypatch.setattr(critical, "_bracketed_root", bisection_root_finder)
-        return newton, reports()
+    def test_default_grid_identical(self):
+        found, bisected = self._both(DEFAULT_REGION_CELLS)
+        assert len(found) == 1764
+        assert found == bisected
 
-    def test_default_grid_identical(self, monkeypatch):
-        newton, bisected = self._both(DEFAULT_REGION_CELLS, monkeypatch)
-        assert newton == bisected
-
-    def test_wide_grid_identical_but_one_p_below_2_cell(self, monkeypatch):
+    def test_wide_grid_identical_but_one_p_below_2_cell(self):
         # for p > 2, f' is monotone in floating point and the float is the
         # bisection's by construction. For p < 2 its sign can flip back and
         # forth within a few ulps of the root: at (1.3966, 1.0503) f' reads
         # < 0, = 0, < 0, < 0, = 0 at the root + 0 .. 4 ulps, the bisection
         # ends on the first sign change and the Newton probes on the second
-        newton, bisected = self._both(WIDE_REGION_CELLS, monkeypatch)
-        moved = [(cell, a, b) for cell, a, b in zip(WIDE_REGION_CELLS, newton, bisected) if a != b]
+        found, bisected = self._both(WIDE_REGION_CELLS)
+        assert len(found) == 21828
+        moved = [(cell, a, b) for cell, a, b in zip(WIDE_REGION_CELLS, found, bisected) if a != b]
         assert [cell for cell, _, _ in moved] == [(1.3965829145728643, 1.0502513557788946)]
         for _, (min_a, s_a, holds_a), (min_b, s_b, holds_b) in moved:
             assert holds_a == holds_b
             assert abs(s_a - s_b) == 4 * math.ulp(s_b)
             assert abs(min_a - min_b) <= 2e-15
 
+    def test_one_cell_call_is_the_batch(self):
+        cells = WIDE_REGION_CELLS[::97]
+        assert [picone_condition(p, q) for p, q in cells] == _grid_reports(cells)
+
     def test_only_the_overflowing_s0_reports_minus_inf(self):
         # the slope f'' overflows at tiny s on the wide grid (the cells with p
         # just above 2, whose root of f' lies near 1e-300); that overflow
-        # must not reach picone_condition's OverflowError branch
-        cells = [(p, q) for p, q in WIDE_REGION_CELLS if picone_condition(p, q).min_value == -np.inf]
+        # must not reach the OverflowError branch of the condition
+        reports = _grid_reports(WIDE_REGION_CELLS)
+        cells = [cell for cell, r in zip(WIDE_REGION_CELLS, reports) if r.min_value == -np.inf]
         assert cells == [(1.01, 1.0000001)]
         p = float(np.linspace(1.01, 12.0, 200)[18])
         assert 2.0 < p < 2.01
         assert _picone_poly_deriv2(p, 1.9, 1e-310) == np.inf
 
-    def test_derivative_calls_gate(self, monkeypatch):
-        # the bisection took 91 722 calls of f' on the default grid (52.0 per
-        # cell); the Newton root takes 13 208
-        calls = {"n": 0}
-        real = critical._picone_poly_deriv
+    @staticmethod
+    def _counted_calls(monkeypatch, cells):
+        """Calls of f' per cell, and calls of f'' at a cell with p > 2."""
+        per_cell, upper_slopes = Counter(), []
+        deriv, deriv2 = critical._picone_poly_deriv, critical._picone_poly_deriv2
 
         def counted(p, q, s):
-            calls["n"] += 1
-            return real(p, q, s)
+            per_cell[p, q] += 1
+            return deriv(p, q, s)
+
+        def counted2(p, q, s):
+            if p > 2.0:
+                upper_slopes.append((p, q))
+            return deriv2(p, q, s)
 
         monkeypatch.setattr(critical, "_picone_poly_deriv", counted)
-        for p, q in DEFAULT_REGION_CELLS:
-            picone_condition(p, q)
+        monkeypatch.setattr(critical, "_picone_poly_deriv2", counted2)
+        _grid_reports(cells)
+        return per_cell, upper_slopes
+
+    def test_derivative_calls_gate(self, monkeypatch):
+        # the bisection took 91 722 calls of f' on the default grid (52.0 per
+        # cell), Newton steps in s 13 208 with 9 685 of f''; the batched
+        # Newton in log s, closed per cell, takes 5 226 and no f'' for p > 2
+        per_cell, upper_slopes = self._counted_calls(monkeypatch, DEFAULT_REGION_CELLS)
         assert len(DEFAULT_REGION_CELLS) == 1764
-        assert calls["n"] <= 16_500, calls
+        assert sum(per_cell.values()) <= 6_000, sum(per_cell.values())
+        assert upper_slopes == []
+
+    def test_wide_grid_per_cell_gate(self, monkeypatch):
+        # Newton steps in s took up to 1 071 calls of f' per cell where p is
+        # just above 2 (f' ~ s^0.004 near a root below 1e-148); the log-s
+        # estimate leaves at most 18
+        per_cell, upper_slopes = self._counted_calls(monkeypatch, WIDE_REGION_CELLS)
+        assert max(n for (p, _), n in per_cell.items() if p > 2.0) <= 24
+        assert upper_slopes == []
 
 
 class TestRegionClassify:

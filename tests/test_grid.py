@@ -8,6 +8,7 @@ from plaplab.grid import (
     GridFn,
     Weight,
     _bracketed_root,
+    _close_bracket,
     gauss_values,
     grid_fn,
     make_mesh,
@@ -292,6 +293,15 @@ class TestBracketedRoot:
 
         for lo, hi in ((0.0, 1.0), (0.75, 2.0), (-3.0, 0.5), (0.7, 0.7)):
             assert _bracketed_root(value, slope, lo, hi) == bisect_to_adjacent(value, lo, hi)
+
+    @pytest.mark.parametrize("end", [0.3, 0.3 + 1e-13, 0.0, 1.0, 0.9999, -4.0, 1e3, 5e-324])
+    def test_closing_from_any_finite_guess_lands_on_the_bisection_float(self, end):
+        # the probes around end narrow by sign only, so a guess changes the
+        # count of probes, never the float
+        def value(x):
+            return (x - 0.3) ** 3 + 1e-3 * (x - 0.3)
+
+        assert _close_bracket(value, 0.0, 1.0, end) == bisect_to_adjacent(value, 0.0, 1.0)
 
     def test_probes_far_fewer_than_bisection(self):
         counts = {"newton": 0, "bisect": 0}

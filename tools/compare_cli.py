@@ -37,7 +37,10 @@ two candidates carry a dead core and six reach the Picone certificate,
 certify-dead-core), critical (also at p = 4, q = 1.5, and on a positive
 pairing whose search ends unconverged), the eigenpair at p = 1.25
 (n = 256, q = 1.1), JSON and stdout output (also of a region cell whose Picone minimum is
--inf), zero-pairing sweeps at lambda1 (no mountain-pass branch) and just
+-inf), the region map on the test suite's wide 200 x 200 grid, p 1.01-12
+and q 1 + 1e-7-11 (region-wide: roots of f' near 1e-300 where p is just
+above 2, the cell whose s0 overflows, and the p < 2 cell whose root lies 4
+ulps off the bisection), zero-pairing sweeps at lambda1 (no mountain-pass branch) and just
 past it (a mountain pass over the local minimum, also at q = 1.5, where
 that minimum carries negative dust, and on a wider positive bump, where
 Newton fails from the first entry and the string resumes), q near p, where
@@ -269,6 +272,13 @@ seed = 7
         "region_p_min = 1.01\nregion_p_max = 1.02\nregion_p_count = 2\n"
         "region_q_min = 1.0000001\nregion_q_max = 1.005\nregion_q_count = 2\n"
     ),
+    # the test suite's wide 200 x 200 grid: roots of f' near 1e-300 where p
+    # is just above 2, the cell (1.01, 1.0000001) whose s0 overflows, and
+    # the p < 2 cell (1.3966, 1.0503) whose root lies 4 ulps off the bisection
+    "region-wide": (
+        "region_p_min = 1.01\nregion_p_max = 12.0\nregion_p_count = 200\n"
+        "region_q_min = 1.0000001\nregion_q_max = 11.0\nregion_q_count = 200\n"
+    ),
     "eigen-small": "n_cells = 64\np = 2.0\nq = 1.5\n",
     "eigen-p1.25": "n_cells = 256\np = 1.25\nq = 1.1\n",
     "bad-n-cells-fraction": "n_cells = 7.5\n",
@@ -336,6 +346,8 @@ COMMANDS = (
     Command("ground-small-stdout", "ground", "ground-small", to_file=False),
     Command("region-small-stdout-json", "region", "region-small", format="json", to_file=False),
     Command("region-inf-json", "region", "region-inf", format="json"),
+    # every kind of Picone cell, on the test suite's wide grid
+    Command("region-wide", "region", "region-wide"),
     # the perturbed weight outside the three-solution scan
     Command("critical-p5-perturbed", "critical", "three-p5.cfg"),
     # a second lambda* record, and a search that ends unconverged
