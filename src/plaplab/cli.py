@@ -10,10 +10,11 @@
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on solver failure.
 For ground, sweep and three, a solver failure is a branch of the table
-without a single ok row; certify rows are verdicts and exit 0. Every
-result, a table or the single record of eigen and critical, is written by
-tables.emit in the requested format: to --out, or to stdout when --out is
-omitted.
+without a single ok row; certify rows are verdicts and exit 0. eigen reads
+only the mesh and p, so a weight the other commands refuse does not stop
+it. Every result, a table or the single record of eigen and critical, is
+written by tables.emit in the requested format: to --out, or to stdout
+when --out is omitted.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from dataclasses import replace
 import numpy as np
 
 from .critical import compute_critical_values
+from .eigen import first_eigenpair
 from .errors import ConfigError, PlapLabError, SolverError
+from .grid import make_mesh
 from .sweeps import (
     RunConfig,
     build_problem,
@@ -61,7 +64,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_eigen(config: RunConfig) -> tuple[dict, int]:
-    pair = build_problem(config).pair
+    pair = first_eigenpair(make_mesh(config.x_lo, config.x_hi, config.n_cells), config.p)
     record = {
         "p": config.p,
         "n_cells": config.n_cells,
@@ -121,16 +124,17 @@ _COMMANDS = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args leaves it unchanged, so every main call shares it."""
+    """One flat parser, the command a positional choice and every option shared by all commands.
+
+    Built once per process: parse_args leaves it unchanged, so every main call shares it.
+    """
     parser = argparse.ArgumentParser(prog="plaplab", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="run configuration file (key=value)")
-        cmd.add_argument("--out", default=None, help="output path (stdout when omitted)")
-        cmd.add_argument("--format", default="csv", choices=("csv", "json"))
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--tol", type=float, default=None)
+    parser.add_argument("command", choices=tuple(_COMMANDS))
+    parser.add_argument("--config", required=True, help="run configuration file (key=value)")
+    parser.add_argument("--out", default=None, help="output path (stdout when omitted)")
+    parser.add_argument("--format", default="csv", choices=("csv", "json"))
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--tol", type=float, default=None)
     return parser
 
 

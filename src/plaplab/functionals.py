@@ -116,7 +116,10 @@ def _power(x: float, e: float) -> float:
 def _gauss_power(b: np.ndarray, signs: np.ndarray | None, r: float) -> np.ndarray:
     # d/dg of b^(r+1)/(r+1) at both Gauss points: b^r, times signs = sign(g);
     # signs is None when truncated (b = max(g, 0) is then zero where g is negative)
-    return b**r if signs is None else signs * b**r
+    d = b**r
+    if signs is not None:
+        d *= signs
+    return d
 
 
 def _ldlt(diag: np.ndarray, off: np.ndarray):
@@ -243,7 +246,9 @@ class P1Energy:
 
     def _mass_gradient(self, b: np.ndarray, signs: np.ndarray | None) -> np.ndarray:
         # dm: p sign(g) b^(p-1) at both Gauss points, scattered; read-only
-        dm = scatter_gauss_gradient(self.mesh, self.p * _gauss_power(b, signs, self.p - 1.0))
+        d = _gauss_power(b, signs, self.p - 1.0)
+        d *= self.p
+        dm = scatter_gauss_gradient(self.mesh, d)
         dm.flags.writeable = False
         return dm
 

@@ -202,7 +202,9 @@ def weight_fn(mesh: Mesh, values) -> Weight:
 
 def gauss_values(vals: np.ndarray) -> np.ndarray:
     """Values of the P1 interpolant at the two Gauss points of every cell, (2, n_cells)."""
-    return _LEFT * vals[:-1] + _RIGHT * vals[1:]
+    g = _LEFT * vals[:-1]
+    g += _RIGHT * vals[1:]
+    return g
 
 
 def gauss_integral(mesh: Mesh, f: np.ndarray) -> float:
@@ -219,7 +221,8 @@ def scatter_gauss_gradient(mesh: Mesh, d: np.ndarray) -> np.ndarray:
     distributes them to the two cell nodes. Boundary entries are zeroed
     (Dirichlet).
     """
-    share = _LEFT * d[0] + _RIGHT * d[1]  # row 0 to each cell's left node, row 1 to its right node
+    share = _LEFT * d[0]  # row 0 to each cell's left node, row 1 to its right node
+    share += _RIGHT * d[1]
     share *= 0.5 * mesh.h
     grad = np.zeros(mesh.n_nodes)
     grad[:-1] += share[0]

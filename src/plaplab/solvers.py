@@ -280,7 +280,10 @@ def ground_state(
     returned report.
 
     The starts are a bump in each positive-weight component, the
-    eigenfunction, then positive perturbations of it. If the ray-optimal
+    eigenfunction, then positive perturbations of it, each kept only in
+    the plus cone, from at most 8 * starts draws: starts is an upper bound.
+    On the sweep-p3 benchmark config (two-bump weight) each lam tests 66
+    candidates and keeps 2 of the 8 asked for. If the ray-optimal
     values sink below J_FLOOR the run is reported with status "diverged":
     the minimization level is unbounded below there and any returned
     minimizer would be spurious. When no start converges or diverges, the
@@ -311,7 +314,10 @@ def m_minus(
     onto the Nehari set. It counts when that descent converged or stalled
     and grad I there is below 10 tol in sup norm; the lowest such start
     is returned, a saddle-type solution. The starts are the eigenfunction, its mixtures with bumps in
-    the negative-weight components, then small perturbations of it. Raises
+    the negative-weight components, then small perturbations of it, each
+    kept only in the minus cone, from at most 8 * starts draws: starts is
+    an upper bound (the sweep-p3 benchmark config keeps 2 of 8 at 1.025
+    lambda1). Raises
     EmptyConeError when lam is at or below the first eigenvalue (the cone
     is empty there), SolverError when no start counts.
     """

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -7,12 +8,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from plaplab import cli, eigen, solvers
+from plaplab import cli, eigen, solvers, sweeps
 from plaplab.cli import main
 from plaplab.eigen import first_eigenpair
 from plaplab.errors import ConfigError, SolverError
 from plaplab.functionals import evaluate
-from plaplab.grid import component_bump, grid_fn, widest_component_bump
+from plaplab.grid import component_bump, grid_fn, make_mesh, widest_component_bump
 from plaplab.sweeps import (
     RunConfig,
     build_problem,
@@ -761,6 +762,112 @@ class TestOneParserPerProcess:
         assert main(["eigen", "--config", str(cfg), "--out", str(out)]) == 0
         assert seen == [(3, 1e-4), (7, 1e-6)]
         assert out.read_text().splitlines() == ["seed", "7"]
+
+
+COMMAND_NAMES = ("eigen", "critical", "ground", "sweep", "three", "region", "certify")
+
+
+def _subcommand_parser() -> argparse.ArgumentParser:
+    """Reference parser: one subparser per command, each declaring the same five options."""
+    parser = argparse.ArgumentParser(prog="plaplab")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMAND_NAMES:
+        cmd = sub.add_parser(name)
+        cmd.add_argument("--config", required=True)
+        cmd.add_argument("--out", default=None)
+        cmd.add_argument("--format", default="csv", choices=("csv", "json"))
+        cmd.add_argument("--seed", type=int, default=None)
+        cmd.add_argument("--tol", type=float, default=None)
+    return parser
+
+
+class TestFlatParser:
+    """One parser with the command as a positional choice reads every command line as the subparsers did."""
+
+    @pytest.mark.parametrize("command", COMMAND_NAMES)
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            (),
+            ("--out", "out.csv"),
+            ("--out", "out.json", "--format", "json", "--seed", "3", "--tol", "1e-4"),
+            ("--format", "csv", "--tol", "0", "--seed", "-1"),
+        ],
+    )
+    def test_same_namespace_as_the_subparsers(self, command, flags):
+        argv = [command, "--config", "run.cfg", *flags]
+        assert vars(cli.build_parser().parse_args(argv)) == vars(_subcommand_parser().parse_args(argv))
+
+    def test_fields(self):
+        args = cli.build_parser().parse_args(["sweep", "--config", "run.cfg", "--seed", "3", "--tol", "1e-4"])
+        assert vars(args) == {
+            "command": "sweep", "config": "run.cfg", "out": None, "format": "csv", "seed": 3, "tol": 1e-4,
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--config", "run.cfg"],
+            ["eigen"],
+            ["eigen", "--config", "run.cfg", "--format", "xml"],
+        ],
+        ids=["unknown-command", "missing-config", "format-xml"],
+    )
+    def test_bad_command_line_exits_2_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert set(COMMAND_NAMES) == set(cli._COMMANDS)
+        assert all(name in out for name in COMMAND_NAMES)
+
+
+class TestEigenBuildsNoWeight:
+    """eigen reads the mesh and p alone, so a weight that ground refuses does not stop it."""
+
+    @staticmethod
+    def _bad_weight_config(tmp_path):
+        # a three-value weight file on a 65-node mesh
+        (tmp_path / "three-values.txt").write_text("1.0\n-2.0\n3.0\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n_cells = 64\nweight_family = file\nweight_file = {tmp_path}/three-values.txt\n")
+        return cfg
+
+    def test_eigen_prints_its_pair_where_ground_exits_2(self, tmp_path, capsys):
+        cfg = self._bad_weight_config(tmp_path)
+        assert main(["eigen", "--config", str(cfg), "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        pair = first_eigenpair(make_mesh(0.0, 1.0, 64), 3.0)
+        assert record == {
+            "p": 3.0,
+            "n_cells": 64,
+            "lambda1": pair.lambda1,
+            "residual_sup": pair.residual_sup,
+            "iterations": pair.iterations,
+            "phi_linf": pair.phi.linf(),
+        }
+        assert main(["ground", "--config", str(cfg)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_eigen_calls_no_weight_builder(self, tmp_path, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def build_weight(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr(sweeps, "build_weight", build_weight)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_cells = 64\n")
+        assert main(["eigen", "--config", str(cfg), "--out", str(tmp_path / "eigen.csv")]) == 0
+        with pytest.raises(Built):  # the builder every other command reaches
+            main(["critical", "--config", str(cfg), "--out", str(tmp_path / "critical.csv")])
 
 
 def test_eigen_ladder_in_one_process_writes_what_fresh_processes_write(tmp_path, monkeypatch):

@@ -48,7 +48,9 @@ the fibered powers p/(p-q) and q/(p-q) overflow a float (a sweep whose
 m_minus row fails, sweep-q-near-p, and a ground solve that exits 3,
 ground-q-near-p), and configs that must be refused, among them a weight
 file holding a nan (bad-weight-nan) and an infinite interval end
-(bad-x-hi-inf).
+(bad-x-hi-inf). eigen builds no weight, so on the config whose weight file
+does not match the mesh, which ground refuses (bad-weight-file), it prints
+its eigenpair (bad-weight-file-eigen).
 """
 
 from __future__ import annotations
@@ -371,6 +373,8 @@ COMMANDS = (
     Command("bad-n-cells-one", "eigen", "bad-n-cells-one"),
     Command("bad-x-lo", "eigen", "bad-x-lo"),
     Command("bad-weight-file", "ground", "bad-weight-file"),
+    # eigen builds no weight: the same config prints its eigenpair and exits 0
+    Command("bad-weight-file-eigen", "eigen", "bad-weight-file"),
     Command("bad-beads", "three", "bad-beads"),
     Command("bad-starts", "ground", "bad-starts"),
     Command("bad-lambda-nan", "ground", "bad-lambda-nan"),
