@@ -31,8 +31,8 @@ that memo holds (EnergyPoint.precondition).
 The Picone condition, min over s >= 0 of the polynomial f(s) of
 picone_condition being nonnegative, is decided from the shape of f: its
 minimum is f(0) or f at the one root of f' where f' increases, found to
-adjacent floats for a whole grid of (p, q) at once (picone_conditions),
-so no grid of s is scanned.
+adjacent floats for a whole grid of (p, q) at once, one Newton pass in log
+s closed cell by cell (picone_conditions), so no grid of s is scanned.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .grid import (
     Mesh,
     SignPartition,
     Weight,
-    _bracketed_root,
     _close_bracket,
     gauss_integral,
     gauss_values,
@@ -74,7 +73,7 @@ __all__ = [
 PAIRING_ZERO_RTOL = 1e-10
 PICONE_TOL = 1e-12
 _LOG_NEWTON_RTOL = 1e-14  # _log_s_roots: all steps below this of max(1, |t|), t's own rounding, end it
-_LOG_NEWTON_MAX = 40  # and this many iterations (both region grids of the tests take 6)
+_LOG_NEWTON_MAX = 40  # and this many iterations (the tests' default region grid takes 11, the wide one 23)
 # nodal values below this fraction of the sup norm count as zero: the dead
 # cores of a classified solution, the zero set of the Picone certificate
 DEAD_CORE_RTOL = 1e-8
@@ -262,14 +261,6 @@ def _picone_poly_deriv(p: float, q: float, s: float) -> float:
     return p * (q - 1.0) * s ** (p - 1.0) + q * (p - 1.0) * s ** (p - 2.0) - (p - q)
 
 
-def _picone_poly_deriv2(p: float, q: float, s: float) -> float:
-    """f''(s), or inf where s^(p-3) overflows at tiny s (which would otherwise raise)."""
-    try:
-        return (p - 1.0) * s ** (p - 3.0) * (p * (q - 1.0) * s + q * (p - 2.0))
-    except OverflowError:
-        return np.inf
-
-
 def picone_condition(p: float, q: float) -> PiconeReport:
     """Decide whether f(s) = (q-1)s^p + q s^(p-1) - (p-q)s + (q-p+1) >= 0 on s >= 0: one cell of picone_conditions."""
     return picone_conditions([p], [q])[0]
@@ -284,36 +275,48 @@ def picone_conditions(p_values, q_values) -> list[PiconeReport]:
     is therefore f(0), or f at the one root of f' in (s_i, s0), which
     exists exactly when f' < 0 just right of s_i: p > 2 when s_i = 0, and
     f'(s_i) < 0 when p < 2. That root is the float that bisecting f' until
-    the midpoint equals an endpoint returns. For p > 2 both powers in f'
-    increase in s, so f' is monotone in floating point wherever pow is, and
-    any narrowing by its sign ends on that float: grid._close_bracket
-    closes the estimates of _log_s_roots, one numpy pass over all such
-    cells. For p < 2 the term s^(p-2) decreases and f' can change sign
-    more than once within a few ulps of the root, so Newton steps with f''
-    from the middle of [s_i, s0] (grid._bracketed_root) keep their floats,
-    4 ulps off the bisection's in one cell of the tests' wide region grid.
+    the midpoint equals an endpoint returns: one _log_s_roots pass
+    estimates every cell's root, and grid._close_bracket narrows [s_i, s0]
+    by the sign of f' from that estimate. For p > 2 both powers in f'
+    increase in s, so f' is monotone in floating point wherever pow is,
+    and any narrowing by its sign ends on the bisection's float. For p < 2
+    the term s^(p-2) decreases and f' can change sign more than once
+    within a few ulps of the root, so the float can differ: by 4 ulps in
+    one cell of the tests' wide region grid.
     """
-    cells = [(float(p), float(q)) for p, q in zip(p_values, q_values)]
-    for p, q in cells:
-        if not (1.0 < q < p):
-            raise ValueError(f"need 1 < q < p, got q={q}, p={p}")
-    upper = np.array([cell for cell in cells if cell[0] > 2.0]).reshape(-1, 2)
-    guesses = iter(_log_s_roots(upper[:, 0], upper[:, 1]).tolist())
-    return [_picone_report(p, q, next(guesses) if p > 2.0 else np.nan) for p, q in cells]
+    cells = [_root_bracket(float(p), float(q)) for p, q in zip(p_values, q_values)]
+    p, q, lo, hi = np.array(cells).reshape(-1, 4).T
+    # an s0 that overflows stays out of the batch: its nan would hold every cell to _LOG_NEWTON_MAX
+    rooted = (lo < hi) & (hi < np.inf)
+    ends = lo.copy()
+    ends[rooted] = _log_s_roots(p[rooted], q[rooted], hi[rooted])
+    return [_picone_report(*cell, end) for cell, end in zip(cells, ends.tolist())]
 
 
-def _log_s_roots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The root of f' at every cell, all p > 2, estimated by one Newton iteration on arrays.
+def _root_bracket(p: float, q: float) -> tuple[float, float, float, float]:
+    """(p, q, s_i, s0) bracketing the root of f'; s_i = s0 = 0 where f' has none, s0 = inf where it overflows."""
+    if not (1.0 < q < p):
+        raise ValueError(f"need 1 < q < p, got q={q}, p={p}")
+    lo = max(0.0, q * (2.0 - p) / (p * (q - 1.0)))
+    try:
+        hi = ((p - q) / (q - 1.0)) ** (1.0 / (p - 1.0))
+    except OverflowError:
+        return p, q, lo, np.inf
+    return (p, q, lo, hi) if p > 2.0 or (p < 2.0 and _picone_poly_deriv(p, q, lo) < 0.0) else (p, q, 0.0, 0.0)
+
+
+def _log_s_roots(p: np.ndarray, q: np.ndarray, s0: np.ndarray) -> np.ndarray:
+    """The root of f' below s0 at every cell, estimated by one Newton iteration on arrays.
 
     In t = log s, f' is g(t) = A e^((p-1)t) + B e^((p-2)t) - C, A = p(q-1), B = q(p-1),
-    C = p-q: convex and increasing. At t0 = min(log(C/A)/(p-1), log(C/B)/(p-2)) one term
-    alone reaches C, so g(t0) >= 0: Newton descends monotonically, and quadratically even
-    as p nears 2, where f' is flat in s.
+    C = p-q: convex for every p, and increasing right of log s_i. At t0 = log s0,
+    g = (p-1)C + B s0^(p-2) > 0, so Newton descends monotonically onto the root, and
+    quadratically even as p nears 2, where f' is flat in s.
     """
     a, b, c = p * (q - 1.0), q * (p - 1.0), p - q
     # a root near 1e-300 underflows e^((p-1)t); an estimate gone astray only costs probes
     with np.errstate(all="ignore"):
-        t = np.minimum(np.log(c / a) / (p - 1.0), np.log(c / b) / (p - 2.0))
+        t = np.log(s0)
         for _ in range(_LOG_NEWTON_MAX):
             ea, eb = a * np.exp((p - 1.0) * t), b * np.exp((p - 2.0) * t)
             step = (ea + eb - c) / ((p - 1.0) * ea + (p - 2.0) * eb)
@@ -323,17 +326,13 @@ def _log_s_roots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return np.exp(t)
 
 
-def _picone_report(p: float, q: float, guess: float) -> PiconeReport:
-    """picone_conditions at one cell; guess estimates the root of f' when p > 2."""
-    lo = max(0.0, q * (2.0 - p) / (p * (q - 1.0)))
-    value = partial(_picone_poly_deriv, p, q)
+def _picone_report(p: float, q: float, lo: float, hi: float, estimate: float) -> PiconeReport:
+    """picone_conditions at one cell: f(0) against f at the root of f' in [lo, hi], closed from its estimate."""
     try:
-        hi = ((p - q) / (q - 1.0)) ** (1.0 / (p - 1.0))
-        s = 0.0
-        if p > 2.0:
-            s = _close_bracket(value, lo, hi, min(guess, hi) if guess >= 0.0 else lo)  # nan fails >=
-        elif p < 2.0 and value(lo) < 0.0:
-            s = _bracketed_root(value, partial(_picone_poly_deriv2, p, q), lo, hi)
+        if hi == np.inf:  # s0 overflowed in _root_bracket
+            raise OverflowError
+        end = min(estimate, hi) if estimate >= 0.0 else lo  # nan fails >=
+        s = _close_bracket(partial(_picone_poly_deriv, p, q), lo, hi, end)
         # on a tie the smaller s, 0, wins
         min_value, argmin_s = min((_picone_poly(p, q, 0.0), 0.0), (_picone_poly(p, q, s), s))
     except OverflowError:  # only near p = q = 1: the root of f' lies past 1e300, where f ~ -(p-q)s

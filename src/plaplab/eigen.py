@@ -134,7 +134,10 @@ def first_eigenpair(mesh: Mesh, p: float) -> EigenPair:
     energy = P1Energy(mesh, p)
     x = energy.normalize(vals)
     for steps in range(1, _MAX_STEPS + 1):
-        nxt = energy.normalize(_solve_dg(mesh, p, energy.mass_gradient(x)))
+        w = _solve_dg(mesh, p, energy.mass_gradient(x))
+        if not w.any():  # p near 1: every slope (|F|/p)^(1/(p-1)) underflowed
+            raise NonConvergenceError(f"inverse-iteration step {steps} is the zero vector (p={p}, n={mesh.n_cells})")
+        nxt = energy.normalize(w)
         step = float(np.abs(nxt - x).max()) / float(np.abs(nxt).max())
         x = nxt
         if step < _STEP_RTOL:

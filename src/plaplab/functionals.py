@@ -75,6 +75,7 @@ FIBER_ZERO_RTOL = 1e-12
 # Regularization of the p-stiffness metric (EnergyPoint.precondition): a
 # cell's slope counts as at least about this fraction of the largest slope.
 METRIC_EPS = 1e-2
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _stiffness_solver(mesh: Mesh, w: np.ndarray):
@@ -223,6 +224,10 @@ class P1Energy:
         self.mesh, self.p, self.q, self.a_gauss, self.truncated = mesh, p, q, a_gauss, truncated
         # a cell contributes h |du/h|^p = |du|^p / h^(p-1) to grad_term
         self.h_scale = mesh.h ** (p - 1.0)
+        if self.h_scale < _TINY:  # subnormal or zero: the cell terms lose their digits or divide by zero
+            raise SolverError(
+                f"h^(p-1) = {self.h_scale:.3e} is below the smallest normal float (p={p}, h={mesh.h:.6g})"
+            )
         self.qa = None if a_gauss is None else q * a_gauss
         self._key: tuple | None = None
         self.last: EnergyPoint | None = None

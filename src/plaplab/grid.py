@@ -12,9 +12,9 @@ order a 1-D sum would. Weights are nodal samples interpolated with the
 same P1 model, so products like a*|u|^q are evaluated pointwise at the
 Gauss nodes. The integrals themselves, int |u'|^p (exact: the derivative
 of the interpolant is cellwise constant), int |u|^p and int a|u|^q, are
-computed in one place, functionals.P1Energy. _bracketed_root is the one
-scalar root finder, shared by the eigen solve and the Picone condition;
-its closure _close_bracket also finishes batched estimates of roots.
+computed in one place, functionals.P1Energy. _bracketed_root is the
+eigen solve's scalar root finder; its closure _close_bracket also
+finishes the Picone condition's batched estimates of roots.
 
 All types are immutable after construction; all operations are pure.
 """

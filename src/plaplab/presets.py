@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .eigen import EigenPair, first_eigenpair, orthogonalize_weight, pairing
-from .errors import ConfigError
+from .errors import ConfigError, PlapLabError
 from .grid import Mesh, Weight, cos_bump
 
 if TYPE_CHECKING:
@@ -124,6 +124,8 @@ def build_weight(mesh: Mesh, config: RunConfig) -> tuple[Weight, Weight]:
     The two-bump geometry keys of the config override the family's
     defaults one by one. base is the weight itself, except for perturbed,
     where it is the orthogonal two-bump weight before the perturbation.
+    A weight that Weight refuses, as one zero on the whole interval, is a
+    ConfigError naming the file or the family and the interval.
     """
     family = config.weight_family
     if family == "file":
@@ -139,17 +141,22 @@ def build_weight(mesh: Mesh, config: RunConfig) -> tuple[Weight, Weight]:
     defaults = TwoBumpParams() if family == "two-bump" else _ORTHO_DEFAULTS
     given = {f.name: getattr(config, f.name) for f in fields(TwoBumpParams)}
     params = replace(defaults, **{name: v for name, v in given.items() if v is not None})
-    if family == "two-bump":
-        weight = two_bump(mesh, params)
-        return weight, weight
-    base = orthogonal_two_bump(mesh, config.p, config.q, params)
-    if family == "orthogonal-two-bump":
-        return base, base
-    scale = base.linf()
-    b = bump_weight(
-        mesh,
-        params.center_minus if config.b_center is None else config.b_center,
-        0.12 * (config.x_hi - config.x_lo) if config.b_width is None else config.b_width,
-        amp=0.4 * scale if config.b_amp is None else config.b_amp,
-    )
-    return base, perturbed(base, b, config.mu * scale)
+    try:
+        if family == "two-bump":
+            weight = two_bump(mesh, params)
+            return weight, weight
+        base = orthogonal_two_bump(mesh, config.p, config.q, params)
+        if family == "orthogonal-two-bump":
+            return base, base
+        scale = base.linf()
+        b = bump_weight(
+            mesh,
+            params.center_minus if config.b_center is None else config.b_center,
+            0.12 * (config.x_hi - config.x_lo) if config.b_width is None else config.b_width,
+            amp=0.4 * scale if config.b_amp is None else config.b_amp,
+        )
+        return base, perturbed(base, b, config.mu * scale)
+    except PlapLabError:
+        raise
+    except ValueError as exc:  # a Weight or cos_bump refusal: a weight zero on the whole interval, a width <= 0
+        raise ConfigError(f"weight family {family} on [{config.x_lo}, {config.x_hi}]: {exc}") from None

@@ -6,8 +6,9 @@ A run configuration is a flat key=value text file with # comments. Its
 keys are the fields of RunConfig: a field's default is the key's default,
 and its declared type converts the key's text. Unknown keys, values that do
 not convert and degenerate values (a float key that is not finite, fewer
-than two cells, an empty interval, a tolerance that is not positive, no
-starts, too few beads) raise ConfigError. The lambda grid may be
+than two cells, an empty interval, a tolerance that is not positive, a
+negative seed, no starts, an empty region grid, too few beads) raise
+ConfigError. The lambda grid may be
 given in absolute units or as multiples of the first eigenvalue
 (lambda_scale = lambda1, the default), which is how every preset
 experiment is phrased.
@@ -113,7 +114,9 @@ class RunConfig:
             raise ConfigError(f"need 1 < q < p, got q={self.q}, p={self.p}")
         if not self.tol > 0.0:
             raise ConfigError(f"tol must be finite and positive, got {self.tol}")
-        for name in ("starts", "sample_count", "certify_starts"):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        for name in ("starts", "sample_count", "certify_starts", "region_p_count", "region_q_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.beads < solvers.MIN_BEADS:

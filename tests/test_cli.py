@@ -870,6 +870,66 @@ class TestEigenBuildsNoWeight:
             main(["critical", "--config", str(cfg), "--out", str(tmp_path / "critical.csv")])
 
 
+class TestRefusedInputs:
+    """Inputs that once ended in a traceback and exit 1: a config the run cannot use exits 2, and an
+    eigen solve that leaves float range exits 3, each with its message."""
+
+    @staticmethod
+    def _main(tmp_path, capsys, command, text, *flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv"), *flags])
+        return code, capsys.readouterr().err
+
+    def test_negative_seed_in_the_config(self, tmp_path, capsys):
+        code, err = self._main(tmp_path, capsys, "ground", "n_cells = 64\nstarts = 4\nseed = -1\n")
+        assert (code, err) == (2, "config error: seed must be nonnegative, got -1\n")
+
+    @pytest.mark.parametrize("command", ["ground", "critical"])
+    def test_negative_seed_flag(self, tmp_path, capsys, command):
+        code, err = self._main(tmp_path, capsys, command, "n_cells = 64\nstarts = 4\n", "--seed", "-1")
+        assert (code, err) == (2, "config error: seed must be nonnegative, got -1\n")
+
+    @pytest.mark.parametrize("key, value", [("region_p_count", -1), ("region_q_count", 0)])
+    def test_empty_region_grid(self, tmp_path, capsys, key, value):
+        code, err = self._main(tmp_path, capsys, "region", f"{key} = {value}\n")
+        assert (code, err) == (2, f"config error: {key} must be at least 1, got {value}\n")
+
+    @pytest.mark.parametrize(
+        "command, family",
+        [("critical", "two-bump"), ("sweep", "two-bump"), ("ground", "two-bump"), ("three", "perturbed")],
+    )
+    def test_weight_zero_on_the_whole_interval(self, tmp_path, capsys, command, family):
+        text = f"n_cells = 64\np = 5.0\nq = 2.0\nx_lo = 5\nx_hi = 6\nweight_family = {family}\n"
+        code, err = self._main(tmp_path, capsys, command, text)
+        assert code == 2
+        assert err == f"config error: weight family {family} on [5.0, 6.0]: weight must not be identically zero\n"
+
+    def test_eigen_prints_its_pair_where_the_weight_is_zero(self, tmp_path, capsys):
+        code, err = self._main(tmp_path, capsys, "eigen", "n_cells = 64\nx_lo = 5\nx_hi = 6\n")
+        assert (code, err) == (0, "")
+        assert (tmp_path / "out.csv").read_text().startswith("p,n_cells,lambda1,")
+
+    @pytest.mark.parametrize("p", [129.0, 130.0, 140.0])
+    def test_eigen_exits_3_where_h_to_the_p_minus_1_is_subnormal(self, tmp_path, capsys, p):
+        code, err = self._main(tmp_path, capsys, "eigen", f"n_cells = 256\np = {p}\nq = 1.5\n")
+        assert code == 3
+        assert err.startswith("solver failure: h^(p-1) = ")
+        assert err.endswith(f" is below the smallest normal float (p={p}, h=0.00390625)\n")
+
+    def test_eigen_exits_3_where_every_slope_underflows(self, tmp_path, capsys):
+        code, err = self._main(tmp_path, capsys, "eigen", "n_cells = 256\np = 1.0001\nq = 1.00001\n")
+        assert (code, err) == (3, "solver failure: inverse-iteration step 1 is the zero vector (p=1.0001, n=256)\n")
+
+    @pytest.mark.parametrize("p", [120.0, 128.0, 1.001])
+    def test_eigen_still_solves_just_inside_float_range(self, tmp_path, capsys, p):
+        code, err = self._main(tmp_path, capsys, "eigen", f"n_cells = 256\np = {p}\nq = 1.00001\n")
+        assert (code, err) == (0, "")
+        header, row = (tmp_path / "out.csv").read_text().splitlines()
+        assert header == "p,n_cells,lambda1,residual_sup,iterations,phi_linf"
+        assert np.isfinite(float(row.split(",")[2]))
+
+
 def test_eigen_ladder_in_one_process_writes_what_fresh_processes_write(tmp_path, monkeypatch):
     """The benchmark's five eigen-p1.5 commands, run through main in this process
     twice (the second time from the parser and eigen caches), write the bytes

@@ -7,7 +7,6 @@ import pytest
 from plaplab import critical
 from plaplab.critical import (
     _constrained_rayleigh_min,
-    _picone_poly_deriv2,
     compute_critical_values,
     nonexistence_bound,
     picone_certificate,
@@ -163,52 +162,82 @@ class TestPiconeRootMatchesBisection:
         assert [picone_condition(p, q) for p, q in cells] == _grid_reports(cells)
 
     def test_only_the_overflowing_s0_reports_minus_inf(self):
-        # the slope f'' overflows at tiny s on the wide grid (the cells with p
-        # just above 2, whose root of f' lies near 1e-300); that overflow
-        # must not reach the OverflowError branch of the condition
+        # the roots of f' near 1e-300 on the wide grid (the cells with p just
+        # above 2) must not reach the OverflowError branch of the condition
         reports = _grid_reports(WIDE_REGION_CELLS)
         cells = [cell for cell, r in zip(WIDE_REGION_CELLS, reports) if r.min_value == -np.inf]
         assert cells == [(1.01, 1.0000001)]
-        p = float(np.linspace(1.01, 12.0, 200)[18])
-        assert 2.0 < p < 2.01
-        assert _picone_poly_deriv2(p, 1.9, 1e-310) == np.inf
 
     @staticmethod
     def _counted_calls(monkeypatch, cells):
-        """Calls of f' per cell, and calls of f'' at a cell with p > 2."""
-        per_cell, upper_slopes = Counter(), []
-        deriv, deriv2 = critical._picone_poly_deriv, critical._picone_poly_deriv2
+        """Calls of f' per cell."""
+        per_cell = Counter()
+        deriv = critical._picone_poly_deriv
 
         def counted(p, q, s):
             per_cell[p, q] += 1
             return deriv(p, q, s)
 
-        def counted2(p, q, s):
-            if p > 2.0:
-                upper_slopes.append((p, q))
-            return deriv2(p, q, s)
-
         monkeypatch.setattr(critical, "_picone_poly_deriv", counted)
-        monkeypatch.setattr(critical, "_picone_poly_deriv2", counted2)
         _grid_reports(cells)
-        return per_cell, upper_slopes
+        return per_cell
 
     def test_derivative_calls_gate(self, monkeypatch):
         # the bisection took 91 722 calls of f' on the default grid (52.0 per
         # cell), Newton steps in s 13 208 with 9 685 of f''; the batched
-        # Newton in log s, closed per cell, takes 5 226 and no f'' for p > 2
-        per_cell, upper_slopes = self._counted_calls(monkeypatch, DEFAULT_REGION_CELLS)
+        # Newton in log s, closed per cell, takes 5 188 and no f''
+        per_cell = self._counted_calls(monkeypatch, DEFAULT_REGION_CELLS)
         assert len(DEFAULT_REGION_CELLS) == 1764
         assert sum(per_cell.values()) <= 6_000, sum(per_cell.values())
-        assert upper_slopes == []
 
     def test_wide_grid_per_cell_gate(self, monkeypatch):
         # Newton steps in s took up to 1 071 calls of f' per cell where p is
         # just above 2 (f' ~ s^0.004 near a root below 1e-148); the log-s
         # estimate leaves at most 18
-        per_cell, upper_slopes = self._counted_calls(monkeypatch, WIDE_REGION_CELLS)
+        per_cell = self._counted_calls(monkeypatch, WIDE_REGION_CELLS)
         assert max(n for (p, _), n in per_cell.items() if p > 2.0) <= 24
-        assert upper_slopes == []
+
+    @pytest.mark.parametrize("cells", [DEFAULT_REGION_CELLS, WIDE_REGION_CELLS], ids=["default", "wide"])
+    def test_p_below_2_per_cell_gate(self, monkeypatch, cells):
+        # Newton steps in s with the slope f'' took up to 16 calls of f' per
+        # p < 2 cell (default grid; 15 on the wide one); the log-s estimate
+        # leaves at most 5 (14)
+        per_cell = self._counted_calls(monkeypatch, cells)
+        assert max(n for (p, _), n in per_cell.items() if p < 2.0) <= 16
+
+    def test_log_s_batch_runs_once_on_the_rooted_cells(self, monkeypatch):
+        # one numpy pass per call, over exactly the cells where f' has a root
+        # (p > 2, or p < 2 and f'(s_i) < 0) and s0 is finite; it stops well
+        # before its cap (23 iterations on the wide grid, 2 np.exp each)
+        batches, exp_calls = [], []
+        real_batch, real_exp = critical._log_s_roots, np.exp
+
+        def spy(p, q, s0):
+            batches.append(list(zip(p.tolist(), q.tolist())))
+            return real_batch(p, q, s0)
+
+        def counted_exp(x):
+            exp_calls.append(1)
+            return real_exp(x)
+
+        monkeypatch.setattr(critical, "_log_s_roots", spy)
+        monkeypatch.setattr(np, "exp", counted_exp)
+        _grid_reports(WIDE_REGION_CELLS)
+        monkeypatch.undo()
+
+        def rooted(p, q):
+            try:
+                ((p - q) / (q - 1.0)) ** (1.0 / (p - 1.0))
+            except OverflowError:
+                return False
+            s_i = max(0.0, q * (2.0 - p) / (p * (q - 1.0)))
+            return p > 2.0 or (p < 2.0 and critical._picone_poly_deriv(p, q, s_i) < 0.0)
+
+        expected = [(p, q) for p, q in WIDE_REGION_CELLS if rooted(p, q)]
+        assert batches == [expected]
+        assert any(p < 2.0 for p, _ in expected)
+        iterations = (len(exp_calls) - 1) // 2
+        assert iterations < critical._LOG_NEWTON_MAX, iterations
 
 
 class TestRegionClassify:

@@ -47,10 +47,15 @@ Newton fails from the first entry and the string resumes), q near p, where
 the fibered powers p/(p-q) and q/(p-q) overflow a float (a sweep whose
 m_minus row fails, sweep-q-near-p, and a ground solve that exits 3,
 ground-q-near-p), and configs that must be refused, among them a weight
-file holding a nan (bad-weight-nan) and an infinite interval end
-(bad-x-hi-inf). eigen builds no weight, so on the config whose weight file
-does not match the mesh, which ground refuses (bad-weight-file), it prints
-its eigenpair (bad-weight-file-eigen).
+file holding a nan (bad-weight-nan), an infinite interval end
+(bad-x-hi-inf), a negative seed (bad-seed), an empty region grid
+(bad-region-count) and a two-bump weight that is zero on the whole
+interval (bad-weight-outside). eigen builds no weight, so on the config
+whose weight file does not match the mesh, which ground refuses
+(bad-weight-file), it prints its eigenpair (bad-weight-file-eigen). Two
+eigen solves leave float range and exit 3: at p = 130, n = 256, where
+h^(p-1) is subnormal (eigen-p-large), and at p = 1.0001, where every
+inverse-iteration slope underflows (eigen-p-near-1).
 """
 
 from __future__ import annotations
@@ -293,6 +298,11 @@ seed = 7
     "bad-lambda-nan": "n_cells = 64\nlambda_scale = absolute\nlambda_start = nan\nlambda_count = 1\n",
     "bad-weight-nan": "n_cells = 4\nweight_family = file\nweight_file = {dir}/nan-weight.txt\n",
     "bad-x-hi-inf": "n_cells = 64\nx_hi = inf\n",
+    "bad-seed": "n_cells = 64\nstarts = 4\nseed = -1\n",
+    "bad-region-count": "region_p_count = -1\n",
+    "bad-weight-outside": "n_cells = 64\nx_lo = 5.0\nx_hi = 6.0\n",
+    "eigen-p-large": "n_cells = 256\np = 130.0\nq = 1.5\n",
+    "eigen-p-near-1": "n_cells = 256\np = 1.0001\nq = 1.00001\n",
 }
 DATA_FILES = {"three-values.txt": "1.0\n-2.0\n3.0\n", "nan-weight.txt": "1.0\n-2.0\nnan\n3.0\n-1.0\n"}
 
@@ -382,6 +392,13 @@ COMMANDS = (
     Command("bad-x-hi-inf", "eigen", "bad-x-hi-inf"),
     Command("bad-tol-flag", "eigen", "eigen-small", ("--tol", "0")),
     Command("missing-config", "eigen", "missing"),
+    Command("bad-seed", "ground", "bad-seed"),
+    Command("bad-region-count", "region", "bad-region-count"),
+    # the default two-bump weight is zero on [5, 6]
+    Command("bad-weight-outside", "critical", "bad-weight-outside"),
+    # eigen solves that leave float range: h^(p-1) subnormal, every step's slope underflowing
+    Command("eigen-p-large", "eigen", "eigen-p-large"),
+    Command("eigen-p-near-1", "eigen", "eigen-p-near-1"),
 )
 
 
